@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Watch the toy policy learn the look-then-transcribe behavior.
 
-The policy is a 54-way categorical over behavior tuples. Each sampled tuple
-is rendered into a concrete rollout, scored by the reward engine, and the
-logits follow the group-relative likelihood-ratio gradient. Under equal
-weights the all-good tuple is the unique optimum, and the probability mass
-piles onto it.
+The policy is a 54-way categorical over behavior tuples. Before training,
+each (sample, tuple) pair is rendered once into a concrete rollout and scored
+once by the reward engine; each step then looks up its group's rewards in
+that table, and the logits follow the group-relative likelihood-ratio
+gradient. Under equal weights the all-good tuple is the unique optimum, and
+the probability mass piles onto it.
 """
 
 from vapokit.grpo import OPTIMAL_TUPLE, SimConfig, default_samples, expected_grades, train

@@ -79,11 +79,8 @@ def cmd_detect(args) -> int:
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
-    paired_samples = [s for s, _ in pairs]
-    paired_hyps = [h for _, h in pairs]
-    rows = ocr_behavior.detect_all(paired_samples, paired_hyps)
-    summary = ocr_behavior.summary_row(paired_samples, paired_hyps)
-    _write_json(args.out, {"rows": rows, "summary": summary})
+    rows = ocr_behavior.detect_all([s for s, _ in pairs], [h for _, h in pairs])
+    _write_json(args.out, {"rows": rows, "summary": ocr_behavior.summarize(rows)})
     return 0
 
 

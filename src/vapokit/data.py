@@ -41,13 +41,18 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sample":
+        entities = _record(d).get("entities", [])
+        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+            raise ToolkitError(
+                "bad-record", f"sample {d.get('id')!r}: entities must be a list of strings, got {entities!r}"
+            )
         return cls(
-            id=str(d["id"]),
+            id=_record_id(d),
             domain=d.get("domain", ""),
             lang=d.get("lang", "en"),
-            slide_text=d.get("slide_text", ""),
-            transcript_gt=d.get("transcript_gt", ""),
-            entities=list(d.get("entities", [])),
+            slide_text=_text_field(d, "slide_text"),
+            transcript_gt=_text_field(d, "transcript_gt"),
+            entities=list(entities),
             audio_ref=d.get("audio_ref", ""),
             slide_image_ref=d.get("slide_image_ref"),
             duration_s=d.get("duration_s"),
@@ -63,10 +68,36 @@ class Hypothesis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hypothesis":
+        _record(d)
         for key in ("text", "output", "hypothesis"):
             if key in d:
-                return cls(id=str(d["id"]), text=str(d[key]))
+                return cls(id=_record_id(d), text=_text_field(d, key))
         raise ToolkitError("bad-record", f"hypothesis record without text field: {sorted(d)}")
+
+
+def _record(d) -> dict:
+    if not isinstance(d, dict):
+        raise ToolkitError("bad-record", f"record is not a JSON object: {d!r:.80}")
+    return d
+
+
+def _record_id(d: dict) -> str:
+    """The record's id as a string; integer ids are accepted and stringified."""
+    if "id" not in d:
+        raise ToolkitError("bad-record", f"record without id: {sorted(d)}")
+    rid = d["id"]
+    if isinstance(rid, bool) or not isinstance(rid, (str, int)):
+        raise ToolkitError("bad-record", f"id must be a string, got {rid!r}")
+    return str(rid)
+
+
+def _text_field(d: dict, key: str) -> str:
+    value = d.get(key, "")
+    if not isinstance(value, str):
+        raise ToolkitError(
+            "bad-record", f"record {d.get('id')!r}: {key} must be a string, got {value!r}"
+        )
+    return value
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

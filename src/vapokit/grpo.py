@@ -2,11 +2,14 @@
 
 Instead of a language model, the policy is a 54-way categorical over
 behavior tuples (format ok? x OCR grade x ASR grade x anchoring grade, grades
-in {0, 0.5, 1}). Each sampled tuple is rendered into a concrete
-<think>/<answer> string by deterministic corruption operators, scored with
-the real reward engine, and the policy logits are updated with a
-likelihood-ratio gradient using the within-group normalized advantage as the
-baseline.
+in {0, 0.5, 1}). Before training, every (sample, behavior tuple) pair is
+rendered once into a concrete <think>/<answer> string by deterministic
+corruption operators and scored once with the real reward engine. The
+resulting reward table is exact: a rollout's rewards depend only on its
+grades and its sample, never on which positions the corruption picks. Each
+step draws a sample and a group of tuples, reads their rewards from the
+table, and updates the policy logits with a likelihood-ratio gradient using
+the within-group normalized advantage as the baseline.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
@@ -217,10 +220,6 @@ def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: S
 @dataclass
 class GroupRollout:
     indices: list[int]
-    tuples: list[BehaviorTuple]
-    rendered: list[str]
-    breakdowns: list[RewardBreakdown]
-    rewards: np.ndarray
     advantages: np.ndarray
 
 
@@ -386,66 +385,77 @@ class _BalancedDealer:
         return out
 
 
-def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int = 0) -> np.ndarray:
-    """Total reward for every (sample, behavior tuple) pair.
+# Columns of RewardTable.values, in order.
+REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va", "total")
 
-    Grades fully determine the totals (corruption counts, not positions), so
+
+@dataclass(frozen=True)
+class RewardTable:
+    """Rewards of every (sample, behavior tuple) pair.
+
+    ``breakdowns[si][k]`` scores sample ``si`` under ``ALL_TUPLES[k]``;
+    ``values[si, k]`` holds the same breakdown's REWARD_COLUMNS as floats.
+    """
+
+    breakdowns: list[list[RewardBreakdown]]
+    values: np.ndarray  # (samples, NUM_TUPLES, len(REWARD_COLUMNS))
+
+
+def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int = 0) -> RewardTable:
+    """Render and score every (sample, behavior tuple) pair exactly once.
+
+    Grades fully determine the rewards (corruption counts, not positions), so
     one rendering per pair is exact.
     """
     rng = np.random.default_rng([seed, NUM_TUPLES])
-    matrix = np.zeros((len(samples), NUM_TUPLES))
-    for si, sample in enumerate(samples):
-        for k, tup in enumerate(ALL_TUPLES):
-            matrix[si, k] = total_reward(sample, render(tup, sample, rng), weights).total
-    return matrix
+    breakdowns = [
+        [total_reward(sample, render(tup, sample, rng), weights) for tup in ALL_TUPLES]
+        for sample in samples
+    ]
+    values = np.array(
+        [[[getattr(b, col) for col in REWARD_COLUMNS] for b in row] for row in breakdowns],
+        dtype=float,
+    )
+    return RewardTable(breakdowns, values)
 
 
 def train(config: SimConfig) -> TrainTrace:
-    """Run the sampling -> render -> score -> update loop; reproducible from seed."""
+    """Build the reward table once, then run the sample -> look up -> update loop.
+
+    Every step reads its group's rewards, the trace's mean components and the
+    policy's expected reward from the same table. Reproducible from the seed.
+    """
     if config.steps < 1 or config.group_size < 2:
         raise ToolkitError("bad-config", "need steps >= 1 and group_size >= 2")
     if config.lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
     samples = config.samples or default_samples()
-    rewards_by_tuple = reward_matrix(samples, config.weights, config.seed)
+    table = reward_matrix(samples, config.weights, config.seed)
+    totals = table.values[..., -1]
     rng = np.random.default_rng(config.seed)
     dealer = _BalancedDealer(rng)
     policy = ToyPolicy()
     trace: list[TraceStep] = []
-    # Rendered rollouts repeat; rewards are deterministic per (sample,
-    # rendered string), so memoize the scoring.
-    cache: dict[tuple[int, str], RewardBreakdown] = {}
     for step in range(config.steps):
         si = int(rng.integers(len(samples)))
-        sample = samples[si]
         if config.exploration == "policy":
             indices = [int(k) for k in rng.choice(NUM_TUPLES, size=config.group_size, p=policy.probs())]
         else:
             indices = dealer.deal(config.group_size)
-        tuples = [ALL_TUPLES[k] for k in indices]
-        rendered = [render(t, sample, rng) for t in tuples]
-        breakdowns = []
-        for text in rendered:
-            key = (si, text)
-            found = cache.get(key)
-            if found is None:
-                found = total_reward(sample, text, config.weights)
-                cache[key] = found
-            breakdowns.append(found)
-        rewards = np.array([b.total for b in breakdowns])
-        advantages = group_advantages(rewards)
-        rollout = GroupRollout(indices, tuples, rendered, breakdowns, rewards, advantages)
-        policy = policy_step(policy, rollout, config.lr)
+        group = table.values[si, indices]
+        advantages = group_advantages(group[:, -1])
+        policy = policy_step(policy, GroupRollout(indices, advantages), config.lr)
         probs = policy.probs()
+        r_format, r_ocr, r_asr, r_va, total = group.mean(axis=0)
         trace.append(
             TraceStep(
                 step=step,
-                mean_reward=float(rewards.mean()),
-                expected_reward=float(probs @ rewards_by_tuple[si]),
-                mean_format=float(np.mean([b.r_format for b in breakdowns])),
-                mean_ocr=float(np.mean([b.r_ocr for b in breakdowns])),
-                mean_asr=float(np.mean([b.r_asr for b in breakdowns])),
-                mean_va=float(np.mean([b.r_va for b in breakdowns])),
+                mean_reward=float(total),
+                expected_reward=float(probs @ totals[si]),
+                mean_format=float(r_format),
+                mean_ocr=float(r_ocr),
+                mean_asr=float(r_asr),
+                mean_va=float(r_va),
                 p_optimal=float(probs[OPTIMAL_INDEX]),
             )
         )

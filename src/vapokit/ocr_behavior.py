@@ -66,8 +66,7 @@ def dataset_rate(
     """Percentage (0..100) of samples whose output exhibits OCR behavior."""
     if not samples:
         raise ToolkitError("pairing", "dataset_rate needs at least one sample")
-    rows = detect_all(samples, outputs, min_token_len)
-    return 100.0 * sum(r["ocr_behavior"] for r in rows) / len(rows)
+    return summarize(detect_all(samples, outputs, min_token_len))["rate_percent"]
 
 
 def summary_row(
@@ -78,7 +77,11 @@ def summary_row(
     min_token_len: int = 1,
 ) -> dict:
     """One report row: model name, split, sample count, detection percentage."""
-    rows = detect_all(samples, outputs, min_token_len)
+    return summarize(detect_all(samples, outputs, min_token_len), name, split)
+
+
+def summarize(rows: Sequence[dict], name: str | None = None, split: str | None = None) -> dict:
+    """The summary_row of detection rows already computed by detect_all."""
     detected = sum(r["ocr_behavior"] for r in rows)
     return {
         "name": name,

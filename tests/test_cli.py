@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from vapokit import ocr_behavior
 from vapokit.cli import main
-from vapokit.data import builtin_path, read_jsonl, write_jsonl
+from vapokit.data import Hypothesis, Sample, builtin_path, read_jsonl, write_jsonl
 from vapokit.structured import serialize_structured
 
 
@@ -158,6 +159,23 @@ def test_detect_command(tmp_path, corpus):
     assert payload["summary"]["rate_percent"] == pytest.approx(100 / 3)
 
 
+def test_detect_partitions_each_record_once(tmp_path, corpus, monkeypatch):
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
+    calls = []
+    real = ocr_behavior.partition_vocab
+
+    def counting_partition_vocab(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ocr_behavior, "partition_vocab", counting_partition_vocab)
+    code = main(["detect", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "d.json")])
+    assert code == 0
+    assert len(calls) == len(samples)
+
+
 def test_build_command(tmp_path, capsys):
     outdir = tmp_path / "built"
     code = main(["build", "--seeds", str(builtin_path("seeds_5.jsonl")), "--outdir", str(outdir)])
@@ -224,3 +242,59 @@ def test_jobs_validation(tmp_path, corpus, capsys):
     _, dataset = corpus
     code = main(["score", "--dataset", str(dataset), "--hyp", str(dataset), "--out", "o", "--jobs", "0"])
     assert code == 2
+
+
+def _bad_record_error(capsys) -> dict:
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "bad-record"
+    return err
+
+
+def test_hypothesis_without_id_is_bad_record(tmp_path, corpus, capsys):
+    _, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": "c0", "text": "x"}, {"text": "no id here"}])
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "id" in _bad_record_error(capsys)["detail"]
+
+
+def test_null_hypothesis_text_is_bad_record(tmp_path, corpus, capsys):
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    rows = [{"id": s["id"], "text": s["transcript_gt"]} for s in samples]
+    rows[1]["text"] = None
+    write_jsonl(hyp, rows)
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "text" in _bad_record_error(capsys)["detail"]
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_string_entities_is_bad_record(tmp_path, corpus, capsys):
+    samples, _ = corpus
+    samples = [dict(s) for s in samples]
+    samples[2]["entities"] = "aspirin"
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, samples)
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "entities" in _bad_record_error(capsys)["detail"]
+
+
+def test_non_object_line_is_bad_record(tmp_path, corpus, capsys):
+    _, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text('["c0", "text"]\n')
+    code = main(["detect", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    _bad_record_error(capsys)
+
+
+def test_valid_records_parse_as_before():
+    hyp = Hypothesis.from_dict({"id": 7, "output": "seven words"})
+    assert (hyp.id, hyp.text) == ("7", "seven words")
+    sample = Sample.from_dict({"id": "s", "transcript_gt": "t", "entities": ["a b"]})
+    assert (sample.slide_text, sample.transcript_gt, sample.entities) == ("", "t", ["a b"])

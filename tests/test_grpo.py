@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from vapokit import grpo
 from vapokit.bench import TemplateGenerator, generate_slide_text
 from vapokit.data import Sample
 from vapokit.errors import ToolkitError
@@ -16,6 +17,7 @@ from vapokit.grpo import (
     NUM_TUPLES,
     OPTIMAL_INDEX,
     OPTIMAL_TUPLE,
+    REWARD_COLUMNS,
     BehaviorTuple,
     GroupRollout,
     SimConfig,
@@ -24,6 +26,7 @@ from vapokit.grpo import (
     group_advantages,
     policy_step,
     render,
+    reward_matrix,
     surrogate_gradient,
     surrogate_objective,
     train,
@@ -161,6 +164,39 @@ def test_render_unique_optimum(fixture_samples):
         assert argmax == [OPTIMAL_TUPLE]
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [RewardWeights(), RewardWeights(lambda_va=2.0), RewardWeights(0.0, 0.0, 1.0, 0.0)],
+    ids=["balanced", "va-doubled", "asr-only"],
+)
+def test_reward_matrix_matches_fresh_scoring(fixture_samples, weights):
+    # the table is exact only if a rollout's rewards do not depend on which
+    # positions the rng corrupts: every entry must equal a fresh rendering
+    # scored under any rng stream
+    table = reward_matrix(fixture_samples, weights, seed=0)
+    assert table.values.shape == (len(fixture_samples), NUM_TUPLES, len(REWARD_COLUMNS))
+    for rng_seed in range(5):
+        rng = np.random.default_rng(rng_seed)
+        for si, sample in enumerate(fixture_samples):
+            for k, tup in enumerate(ALL_TUPLES):
+                fresh = total_reward(sample, render(tup, sample, rng), weights)
+                assert table.breakdowns[si][k].as_dict() == fresh.as_dict()
+                assert list(table.values[si, k]) == [getattr(fresh, c) for c in REWARD_COLUMNS]
+
+
+@pytest.mark.parametrize("steps", [50, 500])
+def test_train_scores_each_pair_once(fixture_samples, monkeypatch, steps):
+    calls = []
+
+    def counting_total_reward(*args, **kwargs):
+        calls.append(1)
+        return total_reward(*args, **kwargs)
+
+    monkeypatch.setattr(grpo, "total_reward", counting_total_reward)
+    train(SimConfig(steps=steps, seed=3, samples=fixture_samples))
+    assert len(calls) == len(fixture_samples) * NUM_TUPLES
+
+
 # ---------------------------------------------------------------------------
 # advantages and the update
 
@@ -197,14 +233,7 @@ def test_group_advantages_zero_mean_unit_var():
 
 
 def _rollout(indices, advantages) -> GroupRollout:
-    return GroupRollout(
-        indices=list(indices),
-        tuples=[ALL_TUPLES[k] for k in indices],
-        rendered=["" for _ in indices],
-        breakdowns=[None for _ in indices],
-        rewards=np.zeros(len(indices)),
-        advantages=np.asarray(advantages, dtype=float),
-    )
+    return GroupRollout(indices=list(indices), advantages=np.asarray(advantages, dtype=float))
 
 
 def test_policy_step_zero_advantages_noop():
