@@ -20,7 +20,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 from xml.sax.saxutils import escape
 
-from .data import Sample, read_jsonl, validate_sample, write_jsonl
+from .data import (
+    Sample,
+    _entity_list,
+    _record,
+    _record_id,
+    _text_field,
+    read_jsonl,
+    validate_sample,
+    write_jsonl,
+)
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -282,11 +291,12 @@ class SeedRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedRecord":
+        _record(d)
         return cls(
-            id=str(d["id"]),
+            id=_record_id(d),
             domain=d.get("domain", ""),
-            transcript=d.get("transcript", d.get("transcript_gt", "")),
-            entities=list(d.get("entities", [])),
+            transcript=_text_field(d, "transcript" if "transcript" in d else "transcript_gt"),
+            entities=_entity_list(d),
             lang=d.get("lang", "en"),
             audio_ref=d.get("audio_ref", ""),
             duration_s=d.get("duration_s"),

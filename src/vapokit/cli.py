@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import Hypothesis, Sample, pair_by_id, read_hypotheses, read_samples
+from .data import pair_by_id, read_hypotheses, read_samples
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, sample_report
 from .rewards import RewardWeights, total_reward
@@ -22,14 +21,6 @@ def _write_json(path: str, payload: dict) -> None:
     )
 
 
-def _map_pairs(pairs, fn, jobs: int):
-    """Apply fn over (sample, hyp) pairs, id-sorted output regardless of jobs."""
-    if jobs <= 1:
-        return [fn(s, h) for s, h in pairs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda p: fn(*p), pairs))
-
-
 def cmd_score(args) -> int:
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
@@ -39,14 +30,9 @@ def cmd_score(args) -> int:
         raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
     lang = None if args.lang == "auto" else args.lang
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
-
-    def score_one(sample: Sample, hyp: Hypothesis):
-        report = sample_report(sample, hyp.text, lang=lang, metrics=metrics)
-        return sample.id, report
-
-    scored = _map_pairs(pairs, score_one, args.jobs)
-    rows = [{"id": sid, **rep.as_dict()} for sid, rep in scored]
-    aggregate = aggregate_reports([rep for _, rep in scored])
+    reports = [sample_report(s, h.text, lang=lang, metrics=metrics) for s, h in pairs]
+    rows = [{"id": s.id, **rep.as_dict()} for (s, _), rep in zip(pairs, reports)]
+    aggregate = aggregate_reports(reports)
     _write_json(args.out, {"rows": rows, "aggregate": aggregate.as_dict()})
     return 0
 
@@ -56,11 +42,7 @@ def cmd_reward(args) -> int:
     rollouts = read_hypotheses(args.rollouts)
     weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights()
     pairs = pair_by_id(samples, rollouts, allow_partial=args.allow_partial)
-
-    def reward_one(sample: Sample, hyp: Hypothesis):
-        return {"id": sample.id, **total_reward(sample, hyp.text, weights).as_dict()}
-
-    rows = _map_pairs(pairs, reward_one, args.jobs)
+    rows = [{"id": s.id, **total_reward(s, h.text, weights).as_dict()} for s, h in pairs]
     payload = {
         "weights": {
             "lambda_format": weights.lambda_format,
@@ -131,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", choices=["en", "zh", "auto"], default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--allow-partial", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("reward", help="reward breakdowns for rollouts against a dataset")
@@ -140,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--allow-partial", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_reward)
 
     p = sub.add_parser("detect", help="flag outputs that leak slide-only vocabulary")
@@ -173,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print(json.dumps({"error": "bad-config", "detail": "--jobs must be >= 1"}), file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ToolkitError as e:

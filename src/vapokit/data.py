@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,18 +42,14 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sample":
-        entities = _record(d).get("entities", [])
-        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
-            raise ToolkitError(
-                "bad-record", f"sample {d.get('id')!r}: entities must be a list of strings, got {entities!r}"
-            )
+        _record(d)
         return cls(
             id=_record_id(d),
             domain=d.get("domain", ""),
             lang=d.get("lang", "en"),
             slide_text=_text_field(d, "slide_text"),
             transcript_gt=_text_field(d, "transcript_gt"),
-            entities=list(entities),
+            entities=_entity_list(d),
             audio_ref=d.get("audio_ref", ""),
             slide_image_ref=d.get("slide_image_ref"),
             duration_s=d.get("duration_s"),
@@ -98,6 +95,15 @@ def _text_field(d: dict, key: str) -> str:
             "bad-record", f"record {d.get('id')!r}: {key} must be a string, got {value!r}"
         )
     return value
+
+
+def _entity_list(d: dict) -> list[str]:
+    entities = d.get("entities", [])
+    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        raise ToolkitError(
+            "bad-record", f"record {d.get('id')!r}: entities must be a list of strings, got {entities!r}"
+        )
+    return list(entities)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -151,9 +157,15 @@ def pair_by_id(
 ) -> list[tuple[Sample, Hypothesis]]:
     """Pair samples with hypotheses by id, sorted by id.
 
-    Unpaired ids raise a "pairing" error (with both missing lists in the
+    An id repeated on either side raises a "duplicate-id" error naming the
+    ids. Unpaired ids raise a "pairing" error (with both missing lists in the
     message) unless allow_partial, in which case the intersection is scored.
     """
+    for side, records in (("dataset", samples), ("hypotheses", hypotheses)):
+        counts = Counter(r.id for r in records)
+        repeated = sorted(rid for rid, n in counts.items() if n > 1)
+        if repeated:
+            raise ToolkitError("duplicate-id", f"ids repeated in the {side}: {repeated}")
     by_id = {h.id: h for h in hypotheses}
     sample_ids = {s.id for s in samples}
     missing_hyp = sorted(sample_ids - set(by_id))

@@ -4,6 +4,10 @@ Covers plain WER, the keyword-partitioned B-WER/U-WER pair with keyword
 recall, and the entity metrics NE-WER / NE-FNR built on fuzzy entity
 matching. All functions are pure; metrics whose reference set is empty are
 reported as absent (None), never as zero.
+
+Each metric is a ratio of raw tallies: ``_tally`` counts one sample (one
+alignment, one fuzzy match per entity) and ``_ratios`` divides. Reports,
+corpus aggregates and every standalone metric but ``wer`` share both.
 """
 
 from __future__ import annotations
@@ -232,19 +236,21 @@ def _keyword_spans(ref: tuple[str, ...], keywords: Sequence[EntityRef]) -> list[
     return spans
 
 
-def _partition_counts(reference, hypothesis, keywords: Sequence[EntityRef]):
+def _partition_counts(reference, hypothesis, keywords: Sequence[EntityRef], alignment=None):
     """(keyword_errors, keyword_tokens, other_errors, other_tokens).
 
     Substitutions and deletions take the label of their reference token;
     insertions take the label of the nearest preceding reference token
-    (sentence-initial insertions count as non-keyword).
+    (sentence-initial insertions count as non-keyword). ``alignment`` is the
+    reference/hypothesis alignment when the caller already has it.
     """
     ref = _tokens(reference)
     is_kw = [False] * len(ref)
     for start, stop, _ in _keyword_spans(ref, keywords):
         for i in range(start, stop):
             is_kw[i] = True
-    alignment = align(ref, _tokens(hypothesis))
+    if alignment is None:
+        alignment = align(ref, _tokens(hypothesis))
     kw_err = other_err = 0
     last_ref = -1
     for kind, ri, _hi in alignment.ops:
@@ -270,16 +276,11 @@ def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tup
 
     Either side is None when its reference partition is empty.
     """
-    kws = list(keywords)
-    kw_err, kw_tok, other_err, other_tok = _partition_counts(reference, hypothesis, kws)
-    b = kw_err / kw_tok if kw_tok else None
-    u = other_err / other_tok if other_tok else None
-    return b, u
+    report = _ratios(_tally(_tokens(reference), _tokens(hypothesis), list(keywords), ("bwer", "uwer")))
+    return report.b_wer, report.u_wer
 
 
-def _recall_counts(reference, hypothesis, keywords: Sequence[EntityRef]) -> tuple[int, int]:
-    ref = _tokens(reference)
-    hyp = _tokens(hypothesis)
+def _recall_counts(ref, hyp, keywords: Sequence[EntityRef]) -> tuple[int, int]:
     occurrences: dict[tuple[str, ...], int] = {}
     for _, _, ent in _keyword_spans(ref, keywords):
         occurrences[ent.tokens] = occurrences.get(ent.tokens, 0) + 1
@@ -309,29 +310,25 @@ def keyword_recall(reference, hypothesis, keywords: Iterable[EntityRef]) -> floa
     kws = list(keywords)
     if not kws:
         raise ToolkitError("no-keywords", "keyword recall needs a nonempty keyword set")
-    recalled, total = _recall_counts(reference, hypothesis, kws)
-    if total == 0:
-        return None
-    return recalled / total
+    return _ratios(_tally(_tokens(reference), _tokens(hypothesis), kws, ("recall",))).recall
 
 
 # ---------------------------------------------------------------------------
 # entity metrics: NE-WER / NE-FNR
 
 
-def _ne_counts(entities: Sequence[EntityRef], hypothesis) -> tuple[int, int]:
-    """(entity-span errors, entity tokens) over the entity occurrence list."""
-    hyp = _tokens(hypothesis)
-    errors = 0
-    tokens = 0
+def _entity_counts(entities: Sequence[EntityRef], hyp: tuple[str, ...]) -> tuple[int, int, int]:
+    """(entity-span errors, entity tokens, entities found), one fuzzy match per entity."""
+    errors = tokens = found = 0
     for ent in entities:
         tokens += ent.token_count
         match = fuzzy_find(ent, hyp)
         if match is None:
             errors += ent.token_count
         else:
+            found += 1
             errors += token_edit_distance(ent.tokens, hyp[match.start : match.stop])
-    return errors, tokens
+    return errors, tokens, found
 
 
 def ne_wer(entities: Iterable[EntityRef], reference, hypothesis) -> float:
@@ -345,8 +342,7 @@ def ne_wer(entities: Iterable[EntityRef], reference, hypothesis) -> float:
     ents = list(entities)
     if not ents:
         raise ToolkitError("no-entities", "NE-WER needs a nonempty entity list")
-    errors, tokens = _ne_counts(ents, hypothesis)
-    return errors / tokens
+    return _ratios(_tally((), _tokens(hypothesis), ents, ("newer",))).ne_wer
 
 
 def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
@@ -354,13 +350,11 @@ def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
     ents = list(entities)
     if not ents:
         raise ToolkitError("no-entities", "NE-FNR needs a nonempty entity list")
-    hyp = _tokens(hypothesis)
-    found = sum(1 for e in ents if fuzzy_find(e, hyp) is not None)
-    return 1.0 - found / len(ents)
+    return _ratios(_tally((), _tokens(hypothesis), ents, ("nefnr",))).ne_fnr
 
 
 # ---------------------------------------------------------------------------
-# per-sample reports and corpus aggregation
+# tallies, ratios, per-sample reports and corpus aggregation
 
 ALL_METRICS = ("wer", "bwer", "uwer", "recall", "newer", "nefnr")
 
@@ -369,9 +363,9 @@ ALL_METRICS = ("wer", "bwer", "uwer", "recall", "newer", "nefnr")
 class MetricReport:
     """Metric values plus the raw tallies they were derived from.
 
-    Absent metrics (empty reference partition, no entities) are None; the
-    ``counts`` tallies are what corpus aggregation sums before re-deriving
-    ratios, so aggregates are micro-averages.
+    Values are ``_ratios(counts)``, for one sample and for a corpus aggregate
+    alike (tallies summed, then divided: a micro-average). Absent metrics
+    (empty reference partition, no entities) are None.
     """
 
     wer: float | None = None
@@ -391,6 +385,67 @@ class MetricReport:
             "ne_wer": self.ne_wer,
             "ne_fnr": self.ne_fnr,
         }
+
+
+def _tally(
+    ref: tuple[str, ...], hyp: tuple[str, ...], ents: Sequence[EntityRef], metrics: Sequence[str]
+) -> dict[str, dict[str, int]]:
+    """Raw counts for the requested metrics, computing only what they need.
+
+    One alignment serves WER and the B/U partition; one fuzzy match per entity
+    serves NE-WER and NE-FNR. The entity list doubles as the keyword list.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    if "wer" in metrics or "bwer" in metrics or "uwer" in metrics:
+        alignment = align(ref, hyp)
+    if "wer" in metrics:
+        counts["wer"] = {
+            "sub": alignment.substitutions,
+            "del": alignment.deletions,
+            "ins": alignment.insertions,
+            "hits": alignment.hits,
+            "ref": len(ref),
+        }
+    if "bwer" in metrics or "uwer" in metrics:
+        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, ents, alignment)
+        if "bwer" in metrics:
+            counts["bwer"] = {"errors": kw_err, "ref": kw_tok}
+        if "uwer" in metrics:
+            counts["uwer"] = {"errors": other_err, "ref": other_tok}
+    if "recall" in metrics:
+        recalled, total = _recall_counts(ref, hyp, ents)
+        counts["recall"] = {"recalled": recalled, "occurrences": total}
+    if "newer" in metrics or "nefnr" in metrics:
+        errors, tokens, found = _entity_counts(ents, hyp)
+        if "newer" in metrics:
+            counts["newer"] = {"errors": errors, "tokens": tokens}
+        if "nefnr" in metrics:
+            counts["nefnr"] = {"found": found, "total": len(ents)}
+    return counts
+
+
+def _ratios(counts: dict[str, dict[str, int]]) -> MetricReport:
+    """Metric values for the tallies present; None where a denominator is 0."""
+    report = MetricReport(counts=counts)
+    if "wer" in counts:
+        c = counts["wer"]
+        report.wer = (c["sub"] + c["del"] + c["ins"]) / c["ref"] if c["ref"] else None
+    if "bwer" in counts:
+        c = counts["bwer"]
+        report.b_wer = c["errors"] / c["ref"] if c["ref"] else None
+    if "uwer" in counts:
+        c = counts["uwer"]
+        report.u_wer = c["errors"] / c["ref"] if c["ref"] else None
+    if "recall" in counts:
+        c = counts["recall"]
+        report.recall = c["recalled"] / c["occurrences"] if c["occurrences"] else None
+    if "newer" in counts:
+        c = counts["newer"]
+        report.ne_wer = c["errors"] / c["tokens"] if c["tokens"] else None
+    if "nefnr" in counts:
+        c = counts["nefnr"]
+        report.ne_fnr = 1.0 - c["found"] / c["total"] if c["total"] else None
+    return report
 
 
 def sample_report(
@@ -413,67 +468,15 @@ def sample_report(
     if not ref.tokens:
         raise ToolkitError("undefined-wer", f"sample {sample.id}: empty reference transcript")
     ents = [EntityRef.from_surface(e, mode) for e in sample.entities]
-
-    report = MetricReport()
-    if "wer" in metrics:
-        a = align(ref, hyp)
-        report.wer = a.errors / len(ref.tokens)
-        report.counts["wer"] = {
-            "sub": a.substitutions,
-            "del": a.deletions,
-            "ins": a.insertions,
-            "hits": a.hits,
-            "ref": len(ref.tokens),
-        }
-    if "bwer" in metrics or "uwer" in metrics:
-        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, ents)
-        if "bwer" in metrics:
-            report.b_wer = kw_err / kw_tok if kw_tok else None
-            report.counts["bwer"] = {"errors": kw_err, "ref": kw_tok}
-        if "uwer" in metrics:
-            report.u_wer = other_err / other_tok if other_tok else None
-            report.counts["uwer"] = {"errors": other_err, "ref": other_tok}
-    if "recall" in metrics:
-        recalled, total = _recall_counts(ref, hyp, ents) if ents else (0, 0)
-        report.recall = recalled / total if total else None
-        report.counts["recall"] = {"recalled": recalled, "occurrences": total}
-    if "newer" in metrics:
-        errors, tokens = _ne_counts(ents, hyp) if ents else (0, 0)
-        report.ne_wer = errors / tokens if tokens else None
-        report.counts["newer"] = {"errors": errors, "tokens": tokens}
-    if "nefnr" in metrics:
-        found = sum(1 for e in ents if fuzzy_find(e, hyp) is not None)
-        report.ne_fnr = 1.0 - found / len(ents) if ents else None
-        report.counts["nefnr"] = {"found": found, "total": len(ents)}
-    return report
+    return _ratios(_tally(ref.tokens, hyp.tokens, ents, metrics))
 
 
 def aggregate_reports(reports: Sequence[MetricReport]) -> MetricReport:
-    """Micro-average: pool raw tallies across samples, then divide."""
+    """Micro-average: pool raw tallies across samples, then ``_ratios``."""
     sums: dict[str, dict[str, int]] = {}
     for rep in reports:
         for key, tallies in rep.counts.items():
             bucket = sums.setdefault(key, {})
             for name, value in tallies.items():
                 bucket[name] = bucket.get(name, 0) + value
-    agg = MetricReport(counts=sums)
-    if "wer" in sums:
-        c = sums["wer"]
-        errors = c["sub"] + c["del"] + c["ins"]
-        agg.wer = errors / c["ref"] if c["ref"] else None
-    if "bwer" in sums:
-        c = sums["bwer"]
-        agg.b_wer = c["errors"] / c["ref"] if c["ref"] else None
-    if "uwer" in sums:
-        c = sums["uwer"]
-        agg.u_wer = c["errors"] / c["ref"] if c["ref"] else None
-    if "recall" in sums:
-        c = sums["recall"]
-        agg.recall = c["recalled"] / c["occurrences"] if c["occurrences"] else None
-    if "newer" in sums:
-        c = sums["newer"]
-        agg.ne_wer = c["errors"] / c["tokens"] if c["tokens"] else None
-    if "nefnr" in sums:
-        c = sums["nefnr"]
-        agg.ne_fnr = 1.0 - c["found"] / c["total"] if c["total"] else None
-    return agg
+    return _ratios(sums)

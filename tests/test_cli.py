@@ -52,14 +52,14 @@ def test_score_perfect(tmp_path, corpus):
     assert agg["recall"] == 1.0 and agg["ne_wer"] == 0.0 and agg["ne_fnr"] == 0.0
 
 
-def test_score_metric_subset_and_jobs(tmp_path, corpus):
+def test_score_metric_subset(tmp_path, corpus):
     samples, dataset = corpus
     hyp = tmp_path / "hyp.jsonl"
     write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
     out = tmp_path / "report.json"
     code = main(
         ["score", "--dataset", str(dataset), "--hyp", str(hyp),
-         "--metrics", "wer", "--out", str(out), "--jobs", "3"]
+         "--metrics", "wer", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
@@ -238,12 +238,6 @@ def test_report_no_rows(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "no-rows"
 
 
-def test_jobs_validation(tmp_path, corpus, capsys):
-    _, dataset = corpus
-    code = main(["score", "--dataset", str(dataset), "--hyp", str(dataset), "--out", "o", "--jobs", "0"])
-    assert code == 2
-
-
 def _bad_record_error(capsys) -> dict:
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "bad-record"
@@ -298,3 +292,51 @@ def test_valid_records_parse_as_before():
     assert (hyp.id, hyp.text) == ("7", "seven words")
     sample = Sample.from_dict({"id": "s", "transcript_gt": "t", "entities": ["a b"]})
     assert (sample.slide_text, sample.transcript_gt, sample.entities) == ("", "t", ["a b"])
+
+
+def test_duplicate_hypothesis_id_is_rejected(tmp_path, corpus, capsys):
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    rows = [{"id": s["id"], "text": s["transcript_gt"]} for s in samples]
+    write_jsonl(hyp, rows + [{"id": "c1", "text": "a second c1 that would replace the first"}])
+    out = tmp_path / "o.json"
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "duplicate-id" and "c1" in err["detail"]
+    assert not out.exists()
+
+
+def test_duplicate_sample_id_is_rejected(tmp_path, corpus, capsys):
+    samples, _ = corpus
+    dataset = tmp_path / "dup_dataset.jsonl"
+    write_jsonl(dataset, samples + [samples[0]])
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
+    out = tmp_path / "o.json"
+    code = main(["detect", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "duplicate-id" and "c0" in err["detail"]
+    assert not out.exists()
+
+
+def _build_one_seed(tmp_path, seed: dict) -> int:
+    seeds = tmp_path / "seeds.jsonl"
+    write_jsonl(seeds, [seed])
+    return main(["build", "--seeds", str(seeds), "--outdir", str(tmp_path / "built")])
+
+
+def test_build_string_entities_is_bad_record(tmp_path, capsys):
+    seed = read_jsonl(builtin_path("seeds_5.jsonl"))[0]
+    seed["entities"] = "benzene"
+    assert _build_one_seed(tmp_path, seed) == 1
+    assert "entities" in _bad_record_error(capsys)["detail"]
+    assert not (tmp_path / "built" / "manifest.jsonl").exists()
+
+
+def test_build_seed_without_id_is_bad_record(tmp_path, capsys):
+    seed = read_jsonl(builtin_path("seeds_5.jsonl"))[0]
+    del seed["id"]
+    assert _build_one_seed(tmp_path, seed) == 1
+    assert "id" in _bad_record_error(capsys)["detail"]

@@ -388,3 +388,51 @@ def test_sample_report_chinese_per_character():
     assert report.ne_fnr == 1.0
     assert report.b_wer == pytest.approx(1 / 4)
     assert report.u_wer == 0.0
+
+
+def test_sample_report_aligns_once_and_matches_each_entity_once(monkeypatch):
+    import vapokit.metrics as metrics
+
+    calls = {"align": 0, "fuzzy_find": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(metrics, "align", counting("align", metrics.align))
+    monkeypatch.setattr(metrics, "fuzzy_find", counting("fuzzy_find", metrics.fuzzy_find))
+    sample = _mini_sample(
+        5, "we take aspirin and warfarin daily with new york water", ["aspirin", "warfarin", "new york"]
+    )
+    sample_report(sample, "we take aspirin and warfaring daily with york water")
+    assert calls == {"align": 1, "fuzzy_find": 3}
+
+    calls.update(align=0, fuzzy_find=0)
+    sample_report(sample, "we take aspirin", metrics=("wer",))
+    assert calls == {"align": 1, "fuzzy_find": 0}
+
+
+def test_sample_report_equals_standalone_metrics_random():
+    rng = random.Random(10)
+    vocab = ["aspirin", "warfarin", "new", "york", "the", "dose", "warfaring", "a"]
+    surfaces = ["aspirin", "warfarin", "new york", "the dose"]
+    for i in range(300):
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        entities = rng.sample(surfaces, rng.randint(0, 3))
+        sample = _mini_sample(i, " ".join(ref), entities)
+        report = sample_report(sample, " ".join(hyp))
+        ref_t, hyp_t = tuple(ref), tuple(hyp)
+        ents = [ent(e) for e in entities]
+        assert report.wer == wer(ref_t, hyp_t) == levenshtein_recursive(ref_t, hyp_t) / len(ref_t)
+        assert (report.b_wer, report.u_wer) == partitioned_wer(ref_t, hyp_t, ents)
+        if ents:
+            assert report.recall == keyword_recall(ref_t, hyp_t, ents)
+            assert report.ne_wer == ne_wer(ents, ref_t, hyp_t)
+            assert report.ne_fnr == ne_fnr(ents, hyp_t)
+        else:
+            assert report.recall is None and report.ne_wer is None and report.ne_fnr is None
+        assert aggregate_reports([report]).as_dict() == report.as_dict()
