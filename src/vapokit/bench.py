@@ -27,6 +27,7 @@ from .data import (
     _record_id,
     _text_field,
     read_jsonl,
+    reject_repeated_ids,
     validate_sample,
     write_jsonl,
 )
@@ -324,8 +325,11 @@ def build_dataset(
 
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
     Records that fail generation go to errors.jsonl and are excluded. Output
-    is byte-identical across rebuilds for the same seeds and generator.
+    is byte-identical across rebuilds for the same seeds and generator. Seed
+    ids must be unique: a repeated id raises "duplicate-id" before anything
+    is written.
     """
+    reject_repeated_ids(seed_records, "seeds")
     outdir = Path(outdir)
     (outdir / "slides").mkdir(parents=True, exist_ok=True)
     entries: list[Sample] = []
@@ -385,7 +389,7 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
     seen: set[str] = set()
     entity_count = 0
     for row in rows:
-        if "id" not in row:
+        if "id" not in row or (isinstance(row, dict) and row["id"] == ""):
             violations.append({"id": None, "code": "missing-id", "detail": "record without id"})
             continue
         sample = Sample.from_dict(row)

@@ -79,12 +79,14 @@ def _record(d) -> dict:
 
 
 def _record_id(d: dict) -> str:
-    """The record's id as a string; integer ids are accepted and stringified."""
+    """The record's id as a nonempty string; integer ids are accepted and stringified."""
     if "id" not in d:
         raise ToolkitError("bad-record", f"record without id: {sorted(d)}")
     rid = d["id"]
     if isinstance(rid, bool) or not isinstance(rid, (str, int)):
         raise ToolkitError("bad-record", f"id must be a string, got {rid!r}")
+    if rid == "":
+        raise ToolkitError("bad-record", "id must not be empty")
     return str(rid)
 
 
@@ -107,9 +109,10 @@ def _entity_list(d: dict) -> list[str]:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """One JSON value per nonblank line; a leading UTF-8 byte-order mark is skipped."""
     rows = []
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
@@ -150,6 +153,14 @@ def resolve_data_path(path: str) -> Path:
     return Path(path)
 
 
+def reject_repeated_ids(records: Iterable, side: str) -> None:
+    """Raise "duplicate-id" naming every id that occurs more than once in ``records``."""
+    counts = Counter(r.id for r in records)
+    repeated = sorted(rid for rid, n in counts.items() if n > 1)
+    if repeated:
+        raise ToolkitError("duplicate-id", f"ids repeated in the {side}: {repeated}")
+
+
 def pair_by_id(
     samples: Sequence[Sample],
     hypotheses: Sequence[Hypothesis],
@@ -162,10 +173,7 @@ def pair_by_id(
     message) unless allow_partial, in which case the intersection is scored.
     """
     for side, records in (("dataset", samples), ("hypotheses", hypotheses)):
-        counts = Counter(r.id for r in records)
-        repeated = sorted(rid for rid, n in counts.items() if n > 1)
-        if repeated:
-            raise ToolkitError("duplicate-id", f"ids repeated in the {side}: {repeated}")
+        reject_repeated_ids(records, side)
     by_id = {h.id: h for h in hypotheses}
     sample_ids = {s.id for s in samples}
     missing_hyp = sorted(sample_ids - set(by_id))

@@ -8,6 +8,13 @@ reported as absent (None), never as zero.
 Each metric is a ratio of raw tallies: ``_tally`` counts one sample (one
 alignment, one fuzzy match per entity) and ``_ratios`` divides. Reports,
 corpus aggregates and every standalone metric but ``wer`` share both.
+
+Every edit distance comes from one bit-parallel kernel, ``_columns`` (Myers
+1999, in Hyyro's 2001 Levenshtein form): each hypothesis token advances the
+vertical-delta bit vectors (VP, VN) of one DP column, with the reference
+positions as bits of a Python int, so there is no length limit.
+``token_edit_distance`` keeps the last column only; ``align`` keeps them all
+and traces back, reading each DP cell from its column's popcounts.
 """
 
 from __future__ import annotations
@@ -28,6 +35,31 @@ def _tokens(seq) -> tuple[str, ...]:
     return tuple(seq)
 
 
+def _columns(reference: tuple[str, ...], hypothesis: tuple[str, ...]):
+    """Yield the vertical deltas (VP_j, VN_j) of DP columns j = 0..len(hypothesis).
+
+    Bit-parallel Levenshtein (Myers 1999, in Hyyro's 2001 form). Bit i-1 of
+    VP_j (VN_j) is set when d[i][j] - d[i-1][j] is +1 (-1), where d[i][j] is
+    the distance between reference[:i] and hypothesis[:j]. Python ints hold
+    any reference length; every complement is masked to len(reference) bits.
+    """
+    mask = (1 << len(reference)) - 1
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(reference):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    vp, vn = mask, 0
+    yield vp, vn
+    for tok in hypothesis:
+        eq = peq.get(tok, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
+        hp = vn | ~(d0 | vp) & mask
+        hn = d0 & vp
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+        yield vp, vn
+
+
 def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> int:
     """Levenshtein distance between token sequences (unit costs)."""
     a = _tokens(reference)
@@ -38,16 +70,11 @@ def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> 
         return len(b)
     if not b:
         return len(a)
-    if len(a) < len(b):
+    if len(a) < len(b):  # one kernel step per token of the shorter sequence
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        cur = [i]
-        for j, tok_b in enumerate(b, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    for vp, vn in _columns(a, b):
+        pass
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def char_edit_distance(a: str, b: str) -> int:
@@ -81,46 +108,43 @@ def align(reference, hypothesis) -> Alignment:
     """
     ref = _tokens(reference)
     hyp = _tokens(hypothesis)
-    n, m = len(ref), len(hyp)
-    d = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        d[i][0] = i
-    for j in range(m + 1):
-        d[0][j] = j
-    for i in range(1, n + 1):
-        row = d[i]
-        prev = d[i - 1]
-        rtok = ref[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if rtok == hyp[j - 1] else 1
-            row[j] = min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + cost)
+    cols = list(_columns(ref, hyp))
+
+    def d(i: int, j: int) -> int:
+        vp, vn = cols[j]
+        low = (1 << i) - 1
+        return j + (vp & low).bit_count() - (vn & low).bit_count()
 
     ops: list[Op] = []
-    i, j = n, m
+    i, j = len(ref), len(hyp)
+    cost = d(i, j)
     subs = dels = ins = hits = 0
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            diag = d[i - 1][j - 1]
-            if ref[i - 1] == hyp[j - 1] and d[i][j] == diag:
+            diag = d(i - 1, j - 1)
+            if ref[i - 1] == hyp[j - 1] and cost == diag:
                 ops.append(("hit", i - 1, j - 1))
                 hits += 1
                 i -= 1
                 j -= 1
                 continue
-            if d[i][j] == diag + 1:
+            if cost == diag + 1:
                 ops.append(("sub", i - 1, j - 1))
                 subs += 1
                 i -= 1
                 j -= 1
+                cost -= 1
                 continue
-        if i > 0 and d[i][j] == d[i - 1][j] + 1:
+        if i > 0 and cols[j][0] >> (i - 1) & 1:  # d[i][j] == d[i-1][j] + 1
             ops.append(("del", i - 1, None))
             dels += 1
             i -= 1
+            cost -= 1
             continue
         ops.append(("ins", None, j - 1))
         ins += 1
         j -= 1
+        cost -= 1
     ops.reverse()
     return Alignment(subs, dels, ins, hits, tuple(ops))
 

@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 
 _PUNCT_RE = re.compile(r"[^\w\s]|_", flags=re.UNICODE)
-_WS_RE = re.compile(r"\s+", flags=re.UNICODE)
 
 # Han ideographs plus kana and hangul syllables. Each codepoint in these
 # ranges is emitted as its own token.
@@ -27,6 +26,9 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),
     (0x20000, 0x2A6DF),
 )
+_CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+# One token per CJK codepoint, otherwise maximal runs of non-space characters.
+_TOKEN_RE = re.compile(f"[{_CJK_CLASS}]|[^\\s{_CJK_CLASS}]+")
 
 
 class LangMode(str, Enum):
@@ -77,23 +79,7 @@ class TokenSeq:
 def _tokenize(text: str) -> tuple[str, ...]:
     text = unicodedata.normalize("NFC", text).lower()
     text = _PUNCT_RE.sub(" ", text)
-    text = _WS_RE.sub(" ", text).strip()
-    if not text:
-        return ()
-    tokens: list[str] = []
-    for chunk in text.split(" "):
-        run = ""
-        for ch in chunk:
-            if is_cjk(ch):
-                if run:
-                    tokens.append(run)
-                    run = ""
-                tokens.append(ch)
-            else:
-                run += ch
-        if run:
-            tokens.append(run)
-    return tuple(tokens)
+    return tuple(_TOKEN_RE.findall(text))
 
 
 def normalize_tokenize(text: str, lang_mode: LangMode = LangMode.MIXED) -> TokenSeq:

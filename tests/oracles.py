@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without reusing the library's
 implementations: recursive edit distance (memoized over the decision space),
-literal enumeration of every alignment path for small inputs, and a
+an alignment trace walked over that recursive cost, literal enumeration of
+every alignment path for small inputs, a per-character tokenizer, and a
 regex-based recognizer for the rollout grammar.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+import unicodedata
 from functools import lru_cache
 
 
@@ -28,6 +30,44 @@ def levenshtein_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
         return best
 
     return go(0, 0)
+
+
+def reference_alignment_ops(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[tuple, ...]:
+    """Alignment ops of ``a`` (reference) against ``b`` (hypothesis).
+
+    The cost of every prefix pair comes from a memoized recursion; the trace
+    is walked back from (len(a), len(b)) with the documented tie-break: hit,
+    then substitution, then deletion, then insertion.
+    """
+
+    @lru_cache(maxsize=None)
+    def cost(i: int, j: int) -> int:
+        if i == 0 or j == 0:
+            return i + j
+        return min(
+            cost(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
+            cost(i - 1, j) + 1,
+            cost(i, j - 1) + 1,
+        )
+
+    ops = []
+    i, j = len(a), len(b)
+    while i or j:
+        here = cost(i, j)
+        if i and j and a[i - 1] == b[j - 1] and here == cost(i - 1, j - 1):
+            ops.append(("hit", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i and j and here == cost(i - 1, j - 1) + 1:
+            ops.append(("sub", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i and here == cost(i - 1, j) + 1:
+            ops.append(("del", i - 1, None))
+            i -= 1
+        else:
+            assert j and here == cost(i, j - 1) + 1
+            ops.append(("ins", None, j - 1))
+            j -= 1
+    return tuple(reversed(ops))
 
 
 def enumerate_alignments_min(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -56,6 +96,40 @@ def enumerate_alignments_min(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 
 def char_distance(a: str, b: str) -> int:
     return levenshtein_recursive(tuple(a), tuple(b))
+
+
+# Codepoint ranges emitted one token per codepoint (Han, kana, hangul).
+_REFERENCE_CJK = (
+    (0x3040, 0x30FF),
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0xAC00, 0xD7AF),
+    (0xF900, 0xFAFF),
+    (0x20000, 0x2A6DF),
+)
+
+
+def reference_tokenize(text: str) -> tuple[str, ...]:
+    """Tokenize character by character: NFC, lowercase, punctuation and
+    underscore to spaces, split on whitespace, then cut every CJK codepoint
+    out of its chunk as its own token."""
+    text = unicodedata.normalize("NFC", text).lower()
+    text = re.sub(r"[^\w\s]|_", " ", text)
+    text = re.sub(r"\s+", " ", text).strip()
+    tokens: list[str] = []
+    for chunk in text.split(" ") if text else ():
+        run = ""
+        for ch in chunk:
+            if any(lo <= ord(ch) <= hi for lo, hi in _REFERENCE_CJK):
+                if run:
+                    tokens.append(run)
+                    run = ""
+                tokens.append(ch)
+            else:
+                run += ch
+        if run:
+            tokens.append(run)
+    return tuple(tokens)
 
 
 # Reference recognizer for the rollout grammar: one think block, one answer

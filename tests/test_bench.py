@@ -298,6 +298,10 @@ def test_validate_manifest_catches_corruption(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     report = validate_manifest(path)
     assert any(v["code"] == "count-mismatch" for v in report.violations)
+    # an empty id is reported like a missing one
+    path.write_text(json.dumps(rows[0] | {"id": ""}) + "\n")
+    report = validate_manifest(path)
+    assert any(v["code"] == "missing-id" for v in report.violations)
 
 
 def test_validate_manifest_unreadable(tmp_path):

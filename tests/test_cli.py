@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,48 @@ def test_detect_partitions_each_record_once(tmp_path, corpus, monkeypatch):
     assert len(calls) == len(samples)
 
 
+def test_empty_id_is_bad_record(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(dataset, [{"id": "", "transcript_gt": "a talk about aspirin", "entities": ["aspirin"]}])
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": "", "text": "a talk about aspirin"}])
+    out = tmp_path / "o.json"
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 1
+    assert "empty" in _bad_record_error(capsys)["detail"]
+    assert not out.exists()
+
+
+def test_score_accepts_utf8_bom(tmp_path, corpus):
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    lines = [json.dumps({"id": s["id"], "text": s["transcript_gt"]}) for s in samples]
+    hyp.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
+    out = tmp_path / "o.json"
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert [r["id"] for r in payload["rows"]] == ["c0", "c1", "c2"]
+    assert payload["aggregate"]["wer"] == 0.0
+
+
+def test_traced_cli_wraps_every_layer(tmp_path, corpus):
+    """bench/traced_cli.py must install its wrappers on the current module layout."""
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
+    root = Path(__file__).resolve().parent.parent
+    prefix = tmp_path / "spans"
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "traced_cli.py"), str(root / "src"), str(prefix),
+         "score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = json.loads(Path(f"{prefix}.json").read_text())
+    assert "metrics.align" in header["names"] and header["tokenize_cache"]["misses"] > 0
+
+
 def test_build_command(tmp_path, capsys):
     outdir = tmp_path / "built"
     code = main(["build", "--seeds", str(builtin_path("seeds_5.jsonl")), "--outdir", str(outdir)])
@@ -340,3 +385,14 @@ def test_build_seed_without_id_is_bad_record(tmp_path, capsys):
     del seed["id"]
     assert _build_one_seed(tmp_path, seed) == 1
     assert "id" in _bad_record_error(capsys)["detail"]
+
+
+def test_build_repeated_seed_id_is_rejected(tmp_path, capsys):
+    seed = read_jsonl(builtin_path("seeds_60.jsonl"))[0]
+    seeds = tmp_path / "seeds.jsonl"
+    write_jsonl(seeds, [seed, seed])
+    outdir = tmp_path / "built"
+    assert main(["build", "--seeds", str(seeds), "--outdir", str(outdir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "duplicate-id" and seed["id"] in err["detail"]
+    assert not outdir.exists()

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from oracles import char_distance, enumerate_alignments_min, levenshtein_recursive
+from oracles import (
+    char_distance,
+    enumerate_alignments_min,
+    levenshtein_recursive,
+    reference_alignment_ops,
+)
 from vapokit.data import Sample
 from vapokit.errors import ToolkitError
 from vapokit.metrics import (
@@ -79,6 +84,48 @@ def test_align_deterministic_ops():
     ref = tuple("abcabc")
     hyp = tuple("axcbcd")
     assert align(ref, hyp).ops == align(ref, hyp).ops
+
+
+def _kernel_pairs():
+    """Seeded (ref, hyp) pairs: lengths 0-150 (across the 64- and 128-bit word
+    edges) over 1-6 symbols, random or as edits of the reference, plus 200-token
+    pairs and short pairs (where deletion/insertion ties on the trace are common)."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(1000):
+        alphabet = "abcdef"[: rng.randint(1, 3)]
+        ref = tuple(rng.choices(alphabet, k=rng.randint(0, 8)))
+        pairs.append((ref, tuple(rng.choices(alphabet, k=rng.randint(0, 8)))))
+    for trial in range(100):
+        alphabet = "abcdef"[: rng.randint(1, 6)]
+        n = rng.choice((63, 64, 65, 127, 128, 129)) if trial % 4 == 0 else rng.randint(0, 150)
+        ref = tuple(rng.choices(alphabet, k=n))
+        if trial % 2:
+            hyp = tuple(rng.choices(alphabet, k=rng.randint(0, 150)))
+        else:
+            hyp = tuple(t for t in ref if rng.random() > 0.1)
+            hyp = tuple(rng.choice(alphabet) if rng.random() < 0.15 else t for t in hyp)
+        pairs.append((ref, hyp))
+    for _ in range(3):
+        ref = tuple(rng.choices("abcdefghij", k=200))
+        hyp = tuple(t for t in ref if rng.random() > 0.05)
+        hyp = tuple(rng.choice("abcdefghijk") if rng.random() < 0.2 else t for t in hyp)
+        pairs.append((ref, hyp))
+    return pairs
+
+
+def test_align_and_distance_equal_oracles_random():
+    for ref, hyp in _kernel_pairs():
+        a = align(ref, hyp)
+        ops = reference_alignment_ops(ref, hyp)
+        assert a.ops == ops, (ref, hyp)
+        kinds = [op[0] for op in ops]
+        assert (a.hits, a.substitutions, a.deletions, a.insertions) == tuple(
+            kinds.count(k) for k in ("hit", "sub", "del", "ins")
+        )
+        expected = levenshtein_recursive(ref, hyp)
+        assert token_edit_distance(ref, hyp) == expected
+        assert token_edit_distance(hyp, ref) == expected
 
 
 # ---------------------------------------------------------------------------

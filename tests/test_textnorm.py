@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 import unicodedata
 
-from vapokit.textnorm import LangMode, is_cjk, mode_for_lang, normalize_tokenize
+from oracles import reference_tokenize
+from vapokit.textnorm import _CJK_RANGES, LangMode, is_cjk, mode_for_lang, normalize_tokenize
 
 
 def test_latin_casing_and_punctuation():
@@ -59,3 +60,22 @@ def test_idempotence_random():
         seq = normalize_tokenize(text, LangMode.MIXED)
         again = normalize_tokenize(" ".join(seq.tokens), LangMode.MIXED)
         assert again.tokens == seq.tokens
+
+
+def _fuzz_alphabet() -> list[str]:
+    edges = []
+    for lo, hi in _CJK_RANGES:
+        edges += [chr(lo - 1), chr(lo), chr(lo + 1), chr(hi - 1), chr(hi), chr(hi + 1)]
+    spaces = [" ", "\t", "\n", "\u00a0", "\u3000", "\u0085", "\u001c", "\u2028", "\u200b"]
+    marks = ["\u0301", "\u0308", "\u3099", "e", "E", "\u0130", "\u00df", "\u212b"]
+    return edges + spaces + marks + list("_09aZ.,!-'\"") + ["\u0663", "\u00b2", "你", "가", "ア"]
+
+
+def test_tokenize_equals_reference_tokenizer_fuzz():
+    """20k seeded strings around every CJK range edge, unusual spaces,
+    underscores, digits and combining marks."""
+    alphabet = _fuzz_alphabet()
+    rng = random.Random(8)
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+        assert normalize_tokenize(text).tokens == reference_tokenize(text), repr(text)
