@@ -6,7 +6,7 @@ pair B-WER/U-WER with recall, and the entity metrics NE-WER / NE-FNR.
 """
 
 from vapokit import EntityRef, Sample, align, fuzzy_find, sample_report
-from vapokit.textnorm import LangMode, normalize_tokenize
+from vapokit.textnorm import normalize_tokenize
 
 sample = Sample(
     id="demo",
@@ -22,23 +22,25 @@ sample = Sample(
 # misheard entity, one dropped word
 hypothesis = "today we compare aspirin with warfaring and review metformin dosing"
 
-ref = normalize_tokenize(sample.transcript_gt, LangMode.LATIN_WORD)
-hyp = normalize_tokenize(hypothesis, LangMode.LATIN_WORD)
-print("reference tokens:", ref.tokens)
-print("hypothesis tokens:", hyp.tokens)
+# one tokenizer for every language: a CJK codepoint per token, whitespace
+# words otherwise; the sample's lang label does not enter
+ref = normalize_tokenize(sample.transcript_gt)
+hyp = normalize_tokenize(hypothesis)
+print("reference tokens:", ref)
+print("hypothesis tokens:", hyp)
 
 alignment = align(ref, hyp)
 print(f"\nalignment: S={alignment.substitutions} D={alignment.deletions} "
       f"I={alignment.insertions} hits={alignment.hits}")
 for op, ri, hi in alignment.ops:
     if op != "hit":
-        ref_tok = ref.tokens[ri] if ri is not None else "-"
-        hyp_tok = hyp.tokens[hi] if hi is not None else "-"
+        ref_tok = ref[ri] if ri is not None else "-"
+        hyp_tok = hyp[hi] if hi is not None else "-"
         print(f"  {op}: {ref_tok!r} -> {hyp_tok!r}")
 
 # "warfaring" is one character away from the single-word entity "warfarin",
 # so the fuzzy matcher still finds it (budget: 1 edit for single words)
-entity = EntityRef.from_surface("warfarin", LangMode.LATIN_WORD)
+entity = EntityRef.from_surface("warfarin")
 match = fuzzy_find(entity, hyp)
 print(f"\nfuzzy match for {entity.surface!r}: span={match.start}:{match.stop} "
       f"distance={match.distance} (budget {entity.tolerance})")

@@ -2,8 +2,9 @@
 
 Library layout:
 
-- textnorm / metrics: tokenization, edit alignment, WER, B-WER/U-WER,
-  keyword recall, fuzzy entity matching, NE-WER, NE-FNR
+- textnorm / metrics: tokenization (one rule for every language: a CJK
+  codepoint per token, whitespace words otherwise), edit alignment, WER,
+  B-WER/U-WER, keyword recall, fuzzy entity matching, NE-WER, NE-FNR
 - structured: the <think></think><answer></answer> rollout format
 - rewards: format / OCR / ASR / visual-anchoring rewards and weighted total
 - ocr_behavior: slide-only vocabulary leak detection
@@ -40,7 +41,7 @@ from .rewards import (
     visual_anchoring_reward,
 )
 from .structured import StructuredOutput, parse_structured, serialize_structured
-from .textnorm import LangMode, TokenSeq, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 __version__ = "0.1.0"
 
@@ -49,13 +50,11 @@ __all__ = [
     "EntityRef",
     "FuzzyMatch",
     "Hypothesis",
-    "LangMode",
     "MetricReport",
     "RewardBreakdown",
     "RewardWeights",
     "Sample",
     "StructuredOutput",
-    "TokenSeq",
     "ToolkitError",
     "aggregate_reports",
     "align",

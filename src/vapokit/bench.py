@@ -22,6 +22,7 @@ from xml.sax.saxutils import escape
 
 from .data import (
     Sample,
+    _duration_field,
     _entity_list,
     _record,
     _record_id,
@@ -73,9 +74,9 @@ def _slide_violations(slide: SlideText) -> list[str]:
     body_words = word_count(slide.body)
     if body_words > MAX_BODY_WORDS:
         problems.append(f"body has {body_words} words (cap {MAX_BODY_WORDS})")
-    combined = normalize_tokenize(slide.full_text()).tokens
+    combined = normalize_tokenize(slide.full_text())
     for surface in slide.embedded_entities:
-        needle = normalize_tokenize(surface).tokens
+        needle = normalize_tokenize(surface)
         if not needle or _find_exact_span(needle, combined) < 0:
             problems.append(f"entity not embedded: {surface!r}")
     return problems
@@ -295,12 +296,12 @@ class SeedRecord:
         _record(d)
         return cls(
             id=_record_id(d),
-            domain=d.get("domain", ""),
+            domain=_text_field(d, "domain"),
             transcript=_text_field(d, "transcript" if "transcript" in d else "transcript_gt"),
             entities=_entity_list(d),
             lang=d.get("lang", "en"),
             audio_ref=d.get("audio_ref", ""),
-            duration_s=d.get("duration_s"),
+            duration_s=_duration_field(d),
         )
 
 
@@ -316,6 +317,14 @@ class DatasetManifest:
     entries: list[Sample] = field(default_factory=list)
 
 
+def _slide_ref(record_id: str) -> str:
+    """``slides/<id>.svg``; an id that cannot be one file name there is "bad-id"."""
+    name = f"{record_id}.svg"
+    if "/" in record_id or "\0" in record_id or len(name.encode("utf-8")) > 255:
+        raise ToolkitError("bad-id", f"id cannot name a slide file: {record_id!r:.80}")
+    return f"slides/{name}"
+
+
 def build_dataset(
     seed_records: Sequence[SeedRecord],
     outdir: str | Path,
@@ -324,7 +333,8 @@ def build_dataset(
     """Build one Sample per seed record under ``outdir``.
 
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
-    Records that fail generation go to errors.jsonl and are excluded. Output
+    Records that fail generation go to errors.jsonl and are excluded; a build
+    without failures removes any errors.jsonl a previous build left. Output
     is byte-identical across rebuilds for the same seeds and generator. Seed
     ids must be unique: a repeated id raises "duplicate-id" before anything
     is written.
@@ -336,8 +346,8 @@ def build_dataset(
     failures: list[dict] = []
     for rec in seed_records:
         try:
+            image_rel = _slide_ref(rec.id)
             slide = generate_slide_text(rec.domain, rec.entities, generator)
-            image_rel = f"slides/{rec.id}.svg"
             render_slide(slide, outdir / image_rel)
             entries.append(
                 Sample(
@@ -365,6 +375,8 @@ def build_dataset(
     )
     if failures:
         write_jsonl(outdir / "errors.jsonl", failures)
+    else:
+        (outdir / "errors.jsonl").unlink(missing_ok=True)
     return DatasetManifest(
         samples=len(entries), entities=entity_count, hours=hours, entries=entries
     )
@@ -389,10 +401,17 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
     seen: set[str] = set()
     entity_count = 0
     for row in rows:
-        if "id" not in row or (isinstance(row, dict) and row["id"] == ""):
+        if not isinstance(row, dict):
+            violations.append({"id": None, "code": "bad-record", "detail": f"not a JSON object: {row!r:.80}"})
+            continue
+        if row.get("id", "") == "":
             violations.append({"id": None, "code": "missing-id", "detail": "record without id"})
             continue
-        sample = Sample.from_dict(row)
+        try:
+            sample = Sample.from_dict(row)
+        except ToolkitError as e:
+            violations.append({"id": row["id"], "code": e.code, "detail": str(e)})
+            continue
         if sample.id in seen:
             violations.append({"id": sample.id, "code": "duplicate-id", "detail": sample.id})
         seen.add(sample.id)

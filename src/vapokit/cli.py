@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import pair_by_id, read_hypotheses, read_samples
+from .data import load_json, pair_by_id, read_hypotheses, read_samples
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, sample_report
 from .rewards import RewardWeights, total_reward
@@ -28,9 +28,8 @@ def cmd_score(args) -> int:
     unknown = set(metrics) - set(ALL_METRICS)
     if unknown:
         raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
-    lang = None if args.lang == "auto" else args.lang
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
-    reports = [sample_report(s, h.text, lang=lang, metrics=metrics) for s, h in pairs]
+    reports = [sample_report(s, h.text, metrics=metrics) for s, h in pairs]
     rows = [{"id": s.id, **rep.as_dict()} for (s, _), rep in zip(pairs, reports)]
     aggregate = aggregate_reports(reports)
     _write_json(args.out, {"rows": rows, "aggregate": aggregate.as_dict()})
@@ -92,12 +91,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        payload = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+        payload = load_json(Path(args.infile).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
         raise ToolkitError("no-rows", f"cannot load {args.infile}: {e}") from e
-    rows = payload if isinstance(payload, list) else payload.get("rows")
-    if not rows:
+    rows = payload.get("rows") if isinstance(payload, dict) else payload
+    if not rows or not isinstance(rows, list):
         raise ToolkitError("no-rows", f"{args.infile} has no rows to report")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ToolkitError("bad-record", f"{args.infile}: row is not a JSON object: {row!r:.80}")
     sys.stdout.write(render_table(rows, fmt=args.format))
     return 0
 
@@ -110,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--metrics", default=",".join(ALL_METRICS))
-    p.add_argument("--lang", choices=["en", "zh", "auto"], default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--allow-partial", action="store_true")
     p.set_defaults(func=cmd_score)

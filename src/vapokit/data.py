@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -11,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import ToolkitError
 from .metrics import _find_exact_span
-from .textnorm import mode_for_lang, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 
 @dataclass
@@ -45,14 +47,14 @@ class Sample:
         _record(d)
         return cls(
             id=_record_id(d),
-            domain=d.get("domain", ""),
+            domain=_text_field(d, "domain"),
             lang=d.get("lang", "en"),
             slide_text=_text_field(d, "slide_text"),
             transcript_gt=_text_field(d, "transcript_gt"),
             entities=_entity_list(d),
             audio_ref=d.get("audio_ref", ""),
             slide_image_ref=d.get("slide_image_ref"),
-            duration_s=d.get("duration_s"),
+            duration_s=_duration_field(d),
         )
 
 
@@ -99,6 +101,28 @@ def _text_field(d: dict, key: str) -> str:
     return value
 
 
+def _duration_field(d: dict) -> float | None:
+    """``duration_s`` as given when it is a finite number >= 0; None when absent or null."""
+    value = d.get("duration_s")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ToolkitError(
+            "bad-record", f"record {d.get('id')!r}: duration_s must be a number >= 0, got {value!r}"
+        )
+    return value
+
+
+def _as_number(value, kind: type, code: str, name: str):
+    """``kind(value)`` for a number or a numeric string; anything else raises ``code``."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ToolkitError(code, f"{name} must be a number, got {value!r:.80}")
+
+
 def _entity_list(d: dict) -> list[str]:
     entities = d.get("entities", [])
     if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
@@ -106,6 +130,22 @@ def _entity_list(d: dict) -> list[str]:
             "bad-record", f"record {d.get('id')!r}: entities must be a list of strings, got {entities!r}"
         )
     return list(entities)
+
+
+# A \u escape in the surrogate range; json.loads pairs the valid ones.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def load_json(text: str):
+    """``json.loads`` that also rejects lone surrogates such as ``"\ud800"``.
+
+    No UTF-8 output can hold a lone surrogate, so accepting one would only
+    move the failure to the first write. Every error is a ValueError.
+    """
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE_RE.search(text):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    return value
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -118,10 +158,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 if not line:
                     continue
                 try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as e:
+                    rows.append(load_json(line))
+                except ValueError as e:
                     raise ToolkitError("manifest-parse", f"{path}:{lineno}: {e}") from e
-    except OSError as e:
+    except ToolkitError:
+        raise
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a path holding a NUL or a surrogate
         raise ToolkitError("manifest-parse", f"cannot read {path}: {e}") from e
     return rows
 
@@ -193,9 +235,8 @@ def pair_by_id(
 def validate_sample(sample: Sample) -> list[dict]:
     """Check record-level invariants; returns violation records (empty = ok)."""
     violations = []
-    mode = mode_for_lang(sample.lang)
-    transcript = normalize_tokenize(sample.transcript_gt, mode).tokens
-    slide = normalize_tokenize(sample.slide_text, mode).tokens if sample.slide_text else ()
+    transcript = normalize_tokenize(sample.transcript_gt)
+    slide = normalize_tokenize(sample.slide_text) if sample.slide_text else ()
     if not sample.id:
         violations.append({"id": sample.id, "code": "missing-id", "detail": "empty id"})
     if not transcript:
@@ -205,7 +246,7 @@ def validate_sample(sample: Sample) -> list[dict]:
             {"id": sample.id, "code": "no-entities", "detail": f"domain {sample.domain!r} requires entities"}
         )
     for surface in sample.entities:
-        needle = normalize_tokenize(surface, mode).tokens
+        needle = normalize_tokenize(surface)
         if not needle:
             violations.append({"id": sample.id, "code": "empty-entity", "detail": repr(surface)})
             continue

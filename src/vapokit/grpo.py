@@ -43,10 +43,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Sample, read_samples, resolve_data_path
+from .data import Sample, _as_number, load_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .rewards import RewardBreakdown, RewardWeights, total_reward
-from .textnorm import mode_for_lang, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 GRADES = (0.0, 0.5, 1.0)
 
@@ -138,10 +138,9 @@ def render(tup: BehaviorTuple, sample: Sample, rng: np.random.Generator) -> str:
     Corrupted tokens are unique garbage, so error counts (and the resulting
     rewards) depend only on the grades, not on which positions the rng picks.
     """
-    mode = mode_for_lang(sample.lang)
-    slide = list(normalize_tokenize(sample.slide_text, mode).tokens)
-    transcript = list(normalize_tokenize(sample.transcript_gt, mode).tokens)
-    entity_tokens = [normalize_tokenize(e, mode).tokens for e in sample.entities]
+    slide = list(normalize_tokenize(sample.slide_text))
+    transcript = list(normalize_tokenize(sample.transcript_gt))
+    entity_tokens = [normalize_tokenize(e) for e in sample.entities]
     entity_tokens = [e for e in entity_tokens if e]
     if len(entity_tokens) < 2 or len(transcript) < 8:
         raise ToolkitError(
@@ -251,20 +250,24 @@ class SimConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SimConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+            raw = load_json(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
             raise ToolkitError("bad-config", f"cannot load config {path}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ToolkitError("bad-config", f"config {path} is not a JSON object")
         weights = RewardWeights.from_mapping(raw.get("weights", {}))
         samples_ref = raw.get("samples", "builtin:grpo_samples.jsonl")
+        if not isinstance(samples_ref, str):
+            raise ToolkitError("bad-config", f"samples must be a path string, got {samples_ref!r:.80}")
         samples = read_samples(resolve_data_path(samples_ref))
         exploration = raw.get("exploration", "uniform")
         if exploration not in ("uniform", "policy"):
             raise ToolkitError("bad-config", f"unknown exploration mode: {exploration!r}")
         return cls(
-            steps=int(raw.get("steps", 2000)),
-            group_size=int(raw.get("group_size", 8)),
-            lr=float(raw.get("lr", 0.1)),
-            seed=int(raw.get("seed", 0)),
+            steps=_as_number(raw.get("steps", 2000), int, "bad-config", "steps"),
+            group_size=_as_number(raw.get("group_size", 8), int, "bad-config", "group_size"),
+            lr=_as_number(raw.get("lr", 0.1), float, "bad-config", "lr"),
+            seed=_as_number(raw.get("seed", 0), int, "bad-config", "seed"),
             weights=weights,
             samples=samples,
             samples_ref=samples_ref,
@@ -425,10 +428,10 @@ def train(config: SimConfig) -> TrainTrace:
     Every step reads its group's rewards, the trace's mean components and the
     policy's expected reward from the same table. Reproducible from the seed.
     """
-    if config.steps < 1 or config.group_size < 2:
-        raise ToolkitError("bad-config", "need steps >= 1 and group_size >= 2")
-    if config.lr <= 0:
-        raise ToolkitError("bad-config", "lr must be > 0")
+    if config.steps < 1 or config.group_size < 2 or config.seed < 0:
+        raise ToolkitError("bad-config", "need steps >= 1, group_size >= 2 and seed >= 0")
+    if not 0 < config.lr < math.inf:
+        raise ToolkitError("bad-config", "lr must be finite and > 0")
     samples = config.samples or default_samples()
     table = reward_matrix(samples, config.weights, config.seed)
     totals = table.values[..., -1]

@@ -24,15 +24,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
-from .textnorm import LangMode, TokenSeq, mode_for_lang, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 Op = tuple[str, int | None, int | None]  # ("hit"|"sub"|"del"|"ins", ref_i, hyp_i)
-
-
-def _tokens(seq) -> tuple[str, ...]:
-    if isinstance(seq, TokenSeq):
-        return seq.tokens
-    return tuple(seq)
 
 
 def _columns(reference: tuple[str, ...], hypothesis: tuple[str, ...]):
@@ -62,8 +56,8 @@ def _columns(reference: tuple[str, ...], hypothesis: tuple[str, ...]):
 
 def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> int:
     """Levenshtein distance between token sequences (unit costs)."""
-    a = _tokens(reference)
-    b = _tokens(hypothesis)
+    a = tuple(reference)
+    b = tuple(hypothesis)
     if a == b:
         return 0
     if not a:
@@ -106,8 +100,8 @@ def align(reference, hypothesis) -> Alignment:
     Tie-break during traceback: hit/substitution (diagonal) first, then
     deletion (consumes the reference token), then insertion.
     """
-    ref = _tokens(reference)
-    hyp = _tokens(hypothesis)
+    ref = tuple(reference)
+    hyp = tuple(hypothesis)
     cols = list(_columns(ref, hyp))
 
     def d(i: int, j: int) -> int:
@@ -151,10 +145,10 @@ def align(reference, hypothesis) -> Alignment:
 
 def wer(reference, hypothesis) -> float:
     """(S + D + I) / len(reference). May exceed 1."""
-    ref = _tokens(reference)
+    ref = tuple(reference)
     if not ref:
         raise ToolkitError("undefined-wer", "WER needs a nonempty reference")
-    return token_edit_distance(ref, _tokens(hypothesis)) / len(ref)
+    return token_edit_distance(ref, tuple(hypothesis)) / len(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +169,8 @@ class EntityRef:
     tolerance: int
 
     @classmethod
-    def from_surface(cls, surface: str, lang_mode: LangMode = LangMode.MIXED) -> "EntityRef":
-        tokens = normalize_tokenize(surface, lang_mode).tokens
+    def from_surface(cls, surface: str) -> "EntityRef":
+        tokens = normalize_tokenize(surface)
         if not tokens:
             raise ToolkitError("empty-entity", f"entity normalizes to nothing: {surface!r}")
         k = len(tokens)
@@ -198,7 +192,7 @@ def fuzzy_find(entity: EntityRef, text) -> FuzzyMatch | None:
     multi-word entities are compared token-wise against windows of length
     token_count +/- tolerance. Ties go to the leftmost (then shortest) window.
     """
-    toks = _tokens(text)
+    toks = tuple(text)
     k = entity.token_count
     tol = entity.tolerance
     if not toks or k == 0:
@@ -268,13 +262,13 @@ def _partition_counts(reference, hypothesis, keywords: Sequence[EntityRef], alig
     (sentence-initial insertions count as non-keyword). ``alignment`` is the
     reference/hypothesis alignment when the caller already has it.
     """
-    ref = _tokens(reference)
+    ref = tuple(reference)
     is_kw = [False] * len(ref)
     for start, stop, _ in _keyword_spans(ref, keywords):
         for i in range(start, stop):
             is_kw[i] = True
     if alignment is None:
-        alignment = align(ref, _tokens(hypothesis))
+        alignment = align(ref, tuple(hypothesis))
     kw_err = other_err = 0
     last_ref = -1
     for kind, ri, _hi in alignment.ops:
@@ -300,7 +294,7 @@ def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tup
 
     Either side is None when its reference partition is empty.
     """
-    report = _ratios(_tally(_tokens(reference), _tokens(hypothesis), list(keywords), ("bwer", "uwer")))
+    report = _ratios(_tally(tuple(reference), tuple(hypothesis), list(keywords), ("bwer", "uwer")))
     return report.b_wer, report.u_wer
 
 
@@ -334,7 +328,7 @@ def keyword_recall(reference, hypothesis, keywords: Iterable[EntityRef]) -> floa
     kws = list(keywords)
     if not kws:
         raise ToolkitError("no-keywords", "keyword recall needs a nonempty keyword set")
-    return _ratios(_tally(_tokens(reference), _tokens(hypothesis), kws, ("recall",))).recall
+    return _ratios(_tally(tuple(reference), tuple(hypothesis), kws, ("recall",))).recall
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +360,7 @@ def ne_wer(entities: Iterable[EntityRef], reference, hypothesis) -> float:
     ents = list(entities)
     if not ents:
         raise ToolkitError("no-entities", "NE-WER needs a nonempty entity list")
-    return _ratios(_tally((), _tokens(hypothesis), ents, ("newer",))).ne_wer
+    return _ratios(_tally((), tuple(hypothesis), ents, ("newer",))).ne_wer
 
 
 def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
@@ -374,7 +368,7 @@ def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
     ents = list(entities)
     if not ents:
         raise ToolkitError("no-entities", "NE-FNR needs a nonempty entity list")
-    return _ratios(_tally((), _tokens(hypothesis), ents, ("nefnr",))).ne_fnr
+    return _ratios(_tally((), tuple(hypothesis), ents, ("nefnr",))).ne_fnr
 
 
 # ---------------------------------------------------------------------------
@@ -475,24 +469,23 @@ def _ratios(counts: dict[str, dict[str, int]]) -> MetricReport:
 def sample_report(
     sample,
     hypothesis_text: str,
-    lang: str | None = None,
+    *,
     metrics: Sequence[str] = ALL_METRICS,
 ) -> MetricReport:
     """Score one hypothesis against one Sample.
 
-    ``lang`` overrides the sample's language label; the sample's entity list
-    doubles as the keyword list for the partitioned metrics.
+    The sample's entity list doubles as the keyword list for the partitioned
+    metrics.
     """
     unknown = set(metrics) - set(ALL_METRICS)
     if unknown:
         raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
-    mode = mode_for_lang(lang or sample.lang)
-    ref = normalize_tokenize(sample.transcript_gt, mode)
-    hyp = normalize_tokenize(hypothesis_text, mode)
-    if not ref.tokens:
+    ref = normalize_tokenize(sample.transcript_gt)
+    hyp = normalize_tokenize(hypothesis_text)
+    if not ref:
         raise ToolkitError("undefined-wer", f"sample {sample.id}: empty reference transcript")
-    ents = [EntityRef.from_surface(e, mode) for e in sample.entities]
-    return _ratios(_tally(ref.tokens, hyp.tokens, ents, metrics))
+    ents = [EntityRef.from_surface(e) for e in sample.entities]
+    return _ratios(_tally(ref, hyp, ents, metrics))
 
 
 def aggregate_reports(reports: Sequence[MetricReport]) -> MetricReport:

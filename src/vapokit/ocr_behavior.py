@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .data import Hypothesis, Sample, pair_by_id
 from .errors import ToolkitError
-from .textnorm import mode_for_lang, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,8 @@ class VocabPartition:
 
 def partition_vocab(sample: Sample, min_token_len: int = 1) -> VocabPartition:
     """Split the slide vocabulary into transcript-shared and slide-only sets."""
-    mode = mode_for_lang(sample.lang)
-    slide = {t for t in normalize_tokenize(sample.slide_text, mode).tokens if len(t) >= min_token_len}
-    transcript = {
-        t for t in normalize_tokenize(sample.transcript_gt, mode).tokens if len(t) >= min_token_len
-    }
+    slide = {t for t in normalize_tokenize(sample.slide_text) if len(t) >= min_token_len}
+    transcript = {t for t in normalize_tokenize(sample.transcript_gt) if len(t) >= min_token_len}
     if not slide:
         raise ToolkitError("no-slide", f"sample {sample.id}: slide text has no tokens")
     common = slide & transcript
@@ -38,7 +35,7 @@ def partition_vocab(sample: Sample, min_token_len: int = 1) -> VocabPartition:
 
 def detect(output: str, partition: VocabPartition) -> bool:
     """True iff the output contains at least one slide-only word."""
-    tokens = set(normalize_tokenize(output).tokens)
+    tokens = set(normalize_tokenize(output))
     return bool(tokens & partition.v_slide_only)
 
 

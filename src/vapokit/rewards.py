@@ -11,15 +11,15 @@ arbitrary input text.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import _as_number, load_json
 from .errors import ToolkitError
 from .metrics import EntityRef, _find_exact_span, fuzzy_find, token_edit_distance
 from .structured import StructuredOutput, parse_structured
-from .textnorm import mode_for_lang, normalize_tokenize
+from .textnorm import normalize_tokenize
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,14 @@ class RewardWeights:
 
     @classmethod
     def from_mapping(cls, d: dict) -> "RewardWeights":
+        """Weights from a mapping of numbers or numeric strings; missing keys default to 1."""
+        if not isinstance(d, dict):
+            raise ToolkitError("bad-weights", f"weights must be an object, got {d!r:.80}")
         known = {"lambda_format", "lambda_ocr", "lambda_asr", "lambda_va"}
         unknown = set(d) - known
         if unknown:
             raise ToolkitError("bad-weights", f"unknown weight keys: {sorted(unknown)}")
-        weights = cls(**{k: float(v) for k, v in d.items()})
+        weights = cls(**{k: _as_number(v, float, "bad-weights", k) for k, v in d.items()})
         if any(not math.isfinite(w) or w < 0 for w in weights.as_tuple()):
             raise ToolkitError("bad-weights", "weights must be finite and >= 0")
         return weights
@@ -52,16 +55,17 @@ class RewardWeights:
         """Load weights from a JSON object or `key=value` lines; missing keys default to 1."""
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise ToolkitError("bad-weights", f"cannot read {path}: {e}") from e
         text = text.strip()
         if not text:
             return cls()
         if text.startswith("{"):
             try:
-                return cls.from_mapping(json.loads(text))
-            except json.JSONDecodeError as e:
+                mapping = load_json(text)
+            except ValueError as e:
                 raise ToolkitError("bad-weights", f"{path}: {e}") from e
+            return cls.from_mapping(mapping)
         d = {}
         for line in text.splitlines():
             line = line.strip()
@@ -100,61 +104,57 @@ def format_reward(parsed: StructuredOutput) -> int:
     return 1 if parsed.well_formed else 0
 
 
-def _clipped_accuracy(hypothesis: str, reference: str, lang: str) -> float:
-    mode = mode_for_lang(lang)
-    ref = normalize_tokenize(reference, mode).tokens
+def _clipped_accuracy(hypothesis: str, reference: str) -> float:
+    ref = normalize_tokenize(reference)
     if not ref:
         return 0.0
-    hyp = normalize_tokenize(hypothesis, mode).tokens
+    hyp = normalize_tokenize(hypothesis)
     return max(1.0 - token_edit_distance(ref, hyp) / len(ref), 0.0)
 
 
-def ocr_reward(think: str, slide_text: str, lang: str = "en") -> float:
+def ocr_reward(think: str, slide_text: str) -> float:
     """max(1 - WER(think, slide_text), 0); 0 when the slide normalizes to nothing."""
-    return _clipped_accuracy(think, slide_text, lang)
+    return _clipped_accuracy(think, slide_text)
 
 
-def asr_reward(answer: str, transcript_gt: str, lang: str = "en") -> float:
+def asr_reward(answer: str, transcript_gt: str) -> float:
     """max(1 - WER(answer, transcript_gt), 0); 0 when the transcript is empty."""
-    return _clipped_accuracy(answer, transcript_gt, lang)
+    return _clipped_accuracy(answer, transcript_gt)
 
 
-def _entity_keys_found(text: str, entities: list[str], lang: str, matching: str) -> dict[tuple[str, ...], str]:
+def _entity_keys_found(text: str, entities: list[str], matching: str) -> dict[tuple[str, ...], str]:
     """Entities present in ``text``, keyed by normalized token tuple (dedup)."""
-    mode = mode_for_lang(lang)
-    toks = normalize_tokenize(text, mode).tokens
+    toks = normalize_tokenize(text)
     found: dict[tuple[str, ...], str] = {}
     for surface in entities:
-        needle = normalize_tokenize(surface, mode).tokens
+        needle = normalize_tokenize(surface)
         if not needle or needle in found:
             continue
         if matching == "exact":
             hit = _find_exact_span(needle, toks) >= 0
         else:
-            ent = EntityRef.from_surface(surface, mode)
+            ent = EntityRef.from_surface(surface)
             hit = fuzzy_find(ent, toks) is not None
         if hit:
             found[needle] = surface
     return found
 
 
-def extract_anchored(
-    think: str, entities: list[str], lang: str = "en", matching: str = "fuzzy"
-) -> list[str]:
+def extract_anchored(think: str, entities: list[str], *, matching: str = "fuzzy") -> list[str]:
     """Entities from the sample list that appear in the think block.
 
     Matching uses the same fuzzy budget as evaluation by default; pass
     matching="exact" to require verbatim token spans. The result is
     deduplicated and keeps the input list order.
     """
-    return list(_entity_keys_found(think, entities, lang, matching).values())
+    return list(_entity_keys_found(think, entities, matching).values())
 
 
 def visual_anchoring_reward(
     e_think: list[str],
     answer: str,
     entities: list[str],
-    lang: str = "en",
+    *,
     matching: str = "fuzzy",
     precision_side: str = "answer",
 ) -> float:
@@ -165,15 +165,14 @@ def visual_anchoring_reward(
     entity stuffing) or over the anchored set (precision_side="anchored").
     Empty anchored set, or no entities in the answer, scores 0.
     """
-    mode = mode_for_lang(lang)
     think_keys = set()
     for surface in e_think:
-        needle = normalize_tokenize(surface, mode).tokens
+        needle = normalize_tokenize(surface)
         if needle:
             think_keys.add(needle)
     if not think_keys:
         return 0.0
-    answer_keys = set(_entity_keys_found(answer, entities, lang, matching))
+    answer_keys = set(_entity_keys_found(answer, entities, matching))
     if not answer_keys:
         return 0.0
     inter = len(think_keys & answer_keys)
@@ -209,16 +208,16 @@ def total_reward(
     diagnostics = []
     if not parsed.well_formed:
         diagnostics.append("malformed-format")
-    if not normalize_tokenize(sample.slide_text).tokens:
+    if not normalize_tokenize(sample.slide_text):
         diagnostics.append("empty-slide-text")
-    if not normalize_tokenize(sample.transcript_gt).tokens:
+    if not normalize_tokenize(sample.transcript_gt):
         diagnostics.append("empty-transcript")
 
-    r_ocr = ocr_reward(think, sample.slide_text, sample.lang)
-    r_asr = asr_reward(answer, sample.transcript_gt, sample.lang)
-    e_think = extract_anchored(think, sample.entities, sample.lang, matching)
+    r_ocr = ocr_reward(think, sample.slide_text)
+    r_asr = asr_reward(answer, sample.transcript_gt)
+    e_think = extract_anchored(think, sample.entities, matching=matching)
     r_va = visual_anchoring_reward(
-        e_think, answer, sample.entities, sample.lang, matching, precision_side
+        e_think, answer, sample.entities, matching=matching, precision_side=precision_side
     )
     total = (
         weights.lambda_format * r_fmt

@@ -111,7 +111,7 @@ def test_criterion_clipping():
     ]
     ok = True
     for ref, hyp, expected in cases:
-        got = asr_reward(hyp, ref, "en")
+        got = asr_reward(hyp, ref)
         ok = ok and got == expected
     _report("clipping of error-rate rewards", ok)
 

@@ -318,3 +318,14 @@ def test_bundled_seed_sets():
     seeds = read_seed_records(builtin_path("seeds_60.jsonl"))
     assert len(seeds) == 60
     assert sum(len(s.entities) for s in seeds) == 200
+
+
+def test_validate_manifest_reports_records_it_cannot_read(tmp_path):
+    build_dataset([_seed(0, ["aspirin"])], tmp_path)
+    path = tmp_path / "manifest.jsonl"
+    row = read_jsonl(path)[0]
+    path.write_text("5\n" + json.dumps(row | {"id": "s2", "duration_s": "10"}) + "\n" + json.dumps(row) + "\n")
+    report = validate_manifest(path)
+    codes = [(v["id"], v["code"]) for v in report.violations]
+    assert (None, "bad-record") in codes and ("s2", "bad-record") in codes
+    assert not any(v["id"] == row["id"] for v in report.violations)

@@ -43,7 +43,6 @@ def test_score_perfect(tmp_path, corpus):
             "--dataset", str(dataset),
             "--hyp", str(hyp),
             "--metrics", "wer,bwer,uwer,recall,newer,nefnr",
-            "--lang", "auto",
             "--out", str(out),
         ]
     )
@@ -396,3 +395,179 @@ def test_build_repeated_seed_id_is_rejected(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "duplicate-id" and seed["id"] in err["detail"]
     assert not outdir.exists()
+
+
+def _error_code(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("command", ["score", "reward", "detect"])
+def test_outputs_ignore_lang_label(tmp_path, command):
+    """Tokenization is one rule for every language: rewriting every record's
+    lang label leaves score, reward and detect outputs byte-identical."""
+    samples = [
+        {
+            "id": "mix0",
+            "domain": "medicine",
+            "slide_text": "用药回顾\n今天讨论阿司匹林 and warfarin dosing",
+            "transcript_gt": "今天我们讨论阿司匹林 then warfarin dosing in clinics",
+            "entities": ["阿司匹林", "warfarin"],
+        },
+        {
+            "id": "mix1",
+            "domain": "biology",
+            "slide_text": "Cell Biology\n端粒酶 and the plasmid vector",
+            "transcript_gt": "the talk covers 端粒酶 activity and plasmid vectors",
+            "entities": ["端粒酶", "plasmid"],
+        },
+    ]
+    answers = {
+        "mix0": "今天我们讨论阿司匹苹 then warfaring dosing",
+        "mix1": "the talk covers 端粒 activity and plasmid vectors 今天",
+    }
+    hyp = tmp_path / "hyp.jsonl"
+    if command == "reward":
+        think = {s["id"]: s["slide_text"] for s in samples}
+        write_jsonl(hyp, [
+            {"id": rid, "text": serialize_structured(think[rid], answer)} for rid, answer in answers.items()
+        ])
+        argv = ["reward", "--rollouts", str(hyp)]
+    else:
+        write_jsonl(hyp, [{"id": rid, "text": answer} for rid, answer in answers.items()])
+        argv = [command, "--hyp", str(hyp)]
+    outputs = []
+    for lang in ("en", "zh", "xx"):
+        dataset = tmp_path / f"dataset_{lang}.jsonl"
+        write_jsonl(dataset, [s | {"lang": lang} for s in samples])
+        out = tmp_path / f"{command}_{lang}.json"
+        assert main([*argv, "--dataset", str(dataset), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_score_has_no_lang_option(tmp_path, corpus):
+    _, dataset = corpus
+    with pytest.raises(SystemExit):
+        main(["score", "--dataset", str(dataset), "--hyp", str(dataset), "--lang", "en",
+              "--out", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize("payload, code", [
+    ("5", "no-rows"),
+    ('"text"', "no-rows"),
+    ('{"rows": "abc"}', "no-rows"),
+    ('{"rows": [1, 2]}', "bad-record"),
+    ('[{"id": "a"}, ["b"]]', "bad-record"),
+])
+def test_report_unexpected_json_is_error_record(tmp_path, capsys, payload, code):
+    metrics = tmp_path / "m.json"
+    metrics.write_text(payload)
+    assert main(["report", "--in", str(metrics)]) == 1
+    assert _error_code(capsys) == code
+
+
+@pytest.mark.parametrize("weights", [
+    "lambda_ocr=abc\n",
+    '{"lambda_ocr": null}',
+    '{"lambda_ocr": [1]}',
+    '{"lambda_ocr": true}',
+    '{"lambda_ocr": 1e999}',
+])
+def test_reward_non_numeric_weight_is_bad_weights(tmp_path, corpus, capsys, weights):
+    samples, dataset = corpus
+    rollouts = tmp_path / "r.jsonl"
+    write_jsonl(rollouts, [{"id": s["id"], "text": "<think>x</think><answer>y</answer>"} for s in samples])
+    path = tmp_path / "w.cfg"
+    path.write_text(weights)
+    out = tmp_path / "o.json"
+    code = main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
+                 "--weights", str(path), "--out", str(out)])
+    assert code == 1
+    assert _error_code(capsys) == "bad-weights"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    "[1]",
+    '"steps"',
+    '{"steps": "abc"}',
+    '{"steps": null}',
+    '{"lr": "fast"}',
+    '{"seed": -1}',
+    '{"weights": [1]}',
+    '{"weights": {"lambda_va": "x"}}',
+    '{"samples": 5}',
+])
+def test_simulate_bad_config_is_error_record(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert _error_code(capsys) in ("bad-config", "bad-weights")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["10", [10], True, -1.0])
+def test_build_non_numeric_duration_is_bad_record(tmp_path, capsys, duration):
+    seed = read_jsonl(builtin_path("seeds_5.jsonl"))[0]
+    seed["duration_s"] = duration
+    assert _build_one_seed(tmp_path, seed) == 1
+    assert "duration_s" in _bad_record_error(capsys)["detail"]
+
+
+def test_build_non_string_domain_is_bad_record(tmp_path, capsys):
+    seed = read_jsonl(builtin_path("seeds_5.jsonl"))[0]
+    seed["domain"] = ["medicine"]
+    assert _build_one_seed(tmp_path, seed) == 1
+    assert "domain" in _bad_record_error(capsys)["detail"]
+
+
+def test_dataset_non_numeric_duration_is_bad_record(tmp_path, corpus, capsys):
+    samples, _ = corpus
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, [samples[0] | {"duration_s": "12.5"}])
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": samples[0]["id"], "text": "x"}])
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "duration_s" in _bad_record_error(capsys)["detail"]
+
+
+def test_clean_rebuild_removes_stale_errors_file(tmp_path, capsys):
+    seeds = read_jsonl(builtin_path("seeds_5.jsonl"))
+    bad = {"id": "bad", "domain": "medicine", "transcript": "no entities here", "entities": []}
+    outdir = tmp_path / "built"
+    for name, rows in (("mixed.jsonl", seeds + [bad]), ("clean.jsonl", seeds)):
+        write_jsonl(tmp_path / name, rows)
+        assert main(["build", "--seeds", str(tmp_path / name), "--outdir", str(outdir)]) == 0
+        if name == "mixed.jsonl":
+            assert read_jsonl(outdir / "errors.jsonl")[0]["id"] == "bad"
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["samples"] == 5
+    assert not (outdir / "errors.jsonl").exists()
+
+
+@pytest.mark.parametrize("rid", ["a/b", "x" * 252], ids=["slash", "too-long"])
+def test_build_id_that_cannot_name_a_slide_is_rejected(tmp_path, capsys, rid):
+    seeds = read_jsonl(builtin_path("seeds_5.jsonl"))
+    write_jsonl(tmp_path / "seeds.jsonl", [seeds[0] | {"id": rid}, seeds[1]])
+    outdir = tmp_path / "built"
+    assert main(["build", "--seeds", str(tmp_path / "seeds.jsonl"), "--outdir", str(outdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 1
+    errors = read_jsonl(outdir / "errors.jsonl")
+    assert [(e["id"], e["code"]) for e in errors] == [(rid, "bad-id")]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"id": "\\ud800", "text": "x"}\n', b'{"id": "c0", "text": "\xff"}\n'],
+    ids=["lone-surrogate", "not-utf8"],
+)
+def test_undecodable_text_is_error_record(tmp_path, corpus, capsys, content):
+    _, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_bytes(content)
+    out = tmp_path / "o.json"
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out), "--allow-partial"])
+    assert code == 1
+    assert _error_code(capsys) == "manifest-parse"
+    assert not out.exists()

@@ -25,11 +25,11 @@ from vapokit.metrics import (
     token_edit_distance,
     wer,
 )
-from vapokit.textnorm import LangMode, normalize_tokenize
+from vapokit.textnorm import normalize_tokenize
 
 
-def ent(surface: str, mode: LangMode = LangMode.LATIN_WORD) -> EntityRef:
-    return EntityRef.from_surface(surface, mode)
+def ent(surface: str) -> EntityRef:
+    return EntityRef.from_surface(surface)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,8 @@ def test_pure_cjk_wer_equals_cer():
     for _ in range(200):
         ref_s = "".join(rng.choice(chars) for _ in range(rng.randint(1, 8)))
         hyp_s = "".join(rng.choice(chars) for _ in range(rng.randint(0, 8)))
-        ref = normalize_tokenize(ref_s, LangMode.CJK_CHAR)
-        hyp = normalize_tokenize(hyp_s, LangMode.CJK_CHAR)
+        ref = normalize_tokenize(ref_s)
+        hyp = normalize_tokenize(hyp_s)
         cer = levenshtein_recursive(tuple(ref_s), tuple(hyp_s)) / len(ref_s)
         assert wer(ref, hyp) == pytest.approx(cer)
 

@@ -4,37 +4,26 @@ import random
 import unicodedata
 
 from oracles import reference_tokenize
-from vapokit.textnorm import _CJK_RANGES, LangMode, is_cjk, mode_for_lang, normalize_tokenize
+from vapokit.textnorm import _CJK_RANGES, is_cjk, normalize_tokenize
 
 
 def test_latin_casing_and_punctuation():
-    assert normalize_tokenize("The cat, sat.", LangMode.LATIN_WORD).tokens == ("the", "cat", "sat")
+    assert normalize_tokenize("The cat, sat.") == ("the", "cat", "sat")
 
 
 def test_mixed_cjk_per_character():
-    assert normalize_tokenize("你好world", LangMode.MIXED).tokens == ("你", "好", "world")
+    assert normalize_tokenize("你好world") == ("你", "好", "world")
 
 
 def test_empty_input():
-    assert normalize_tokenize("", LangMode.LATIN_WORD).tokens == ()
-    assert normalize_tokenize(" .,!? ", LangMode.MIXED).tokens == ()
+    assert normalize_tokenize("") == ()
+    assert normalize_tokenize(" .,!? ") == ()
 
 
 def test_nfc_normalization():
     composed = "café"
     decomposed = unicodedata.normalize("NFD", composed)
-    assert normalize_tokenize(composed).tokens == normalize_tokenize(decomposed).tokens
-
-
-def test_mode_for_lang():
-    assert mode_for_lang("en") is LangMode.LATIN_WORD
-    assert mode_for_lang("zh") is LangMode.CJK_CHAR
-    assert mode_for_lang("auto") is LangMode.MIXED
-    assert mode_for_lang(None) is LangMode.MIXED
-
-
-def test_accepts_plain_string_mode():
-    assert normalize_tokenize("Hi there", "latin-word").tokens == ("hi", "there")
+    assert normalize_tokenize(composed) == normalize_tokenize(decomposed)
 
 
 _ALPHABET = "aB. 你好,写 zQ!-3\tx\n"
@@ -44,22 +33,19 @@ def test_token_invariants_random():
     rng = random.Random(1)
     for _ in range(500):
         text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 40)))
-        for mode in LangMode:
-            seq = normalize_tokenize(text, mode)
-            for tok in seq.tokens:
-                assert tok, "empty token"
-                assert not any(c.isspace() for c in tok)
-                if any(is_cjk(c) for c in tok):
-                    assert len(tok) == 1, f"CJK token not single char: {tok!r}"
+        for tok in normalize_tokenize(text):
+            assert tok, "empty token"
+            assert not any(c.isspace() for c in tok)
+            if any(is_cjk(c) for c in tok):
+                assert len(tok) == 1, f"CJK token not single char: {tok!r}"
 
 
 def test_idempotence_random():
     rng = random.Random(2)
     for _ in range(500):
         text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 40)))
-        seq = normalize_tokenize(text, LangMode.MIXED)
-        again = normalize_tokenize(" ".join(seq.tokens), LangMode.MIXED)
-        assert again.tokens == seq.tokens
+        tokens = normalize_tokenize(text)
+        assert normalize_tokenize(" ".join(tokens)) == tokens
 
 
 def _fuzz_alphabet() -> list[str]:
@@ -78,4 +64,4 @@ def test_tokenize_equals_reference_tokenizer_fuzz():
     rng = random.Random(8)
     for _ in range(20_000):
         text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
-        assert normalize_tokenize(text).tokens == reference_tokenize(text), repr(text)
+        assert normalize_tokenize(text) == reference_tokenize(text), repr(text)
