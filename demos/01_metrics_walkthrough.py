@@ -39,11 +39,12 @@ for op, ri, hi in alignment.ops:
         print(f"  {op}: {ref_tok!r} -> {hyp_tok!r}")
 
 # "warfaring" is one character away from the single-word entity "warfarin",
-# so the fuzzy matcher still finds it (budget: 1 edit for single words)
+# so the fuzzy matcher still finds it: a single-word entity may be one
+# character edit off, a longer entity must match exactly
 entity = EntityRef.from_surface("warfarin")
 match = fuzzy_find(entity, hyp)
 print(f"\nfuzzy match for {entity.surface!r}: span={match.start}:{match.stop} "
-      f"distance={match.distance} (budget {entity.tolerance})")
+      f"distance={match.distance} ({entity.token_count} token, budget 1 edit)")
 
 report = sample_report(sample, hypothesis)
 print("\nper-sample report:")

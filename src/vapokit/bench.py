@@ -299,8 +299,8 @@ class SeedRecord:
             domain=_text_field(d, "domain"),
             transcript=_text_field(d, "transcript" if "transcript" in d else "transcript_gt"),
             entities=_entity_list(d),
-            lang=d.get("lang", "en"),
-            audio_ref=d.get("audio_ref", ""),
+            lang=_text_field(d, "lang", "en"),
+            audio_ref=_text_field(d, "audio_ref"),
             duration_s=_duration_field(d),
         )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,9 @@ def cmd_reward(args) -> int:
     weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights()
     pairs = pair_by_id(samples, rollouts, allow_partial=args.allow_partial)
     rows = [{"id": s.id, **total_reward(s, h.text, weights).as_dict()} for s, h in pairs]
+    mean_total = sum(r["total"] for r in rows) / len(rows)
+    if math.isinf(mean_total):  # the sum overflowed; each total is at most the finite weight sum
+        mean_total = sum(r["total"] / len(rows) for r in rows)
     payload = {
         "weights": {
             "lambda_format": weights.lambda_format,
@@ -50,7 +54,7 @@ def cmd_reward(args) -> int:
             "lambda_va": weights.lambda_va,
         },
         "rows": rows,
-        "mean_total": sum(r["total"] for r in rows) / len(rows),
+        "mean_total": mean_total,
     }
     _write_json(args.out, payload)
     return 0

@@ -48,12 +48,14 @@ class Sample:
         return cls(
             id=_record_id(d),
             domain=_text_field(d, "domain"),
-            lang=d.get("lang", "en"),
+            lang=_text_field(d, "lang", "en"),
             slide_text=_text_field(d, "slide_text"),
             transcript_gt=_text_field(d, "transcript_gt"),
             entities=_entity_list(d),
-            audio_ref=d.get("audio_ref", ""),
-            slide_image_ref=d.get("slide_image_ref"),
+            audio_ref=_text_field(d, "audio_ref"),
+            slide_image_ref=(
+                None if d.get("slide_image_ref") is None else _text_field(d, "slide_image_ref")
+            ),
             duration_s=_duration_field(d),
         )
 
@@ -92,8 +94,8 @@ def _record_id(d: dict) -> str:
     return str(rid)
 
 
-def _text_field(d: dict, key: str) -> str:
-    value = d.get(key, "")
+def _text_field(d: dict, key: str, default: str = "") -> str:
+    value = d.get(key, default)
     if not isinstance(value, str):
         raise ToolkitError(
             "bad-record", f"record {d.get('id')!r}: {key} must be a string, got {value!r}"

@@ -19,7 +19,6 @@ and traces back, reading each DP cell from its column's popcounts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -69,10 +68,6 @@ def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> 
     for vp, vn in _columns(a, b):
         pass
     return len(b) + vp.bit_count() - vn.bit_count()
-
-
-def char_edit_distance(a: str, b: str) -> int:
-    return token_edit_distance(tuple(a), tuple(b))
 
 
 @dataclass(frozen=True)
@@ -157,69 +152,68 @@ def wer(reference, hypothesis) -> float:
 
 @dataclass(frozen=True)
 class EntityRef:
-    """A keyword/entity surface with its tokenization and edit budget.
+    """A keyword/entity surface with its tokenization.
 
-    The default budget is max(0, floor(2 / token_count - 1)): one character
-    edit for single-word entities, exact match for everything longer.
+    The edit budget follows from the token count alone: a single-token
+    entity may be one character edit away, a longer one must match exactly.
     """
 
     surface: str
     tokens: tuple[str, ...]
-    token_count: int
-    tolerance: int
+
+    @property
+    def token_count(self) -> int:
+        return len(self.tokens)
+
+    def __post_init__(self) -> None:
+        if not self.tokens:
+            raise ToolkitError("empty-entity", f"entity normalizes to nothing: {self.surface!r}")
 
     @classmethod
     def from_surface(cls, surface: str) -> "EntityRef":
-        tokens = normalize_tokenize(surface)
-        if not tokens:
-            raise ToolkitError("empty-entity", f"entity normalizes to nothing: {surface!r}")
-        k = len(tokens)
-        tolerance = max(0, math.floor(2 / k - 1))
-        return cls(surface=surface, tokens=tokens, token_count=k, tolerance=tolerance)
+        return cls(surface=surface, tokens=normalize_tokenize(surface))
 
 
 @dataclass(frozen=True)
 class FuzzyMatch:
     start: int
     stop: int  # exclusive token index
-    distance: int
+    distance: int  # 0 or 1
+
+
+def _within_one_edit(a: str, b: str) -> bool:
+    """True when at most one character insertion, deletion or substitution turns a into b."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(b) - len(a) > 1:
+        return False
+    i = 0
+    while i < len(a) and a[i] == b[i]:
+        i += 1
+    return a[i + (len(a) == len(b)) :] == b[i + 1 :]
 
 
 def fuzzy_find(entity: EntityRef, text) -> FuzzyMatch | None:
-    """Best window of ``text`` within the entity's edit budget, or None.
+    """Where ``entity`` occurs in the token sequence ``text``, or None.
 
-    Single-word entities are compared character-wise against single tokens;
-    multi-word entities are compared token-wise against windows of length
-    token_count +/- tolerance. Ties go to the leftmost (then shortest) window.
+    A single-token entity matches the leftmost equal token, else the leftmost
+    token one character edit away (distance 1). A longer entity matches only
+    its leftmost exact span. The paper's one-edit budget is loose on short
+    tokens: "rna" matches "dna", and a one-character entity (a single Han
+    character, say) matches any one-character token.
     """
     toks = tuple(text)
-    k = entity.token_count
-    tol = entity.tolerance
-    if not toks or k == 0:
-        return None
-    best: FuzzyMatch | None = None
-    if k == 1:
-        ent = entity.tokens[0]
-        for i, tok in enumerate(toks):
-            if abs(len(tok) - len(ent)) > tol:
-                continue
-            dist = char_edit_distance(ent, tok)
-            if dist <= tol and (best is None or dist < best.distance):
-                best = FuzzyMatch(i, i + 1, dist)
-                if dist == 0:
-                    break
-        return best
-    for start in range(len(toks)):
-        for width in range(max(1, k - tol), k + tol + 1):
-            stop = start + width
-            if stop > len(toks):
-                break
-            dist = token_edit_distance(entity.tokens, toks[start:stop])
-            if dist <= tol and (best is None or dist < best.distance):
-                best = FuzzyMatch(start, stop, dist)
-        if best is not None and best.distance == 0:
-            break
-    return best
+    if entity.token_count > 1:
+        start = _find_exact_span(entity.tokens, toks)
+        return None if start < 0 else FuzzyMatch(start, start + entity.token_count, 0)
+    ent = entity.tokens[0]
+    if ent in toks:
+        i = toks.index(ent)
+        return FuzzyMatch(i, i + 1, 0)
+    for i, tok in enumerate(toks):
+        if _within_one_edit(ent, tok):
+            return FuzzyMatch(i, i + 1, 1)
+    return None
 
 
 def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int = 0) -> int:
@@ -345,7 +339,7 @@ def _entity_counts(entities: Sequence[EntityRef], hyp: tuple[str, ...]) -> tuple
             errors += ent.token_count
         else:
             found += 1
-            errors += token_edit_distance(ent.tokens, hyp[match.start : match.stop])
+            errors += match.distance
     return errors, tokens, found
 
 

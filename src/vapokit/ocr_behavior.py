@@ -3,8 +3,8 @@
 A model that transcribes speech should never produce words that appear on
 the slide but not in the spoken transcript. The check builds the common
 vocabulary of transcript and slide, isolates the slide-only remainder, and
-flags any output intersecting it. Stopwords are not removed (slightly
-over-detects); an optional minimum token length can trim noise.
+flags any output intersecting it. Stopwords are not removed, so it slightly
+over-detects.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ class VocabPartition:
     v_slide_only: frozenset[str]
 
 
-def partition_vocab(sample: Sample, min_token_len: int = 1) -> VocabPartition:
+def partition_vocab(sample: Sample) -> VocabPartition:
     """Split the slide vocabulary into transcript-shared and slide-only sets."""
-    slide = {t for t in normalize_tokenize(sample.slide_text) if len(t) >= min_token_len}
-    transcript = {t for t in normalize_tokenize(sample.transcript_gt) if len(t) >= min_token_len}
+    slide = set(normalize_tokenize(sample.slide_text))
+    transcript = set(normalize_tokenize(sample.transcript_gt))
     if not slide:
         raise ToolkitError("no-slide", f"sample {sample.id}: slide text has no tokens")
     common = slide & transcript
@@ -39,13 +39,11 @@ def detect(output: str, partition: VocabPartition) -> bool:
     return bool(tokens & partition.v_slide_only)
 
 
-def detect_all(
-    samples: Sequence[Sample], outputs: Sequence[Hypothesis], min_token_len: int = 1
-) -> list[dict]:
+def detect_all(samples: Sequence[Sample], outputs: Sequence[Hypothesis]) -> list[dict]:
     """Per-sample detection rows, paired by id and sorted by id."""
     rows = []
     for sample, hyp in pair_by_id(samples, outputs):
-        partition = partition_vocab(sample, min_token_len)
+        partition = partition_vocab(sample)
         flagged = detect(hyp.text, partition)
         rows.append(
             {
@@ -57,13 +55,11 @@ def detect_all(
     return rows
 
 
-def dataset_rate(
-    samples: Sequence[Sample], outputs: Sequence[Hypothesis], min_token_len: int = 1
-) -> float:
+def dataset_rate(samples: Sequence[Sample], outputs: Sequence[Hypothesis]) -> float:
     """Percentage (0..100) of samples whose output exhibits OCR behavior."""
     if not samples:
         raise ToolkitError("pairing", "dataset_rate needs at least one sample")
-    return summarize(detect_all(samples, outputs, min_token_len))["rate_percent"]
+    return summarize(detect_all(samples, outputs))["rate_percent"]
 
 
 def summary_row(
@@ -71,10 +67,9 @@ def summary_row(
     outputs: Sequence[Hypothesis],
     name: str | None = None,
     split: str | None = None,
-    min_token_len: int = 1,
 ) -> dict:
     """One report row: model name, split, sample count, detection percentage."""
-    return summarize(detect_all(samples, outputs, min_token_len), name, split)
+    return summarize(detect_all(samples, outputs), name, split)
 
 
 def summarize(rows: Sequence[dict], name: str | None = None, split: str | None = None) -> dict:

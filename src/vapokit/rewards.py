@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .data import _as_number, load_json
 from .errors import ToolkitError
-from .metrics import EntityRef, _find_exact_span, fuzzy_find, token_edit_distance
+from .metrics import EntityRef, fuzzy_find, token_edit_distance
 from .structured import StructuredOutput, parse_structured
 from .textnorm import normalize_tokenize
 
@@ -48,6 +48,8 @@ class RewardWeights:
         weights = cls(**{k: _as_number(v, float, "bad-weights", k) for k, v in d.items()})
         if any(not math.isfinite(w) or w < 0 for w in weights.as_tuple()):
             raise ToolkitError("bad-weights", "weights must be finite and >= 0")
+        if not math.isfinite(weights.total):  # a total reward is at most the weight sum
+            raise ToolkitError("bad-weights", f"weight sum overflows: {weights.as_tuple()}")
         return weights
 
     @classmethod
@@ -122,48 +124,32 @@ def asr_reward(answer: str, transcript_gt: str) -> float:
     return _clipped_accuracy(answer, transcript_gt)
 
 
-def _entity_keys_found(text: str, entities: list[str], matching: str) -> dict[tuple[str, ...], str]:
-    """Entities present in ``text``, keyed by normalized token tuple (dedup)."""
+def _entity_keys_found(text: str, entities: list[str]) -> dict[tuple[str, ...], str]:
+    """Entities ``fuzzy_find`` locates in ``text``, keyed by normalized token tuple (dedup)."""
     toks = normalize_tokenize(text)
     found: dict[tuple[str, ...], str] = {}
     for surface in entities:
         needle = normalize_tokenize(surface)
-        if not needle or needle in found:
-            continue
-        if matching == "exact":
-            hit = _find_exact_span(needle, toks) >= 0
-        else:
-            ent = EntityRef.from_surface(surface)
-            hit = fuzzy_find(ent, toks) is not None
-        if hit:
+        if needle and needle not in found and fuzzy_find(EntityRef(surface, needle), toks) is not None:
             found[needle] = surface
     return found
 
 
-def extract_anchored(think: str, entities: list[str], *, matching: str = "fuzzy") -> list[str]:
+def extract_anchored(think: str, entities: list[str]) -> list[str]:
     """Entities from the sample list that appear in the think block.
 
-    Matching uses the same fuzzy budget as evaluation by default; pass
-    matching="exact" to require verbatim token spans. The result is
+    Matching is the evaluation's entity rule (``fuzzy_find``). The result is
     deduplicated and keeps the input list order.
     """
-    return list(_entity_keys_found(think, entities, matching).values())
+    return list(_entity_keys_found(think, entities).values())
 
 
-def visual_anchoring_reward(
-    e_think: list[str],
-    answer: str,
-    entities: list[str],
-    *,
-    matching: str = "fuzzy",
-    precision_side: str = "answer",
-) -> float:
+def visual_anchoring_reward(e_think: list[str], answer: str, entities: list[str]) -> float:
     """F1 between think-anchored entities and entities present in the answer.
 
     Recall counts anchored entities that made it into the answer. Precision
-    is over all entities found in the answer (default, punishing unanchored
-    entity stuffing) or over the anchored set (precision_side="anchored").
-    Empty anchored set, or no entities in the answer, scores 0.
+    is over all entities found in the answer, so unanchored entity stuffing
+    is punished. Empty anchored set, or no entities in the answer, scores 0.
     """
     think_keys = set()
     for surface in e_think:
@@ -172,25 +158,18 @@ def visual_anchoring_reward(
             think_keys.add(needle)
     if not think_keys:
         return 0.0
-    answer_keys = set(_entity_keys_found(answer, entities, matching))
+    answer_keys = set(_entity_keys_found(answer, entities))
     if not answer_keys:
         return 0.0
     inter = len(think_keys & answer_keys)
-    denom = len(answer_keys) if precision_side == "answer" else len(think_keys)
-    precision = inter / denom
+    precision = inter / len(answer_keys)
     recall = inter / len(think_keys)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def total_reward(
-    sample,
-    raw_output: str,
-    weights: RewardWeights | None = None,
-    matching: str = "fuzzy",
-    precision_side: str = "answer",
-) -> RewardBreakdown:
+def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) -> RewardBreakdown:
     """Score one raw rollout string against a Sample.
 
     Never raises on model text: malformed structure zeroes the format reward
@@ -215,10 +194,8 @@ def total_reward(
 
     r_ocr = ocr_reward(think, sample.slide_text)
     r_asr = asr_reward(answer, sample.transcript_gt)
-    e_think = extract_anchored(think, sample.entities, matching=matching)
-    r_va = visual_anchoring_reward(
-        e_think, answer, sample.entities, matching=matching, precision_side=precision_side
-    )
+    e_think = extract_anchored(think, sample.entities)
+    r_va = visual_anchoring_reward(e_think, answer, sample.entities)
     total = (
         weights.lambda_format * r_fmt
         + weights.lambda_ocr * r_ocr

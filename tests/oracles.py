@@ -3,8 +3,8 @@
 Everything here is deliberately written without reusing the library's
 implementations: recursive edit distance (memoized over the decision space),
 an alignment trace walked over that recursive cost, literal enumeration of
-every alignment path for small inputs, a per-character tokenizer, and a
-regex-based recognizer for the rollout grammar.
+every alignment path for small inputs, a general windowed entity search, a
+per-character tokenizer, and a regex-based recognizer for the rollout grammar.
 """
 
 from __future__ import annotations
@@ -96,6 +96,32 @@ def enumerate_alignments_min(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 
 def char_distance(a: str, b: str) -> int:
     return levenshtein_recursive(tuple(a), tuple(b))
+
+
+def reference_fuzzy_find(entity: tuple[str, ...], text: tuple[str, ...]) -> tuple[int, int, int] | None:
+    """(start, stop, distance) of the best window of ``text`` for ``entity``, or None.
+
+    The general window search: the budget is max(0, floor(2 / k - 1)) edits
+    for a k-token entity. A single-token entity is compared character-wise
+    with every token; a longer one token-wise with every window of
+    k - budget .. k + budget tokens. The lowest distance within the budget
+    wins; ties go to the leftmost, then the shortest window.
+    """
+    k = len(entity)
+    budget = max(0, 2 // k - 1)  # floor(2 / k - 1) for k >= 1
+    best = None
+    for start in range(len(text)):
+        for width in (1,) if k == 1 else range(max(1, k - budget), k + budget + 1):
+            stop = start + width
+            if stop > len(text):
+                break
+            if k == 1:
+                dist = char_distance(entity[0], text[start])
+            else:
+                dist = levenshtein_recursive(entity, text[start:stop])
+            if dist <= budget and (best is None or dist < best[2]):
+                best = (start, stop, dist)
+    return best
 
 
 # Codepoint ranges emitted one token per codepoint (Han, kana, hangul).

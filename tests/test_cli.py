@@ -336,6 +336,8 @@ def test_valid_records_parse_as_before():
     assert (hyp.id, hyp.text) == ("7", "seven words")
     sample = Sample.from_dict({"id": "s", "transcript_gt": "t", "entities": ["a b"]})
     assert (sample.slide_text, sample.transcript_gt, sample.entities) == ("", "t", ["a b"])
+    assert (sample.lang, sample.audio_ref, sample.slide_image_ref) == ("en", "", None)
+    assert Sample.from_dict({"id": "s", "slide_image_ref": None}).slide_image_ref is None
 
 
 def test_duplicate_hypothesis_id_is_rejected(tmp_path, corpus, capsys):
@@ -472,6 +474,8 @@ def test_report_unexpected_json_is_error_record(tmp_path, capsys, payload, code)
     '{"lambda_ocr": [1]}',
     '{"lambda_ocr": true}',
     '{"lambda_ocr": 1e999}',
+    '{"lambda_format": 1e308, "lambda_ocr": 1e308}',
+    "lambda_asr=1.5e308\nlambda_va=1.5e308\n",
 ])
 def test_reward_non_numeric_weight_is_bad_weights(tmp_path, corpus, capsys, weights):
     samples, dataset = corpus
@@ -485,6 +489,21 @@ def test_reward_non_numeric_weight_is_bad_weights(tmp_path, corpus, capsys, weig
     assert code == 1
     assert _error_code(capsys) == "bad-weights"
     assert not out.exists()
+
+
+def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
+    samples, dataset = corpus
+    rollouts = tmp_path / "r.jsonl"
+    write_jsonl(rollouts, [{"id": s["id"], "text": serialize_structured(s["slide_text"], s["transcript_gt"])}
+                           for s in samples])
+    path = tmp_path / "w.json"
+    path.write_text('{"lambda_format": 1e308}')
+    out = tmp_path / "o.json"
+    code = main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
+                 "--weights", str(path), "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert payload["mean_total"] == pytest.approx(1e308)
 
 
 @pytest.mark.parametrize("config", [
@@ -531,6 +550,33 @@ def test_dataset_non_numeric_duration_is_bad_record(tmp_path, corpus, capsys):
     code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "duration_s" in _bad_record_error(capsys)["detail"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lang", [5]),
+    ("lang", None),
+    ("audio_ref", {"x": 1}),
+    ("slide_image_ref", 3),
+    ("slide_image_ref", ["slides/c0.svg"]),
+])
+def test_dataset_non_string_label_is_bad_record(tmp_path, corpus, capsys, field, value):
+    samples, _ = corpus
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, [samples[0] | {field: value}])
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": samples[0]["id"], "text": "x"}])
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert field in _bad_record_error(capsys)["detail"]
+
+
+@pytest.mark.parametrize("field, value", [("lang", [5]), ("audio_ref", {"x": 1})])
+def test_build_non_string_label_is_bad_record(tmp_path, capsys, field, value):
+    seed = read_jsonl(builtin_path("seeds_5.jsonl"))[0]
+    seed[field] = value
+    assert _build_one_seed(tmp_path, seed) == 1
+    assert field in _bad_record_error(capsys)["detail"]
+    assert not (tmp_path / "built" / "manifest.jsonl").exists()
 
 
 def test_clean_rebuild_removes_stale_errors_file(tmp_path, capsys):

@@ -9,11 +9,13 @@ from oracles import (
     enumerate_alignments_min,
     levenshtein_recursive,
     reference_alignment_ops,
+    reference_fuzzy_find,
 )
 from vapokit.data import Sample
 from vapokit.errors import ToolkitError
 from vapokit.metrics import (
     EntityRef,
+    FuzzyMatch,
     aggregate_reports,
     align,
     fuzzy_find,
@@ -255,14 +257,20 @@ def test_keyword_recall_absent_when_no_occurrence():
 
 
 def test_tolerance_formula():
-    assert ent("convirt").tolerance == 1
-    assert ent("new york").tolerance == 0
-    assert ent("graph neural network").tolerance == 0
+    # max(0, floor(2 / k - 1)) edits for a k-token entity: 1 for one token, 0 beyond
+    assert fuzzy_find(ent("convirt"), ("convert",)).distance == 1
+    assert fuzzy_find(ent("convirt"), ("conver",)) is None
+    assert fuzzy_find(ent("new york"), ("new", "york")).distance == 0
+    assert fuzzy_find(ent("new york"), ("new", "yorks")) is None
+    assert fuzzy_find(ent("graph neural network"), ("graph", "neural", "networks")) is None
 
 
 def test_entity_empty_surface():
     with pytest.raises(ToolkitError) as exc:
         ent("!!!")
+    assert exc.value.code == "empty-entity"
+    with pytest.raises(ToolkitError) as exc:
+        EntityRef(surface="", tokens=())
     assert exc.value.code == "empty-entity"
 
 
@@ -283,7 +291,6 @@ def test_fuzzy_verbatim():
 
 def test_fuzzy_three_word_entity_requires_exact():
     entity = ent("graph neural network")
-    assert entity.tolerance == 0
     text = ("a", "graph", "neural", "model", "here")
     assert fuzzy_find(entity, text) is None
     assert fuzzy_find(entity, ("a", "graph", "neural", "network")) is not None
@@ -295,7 +302,7 @@ def test_fuzzy_tolerance_zero_is_exact_substring():
     for _ in range(300):
         text = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
         needle = tuple(rng.choice(vocab) for _ in range(2))
-        entity = EntityRef(surface=" ".join(needle), tokens=needle, token_count=2, tolerance=0)
+        entity = EntityRef(surface=" ".join(needle), tokens=needle)
         found = fuzzy_find(entity, text)
         exact = any(text[i : i + 2] == needle for i in range(len(text) - 1))
         assert (found is not None) == exact
@@ -306,6 +313,47 @@ def test_fuzzy_tolerance_zero_is_exact_substring():
 def test_fuzzy_leftmost_tie():
     match = fuzzy_find(ent("aspirin"), ("aspirin", "x", "aspirin"))
     assert match is not None and match.start == 0
+    assert fuzzy_find(ent("aspirin"), ("asprin", "x", "aspirn")) == FuzzyMatch(0, 1, 1)
+
+
+def test_fuzzy_exact_beats_earlier_one_edit():
+    assert fuzzy_find(ent("aspirin"), ("asprin", "x", "aspirin")) == FuzzyMatch(2, 3, 0)
+
+
+def test_fuzzy_find_equals_reference_random():
+    """fuzzy_find against the general window search on short random tokens.
+
+    Tokens of 1-3 characters over two or three letters, or single Han
+    characters, make one-edit neighbours, repeated tokens and exact-vs-near
+    ties common; texts of 0-8 tokens include the empty one.
+    """
+    rng = random.Random(2025)
+    latin = ["a", "b", "ab", "ba", "aa", "abc", "bca", "ca", "c", "aab"]
+    han = list("苯钠乙腈")
+    for trial in range(3000):
+        vocab = han if trial % 4 == 0 else latin
+        text = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
+        entity = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+        match = fuzzy_find(EntityRef(" ".join(entity), entity), text)
+        expected = reference_fuzzy_find(entity, text)
+        assert (None if match is None else (match.start, match.stop, match.distance)) == expected, (
+            entity,
+            text,
+        )
+        if match is not None:
+            assert match.distance == levenshtein_recursive(entity, text[match.start : match.stop])
+
+
+def test_short_entities_keep_the_one_edit_budget():
+    """The paper's rule, kept as is: a single-token entity of any length may be one edit off."""
+    strand = normalize_tokenize("the dna strand")
+    assert fuzzy_find(ent("RNA"), strand) == FuzzyMatch(1, 2, 1)
+    assert ne_fnr([ent("RNA")], strand) == 0.0
+    assert fuzzy_find(ent("AI"), normalize_tokenize("an old model")) == FuzzyMatch(0, 1, 1)
+    lecture = normalize_tokenize("今天讨论钾和氯的性质")
+    for i, han in enumerate(lecture):
+        assert fuzzy_find(ent("钠"), (han,)) == FuzzyMatch(0, 1, 1)
+        assert fuzzy_find(ent("钠"), lecture[i:]) == FuzzyMatch(0, 1, 1)
 
 
 def test_ne_wer_all_verbatim():

@@ -130,10 +130,3 @@ def test_summary_row_shape():
     samples, ocr_outputs, faithful = _fixture_corpus()
     row = summary_row(samples, faithful[:3] + [ocr_outputs[3]], name="mock", split="dev")
     assert row == {"name": "mock", "split": "dev", "samples": 4, "detected": 1, "rate_percent": 25.0}
-
-
-def test_min_token_len_filter():
-    sample = make_sample(9, "ab alpha", "alpha words")
-    # "ab" is slide-only but shorter than the filter
-    assert detect("ab here", partition_vocab(sample)) is True
-    assert detect("ab here", partition_vocab(sample, min_token_len=3)) is False

@@ -62,8 +62,6 @@ def test_extract_anchored():
     assert extract_anchored("", entities) == []
     # fuzzy single-word match within one character
     assert extract_anchored("talk about convert today", ["ConVIRT"]) == ["ConVIRT"]
-    # exact mode rejects the fuzzy hit
-    assert extract_anchored("talk about convert today", ["ConVIRT"], matching="exact") == []
 
 
 def test_extract_anchored_dedup():
@@ -90,16 +88,22 @@ def test_va_reward_empty_answer():
     assert visual_anchoring_reward(["aspirin"], "nothing relevant", ["aspirin"]) == 0.0
 
 
-def test_va_reward_precision_side_switch():
+def test_va_reward_penalizes_unanchored_stuffing():
     entities = ["aspirin", "warfarin", "metformin"]
-    # the answer stuffs unanchored metformin: default precision penalizes it
+    # the answer stuffs unanchored metformin: precision over the answer's entities penalizes it
     answer = "aspirin warfarin metformin"
     stuffed = visual_anchoring_reward(["aspirin", "warfarin"], answer, entities)
-    anchored = visual_anchoring_reward(
-        ["aspirin", "warfarin"], answer, entities, precision_side="anchored"
-    )
     assert stuffed == pytest.approx(0.8)  # P=2/3, R=1
-    assert anchored == 1.0
+
+
+def test_va_reward_has_no_matching_options():
+    # a misspelt option is an error, never a silently different score
+    with pytest.raises(TypeError):
+        visual_anchoring_reward(
+            ["aspirin"], "aspirin warfarin", ["aspirin", "warfarin"], precision_side="answers"
+        )
+    with pytest.raises(TypeError):
+        extract_anchored("aspirin", ["aspirin"], matching="exact")
 
 
 @pytest.fixture
