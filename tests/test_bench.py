@@ -211,6 +211,28 @@ def test_svg_deterministic():
     assert b"&lt;World&gt;" in one and b"a &amp; b" in one
 
 
+def test_svg_escapes_markup_characters(tmp_path):
+    # Expected bytes written by xml.sax.saxutils.escape: & < > are escaped,
+    # quotes stay literal, and an existing entity is escaped again.
+    slide = SlideText(
+        title="R&D <Q&A> \"x\" it's",
+        body="a & b < c > d \"quoted\" 'single' &amp; <tag/> >>= &&",
+        embedded_entities=(),
+    )
+    expected = (
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="960" height="720" viewBox="0 0 960 720">\n'
+        b'<rect width="960" height="720" fill="#ffffff"/>\n'
+        b'<text x="60" y="80" font-family="monospace" font-size="36">'
+        b"R&amp;D &lt;Q&amp;A&gt; \"x\" it's</text>\n"
+        b'<text x="60" y="148" font-family="monospace" font-size="18">'
+        b"a &amp; b &lt; c &gt; d \"quoted\" 'single' &amp;amp; &lt;tag/&gt; &gt;&gt;= &amp;&amp;</text>\n"
+        b"</svg>\n"
+    )
+    layout = render_slide(slide, tmp_path / "s.svg")
+    assert slide_svg(layout) == expected
+    assert (tmp_path / "s.svg").read_bytes() == expected
+
+
 def test_render_slide_writes_file(tmp_path):
     slide = SlideText(title="T", body="body words", embedded_entities=())
     layout = render_slide(slide, tmp_path / "s.svg")

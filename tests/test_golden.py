@@ -15,6 +15,12 @@ The expected files were written by the CLI itself, from the repository root:
         --hyp tests/golden/hyp.jsonl --out tests/golden/score.json
 
 and likewise for ``reward --rollouts``, ``detect --hyp`` and ``build --seeds``.
+``simulate_trace.jsonl`` and ``simulate_trace.csv`` come from a 60-step run of
+the builtin samples at seed 0:
+
+    PYTHONPATH=src python -m vapokit.cli simulate --config tests/golden/simulate.json \
+        --out tests/golden/simulate_trace.jsonl
+
 A change that alters one of them changes a result; say what and why before
 regenerating.
 """
@@ -49,4 +55,12 @@ def test_golden_build(tmp_path, capsys):
     assert main(["build", "--seeds", str(GOLDEN / "seeds.jsonl"), "--outdir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == '{"samples": 6, "entities": 23, "hours": 0.03666666666666667}\n'
     for name in ("manifest.jsonl", "stats.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_simulate(tmp_path, capsys):
+    out = tmp_path / "simulate_trace.jsonl"
+    assert main(["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == '{"steps": 60, "p_optimal": 0.07044549581819541}\n'
+    for name in ("simulate_trace.jsonl", "simulate_trace.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
