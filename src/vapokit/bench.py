@@ -10,15 +10,13 @@ re-validated (entity coverage, word cap) regardless of source.
 
 from __future__ import annotations
 
+import html
 import json
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from os import environ
 from pathlib import Path
 from typing import Callable, Sequence
-from xml.sax.saxutils import escape
 
 from .data import (
     Sample,
@@ -124,6 +122,11 @@ class RemoteGenerator:
         self.timeout_s = timeout_s
 
     def __call__(self, domain: str, entities: Sequence[str]) -> tuple[str, str]:
+        # Imported here: urllib.request loads http.client, ssl and email, which
+        # no offline command needs.
+        import urllib.error
+        import urllib.request
+
         if not self.url:
             raise ToolkitError("generator-unreachable", "no generator URL configured")
         prompt = SLIDE_TEXT_PROMPT.format(domain, ", ".join(entities))
@@ -264,7 +267,7 @@ def slide_svg(layout: SlideLayout) -> bytes:
         px = _FONT_PX[line.size_class]
         parts.append(
             f'<text x="{_MARGIN_X}" y="{line.y}" font-family="monospace" '
-            f'font-size="{px}">{escape(line.text)}</text>'
+            f'font-size="{px}">{html.escape(line.text, quote=False)}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

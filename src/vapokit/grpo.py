@@ -39,14 +39,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .data import Sample, _as_number, load_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .rewards import RewardBreakdown, RewardWeights, total_reward
 from .textnorm import normalize_tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that do array math, so that the
+# commands that never train (score, reward, detect, build) do not load it.
 
 GRADES = (0.0, 0.5, 1.0)
 
@@ -67,16 +71,18 @@ NUM_TUPLES = len(ALL_TUPLES)  # 54
 OPTIMAL_TUPLE = BehaviorTuple(True, 1.0, 1.0, 1.0)
 OPTIMAL_INDEX = ALL_TUPLES.index(OPTIMAL_TUPLE)
 
-_OCR_GRADE = np.array([t.ocr_level for t in ALL_TUPLES])
-_ASR_GRADE = np.array([t.asr_level for t in ALL_TUPLES])
-_ANCHOR_GRADE = np.array([t.anchor_level for t in ALL_TUPLES])
-_FORMAT_GRADE = np.array([float(t.format_ok) for t in ALL_TUPLES])
+_OCR_GRADE = tuple(t.ocr_level for t in ALL_TUPLES)
+_ASR_GRADE = tuple(t.asr_level for t in ALL_TUPLES)
+_ANCHOR_GRADE = tuple(t.anchor_level for t in ALL_TUPLES)
+_FORMAT_GRADE = tuple(float(t.format_ok) for t in ALL_TUPLES)
 
 
 class ToyPolicy:
     """Categorical policy over the behavior grid, parameterized by logits."""
 
     def __init__(self, logits: np.ndarray | None = None):
+        import numpy as np
+
         if logits is None:
             logits = np.zeros(NUM_TUPLES)
         self.logits = np.asarray(logits, dtype=float)
@@ -84,6 +90,8 @@ class ToyPolicy:
             raise ToolkitError("bad-config", f"policy needs {NUM_TUPLES} logits")
 
     def probs(self) -> np.ndarray:
+        import numpy as np
+
         z = self.logits - self.logits.max()
         e = np.exp(z)
         return e / e.sum()
@@ -189,10 +197,18 @@ _STD_FLOOR = 1e-8
 
 def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """(r - mean) / population std; all zeros when the group is flat."""
+    import numpy as np
+
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise ToolkitError("degenerate-group", "need at least 2 rollouts per group")
-    std = r.std()
+    # Rewards above ~1e154 (finite but huge weights) overflow the squares, and
+    # a group sum near 1e308 overflows the mean: report it as one error record
+    # instead of numpy warnings and, for an infinite std, all-zero advantages.
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = r.std()
+    if not math.isfinite(std):
+        raise ToolkitError("numerical", "group reward spread overflows")
     if std < _STD_FLOOR:
         return np.zeros_like(r)
     return (r - r.mean()) / std
@@ -200,12 +216,16 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
 
 def surrogate_objective(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> float:
     """Sum_i a_i * log pi(k_i) with advantages treated as constants."""
+    import numpy as np
+
     z = logits - logits.max()
     logp = z - math.log(np.exp(z).sum())
     return float(sum(a * logp[k] for k, a in zip(indices, advantages)))
 
 
 def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     adv = np.asarray(advantages, dtype=float)
     z = logits - logits.max()
     e = np.exp(z)
@@ -224,6 +244,8 @@ class GroupRollout:
 
 def policy_step(policy: ToyPolicy, rollout: GroupRollout, lr: float) -> ToyPolicy:
     """One likelihood-ratio ascent step on the group."""
+    import numpy as np
+
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
     grad = surrogate_gradient(policy.logits, rollout.indices, rollout.advantages)
@@ -410,6 +432,8 @@ def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int =
     Grades fully determine the rewards (corruption counts, not positions), so
     one rendering per pair is exact.
     """
+    import numpy as np
+
     rng = np.random.default_rng([seed, NUM_TUPLES])
     breakdowns = [
         [total_reward(sample, render(tup, sample, rng), weights) for tup in ALL_TUPLES]
@@ -428,6 +452,8 @@ def train(config: SimConfig) -> TrainTrace:
     Every step reads its group's rewards, the trace's mean components and the
     policy's expected reward from the same table. Reproducible from the seed.
     """
+    import numpy as np
+
     if config.steps < 1 or config.group_size < 2 or config.seed < 0:
         raise ToolkitError("bad-config", "need steps >= 1, group_size >= 2 and seed >= 0")
     if not 0 < config.lr < math.inf:

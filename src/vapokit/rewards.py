@@ -125,12 +125,15 @@ def asr_reward(answer: str, transcript_gt: str) -> float:
 
 
 def _entity_keys_found(text: str, entities: list[str]) -> dict[tuple[str, ...], str]:
-    """Entities ``fuzzy_find`` locates in ``text``, keyed by normalized token tuple (dedup)."""
+    """Entities ``fuzzy_find`` locates in ``text``, keyed by normalized token tuple (dedup).
+
+    An entity that normalizes to nothing raises ``empty-entity``, as in ``score``.
+    """
     toks = normalize_tokenize(text)
     found: dict[tuple[str, ...], str] = {}
     for surface in entities:
         needle = normalize_tokenize(surface)
-        if needle and needle not in found and fuzzy_find(EntityRef(surface, needle), toks) is not None:
+        if needle not in found and fuzzy_find(EntityRef(surface, needle), toks) is not None:
             found[needle] = surface
     return found
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -616,4 +617,41 @@ def test_undecodable_text_is_error_record(tmp_path, corpus, capsys, content):
     code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out), "--allow-partial"])
     assert code == 1
     assert _error_code(capsys) == "manifest-parse"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["1e308", "1e200"])
+def test_simulate_overflowing_rewards_are_one_error_record(tmp_path, weight):
+    """Finite but huge weights overflow the group's reward spread.
+
+    At 1e308 the group mean overflows; at 1e200 only the squares do, which
+    used to leave all-zero advantages and a policy that never moved. Either
+    way stderr holds the one error record and no numpy warning.
+    """
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": 3, "weights": {"lambda_format": %s}}' % weight)
+    out = tmp_path / "trace.jsonl"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "vapokit.cli", "simulate", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "numerical"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("score", "--hyp"), ("reward", "--rollouts")])
+def test_empty_entity_is_rejected_by_score_and_reward(tmp_path, corpus, capsys, command, flag):
+    samples, _ = corpus
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, [samples[0] | {"entities": ["aspirin", "!!!"]}])
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": samples[0]["id"],
+                       "text": serialize_structured(samples[0]["slide_text"], samples[0]["transcript_gt"])}])
+    out = tmp_path / "o.json"
+    assert main([command, "--dataset", str(dataset), flag, str(hyp), "--out", str(out)]) == 1
+    assert _error_code(capsys) == "empty-entity"
     assert not out.exists()

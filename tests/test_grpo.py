@@ -368,3 +368,11 @@ def test_trace_files(tmp_path, fixture_samples):
     csv_lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert csv_lines[0].startswith("step,mean_reward,expected_reward")
     assert len(csv_lines) == 26
+
+
+@pytest.mark.parametrize("rewards", [[1e308, 1e308, 0.0], [1e200, 0.0]])
+def test_group_advantages_overflow_is_numerical_error(rewards, recwarn):
+    with pytest.raises(ToolkitError) as exc:
+        group_advantages(rewards)
+    assert exc.value.code == "numerical"
+    assert not recwarn.list
