@@ -124,7 +124,6 @@ class RemoteGenerator:
     def __call__(self, domain: str, entities: Sequence[str]) -> tuple[str, str]:
         # Imported here: urllib.request loads http.client, ssl and email, which
         # no offline command needs.
-        import urllib.error
         import urllib.request
 
         if not self.url:
@@ -139,7 +138,7 @@ class RemoteGenerator:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as e:
+        except (OSError, ValueError) as e:  # urllib.error.URLError is an OSError
             raise ToolkitError("generator-unreachable", f"{self.url}: {e}") from e
         try:
             content = body["choices"][0]["message"]["content"]
