@@ -46,25 +46,14 @@ def cmd_reward(args) -> int:
     mean_total = sum(r["total"] for r in rows) / len(rows)
     if math.isinf(mean_total):  # the sum overflowed; each total is at most the finite weight sum
         mean_total = sum(r["total"] / len(rows) for r in rows)
-    payload = {
-        "weights": {
-            "lambda_format": weights.lambda_format,
-            "lambda_ocr": weights.lambda_ocr,
-            "lambda_asr": weights.lambda_asr,
-            "lambda_va": weights.lambda_va,
-        },
-        "rows": rows,
-        "mean_total": mean_total,
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, {"weights": weights.as_dict(), "rows": rows, "mean_total": mean_total})
     return 0
 
 
 def cmd_detect(args) -> int:
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
-    pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
-    rows = ocr_behavior.detect_all([s for s, _ in pairs], [h for _, h in pairs])
+    rows = ocr_behavior.detect_all(samples, hyps, allow_partial=args.allow_partial)
     _write_json(args.out, {"rows": rows, "summary": ocr_behavior.summarize(rows)})
     return 0
 

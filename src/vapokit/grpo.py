@@ -5,10 +5,10 @@ behavior tuples (format ok? x OCR grade x ASR grade x anchoring grade, grades
 in {0, 0.5, 1}). Before training, every (sample, behavior tuple) pair is
 rendered once into a concrete <think>/<answer> string by deterministic
 corruption operators and scored once with the real reward engine. The
-resulting reward table is exact: a rollout's rewards depend only on its
-grades and its sample, never on which positions the corruption picks. Each
-step draws a sample and a group of tuples, reads their rewards from the
-table, and updates the policy logits with a likelihood-ratio gradient using
+resulting reward table, one float array from ``reward_matrix``, is exact: a
+rollout's rewards depend only on its grades and its sample, never on which
+positions the corruption picks. Each step draws a sample and a group of
+tuples, reads their rewards from the table, and updates the policy logits with a likelihood-ratio gradient using
 the within-group normalized advantage as the baseline.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
@@ -18,10 +18,9 @@ policy. The last one matters: with 54 arms, 8 draws per group, and
 std-normalized advantages, sampling from the policy itself collapses onto
 whichever high-reward tuple leads early (zero-variance groups then freeze
 it), and independent uniform draws leave appearance-count noise large enough
-to scramble the top of the ranking. Balanced exploration gives every tuple
+to scramble the top of the ranking. Balanced dealing gives every tuple
 the same appearance count, so each logit drifts at a rate ordered by its true
-reward and the optimum wins deterministically. Policy-driven sampling remains
-available via ``SimConfig.exploration = "policy"``.
+reward and the optimum wins deterministically.
 
 The corruption operators are built so each grade maps monotonically onto its
 reward component (substituting k of n tokens with unique garbage gives edit
@@ -37,13 +36,13 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .data import Sample, _as_number, load_json, read_samples, resolve_data_path
 from .errors import ToolkitError
-from .rewards import RewardBreakdown, RewardWeights, total_reward
+from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
 
 if TYPE_CHECKING:
@@ -77,6 +76,13 @@ _ANCHOR_GRADE = tuple(t.anchor_level for t in ALL_TUPLES)
 _FORMAT_GRADE = tuple(float(t.format_ok) for t in ALL_TUPLES)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 class ToyPolicy:
     """Categorical policy over the behavior grid, parameterized by logits."""
 
@@ -90,11 +96,7 @@ class ToyPolicy:
             raise ToolkitError("bad-config", f"policy needs {NUM_TUPLES} logits")
 
     def probs(self) -> np.ndarray:
-        import numpy as np
-
-        z = self.logits - self.logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return _softmax(self.logits)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +229,19 @@ def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: S
     import numpy as np
 
     adv = np.asarray(advantages, dtype=float)
-    z = logits - logits.max()
-    e = np.exp(z)
-    probs = e / e.sum()
     grad = np.zeros_like(logits)
     np.add.at(grad, np.asarray(indices, dtype=int), adv)
-    grad -= probs * adv.sum()
+    grad -= _softmax(logits) * adv.sum()
     return grad
 
 
-@dataclass
-class GroupRollout:
-    indices: list[int]
-    advantages: np.ndarray
-
-
-def policy_step(policy: ToyPolicy, rollout: GroupRollout, lr: float) -> ToyPolicy:
-    """One likelihood-ratio ascent step on the group."""
+def policy_step(policy: ToyPolicy, indices: Sequence[int], advantages: Sequence[float], lr: float) -> ToyPolicy:
+    """One likelihood-ratio ascent step on the group's tuple indices and advantages."""
     import numpy as np
 
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
-    grad = surrogate_gradient(policy.logits, rollout.indices, rollout.advantages)
+    grad = surrogate_gradient(policy.logits, indices, advantages)
     if not np.all(np.isfinite(grad)):
         raise ToolkitError("numerical", "non-finite policy gradient")
     return ToyPolicy(policy.logits + lr * grad)
@@ -267,33 +260,32 @@ class SimConfig:
     weights: RewardWeights = field(default_factory=RewardWeights)
     samples: list[Sample] = field(default_factory=list)
     samples_ref: str = "builtin:grpo_samples.jsonl"
-    exploration: str = "uniform"  # "uniform" | "policy"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimConfig":
+        """Load a JSON config object; it accepts exactly the keys of ``snapshot()``."""
         try:
             raw = load_json(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as e:
             raise ToolkitError("bad-config", f"cannot load config {path}: {e}") from e
         if not isinstance(raw, dict):
             raise ToolkitError("bad-config", f"config {path} is not a JSON object")
+        unknown = set(raw) - set(cls().snapshot())
+        if unknown:
+            raise ToolkitError("bad-config", f"unknown config keys: {sorted(unknown)}")
         weights = RewardWeights.from_mapping(raw.get("weights", {}))
-        samples_ref = raw.get("samples", "builtin:grpo_samples.jsonl")
+        samples_ref = raw.get("samples", cls.samples_ref)
         if not isinstance(samples_ref, str):
             raise ToolkitError("bad-config", f"samples must be a path string, got {samples_ref!r:.80}")
         samples = read_samples(resolve_data_path(samples_ref))
-        exploration = raw.get("exploration", "uniform")
-        if exploration not in ("uniform", "policy"):
-            raise ToolkitError("bad-config", f"unknown exploration mode: {exploration!r}")
         return cls(
-            steps=_as_number(raw.get("steps", 2000), int, "bad-config", "steps"),
-            group_size=_as_number(raw.get("group_size", 8), int, "bad-config", "group_size"),
-            lr=_as_number(raw.get("lr", 0.1), float, "bad-config", "lr"),
-            seed=_as_number(raw.get("seed", 0), int, "bad-config", "seed"),
+            steps=_as_number(raw.get("steps", cls.steps), int, "bad-config", "steps"),
+            group_size=_as_number(raw.get("group_size", cls.group_size), int, "bad-config", "group_size"),
+            lr=_as_number(raw.get("lr", cls.lr), float, "bad-config", "lr"),
+            seed=_as_number(raw.get("seed", cls.seed), int, "bad-config", "seed"),
             weights=weights,
             samples=samples,
             samples_ref=samples_ref,
-            exploration=exploration,
         )
 
     def snapshot(self) -> dict:
@@ -302,14 +294,8 @@ class SimConfig:
             "group_size": self.group_size,
             "lr": self.lr,
             "seed": self.seed,
-            "weights": {
-                "lambda_format": self.weights.lambda_format,
-                "lambda_ocr": self.weights.lambda_ocr,
-                "lambda_asr": self.weights.lambda_asr,
-                "lambda_va": self.weights.lambda_va,
-            },
+            "weights": self.weights.as_dict(),
             "samples": self.samples_ref,
-            "exploration": self.exploration,
         }
 
 
@@ -323,30 +309,6 @@ class TraceStep:
     mean_asr: float
     mean_va: float
     p_optimal: float
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "mean_reward": self.mean_reward,
-            "expected_reward": self.expected_reward,
-            "mean_format": self.mean_format,
-            "mean_ocr": self.mean_ocr,
-            "mean_asr": self.mean_asr,
-            "mean_va": self.mean_va,
-            "p_optimal": self.p_optimal,
-        }
-
-
-_CSV_COLUMNS = [
-    "step",
-    "mean_reward",
-    "expected_reward",
-    "mean_format",
-    "mean_ocr",
-    "mean_asr",
-    "mean_va",
-    "p_optimal",
-]
 
 
 @dataclass
@@ -365,15 +327,15 @@ class TrainTrace:
             f.write(json.dumps({"record": "config", "seed": self.seed, "config": self.config}))
             f.write("\n")
             for step in self.steps:
-                f.write(json.dumps({"record": "step", **step.as_dict()}))
+                f.write(json.dumps({"record": "step", **vars(step)}))
                 f.write("\n")
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=_CSV_COLUMNS)
+            writer = csv.DictWriter(f, fieldnames=[column.name for column in fields(TraceStep)])
             writer.writeheader()
             for step in self.steps:
-                writer.writerow(step.as_dict())
+                writer.writerow(vars(step))
 
 
 def expected_grades(policy: ToyPolicy) -> dict[str, float]:
@@ -392,58 +354,36 @@ def default_samples() -> list[Sample]:
     return read_samples(resolve_data_path("builtin:grpo_samples.jsonl"))
 
 
-class _BalancedDealer:
-    """Deals tuple indices from rng-shuffled without-replacement cycles."""
+def _balanced_deals(rng: np.random.Generator) -> Iterator[int]:
+    """Tuple indices from rng-shuffled without-replacement cycles over the grid.
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.deck: list[int] = []
-
-    def deal(self, n: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < n:
-            if not self.deck:
-                self.deck = [int(k) for k in self.rng.permutation(NUM_TUPLES)]
-            take = min(n - len(out), len(self.deck))
-            out.extend(self.deck[:take])
-            del self.deck[:take]
-        return out
+    The next cycle is shuffled only when its first index is requested;
+    shuffling earlier would reorder the draws ``train`` shares this rng with.
+    """
+    while True:
+        yield from rng.permutation(NUM_TUPLES).tolist()
 
 
-# Columns of RewardTable.values, in order.
+# The last axis of the reward_matrix array, in order.
 REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va", "total")
 
 
-@dataclass(frozen=True)
-class RewardTable:
-    """Rewards of every (sample, behavior tuple) pair.
-
-    ``breakdowns[si][k]`` scores sample ``si`` under ``ALL_TUPLES[k]``;
-    ``values[si, k]`` holds the same breakdown's REWARD_COLUMNS as floats.
-    """
-
-    breakdowns: list[list[RewardBreakdown]]
-    values: np.ndarray  # (samples, NUM_TUPLES, len(REWARD_COLUMNS))
-
-
-def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int = 0) -> RewardTable:
+def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int = 0) -> np.ndarray:
     """Render and score every (sample, behavior tuple) pair exactly once.
 
-    Grades fully determine the rewards (corruption counts, not positions), so
-    one rendering per pair is exact.
+    Returns a ``(len(samples), NUM_TUPLES, len(REWARD_COLUMNS))`` float array
+    whose entry ``[si, k]`` holds the REWARD_COLUMNS of sample ``si`` scored
+    under ``ALL_TUPLES[k]``. Grades fully determine the rewards (corruption
+    counts, not positions), so one rendering per pair is exact.
     """
     import numpy as np
 
     rng = np.random.default_rng([seed, NUM_TUPLES])
-    breakdowns = [
-        [total_reward(sample, render(tup, sample, rng), weights) for tup in ALL_TUPLES]
-        for sample in samples
-    ]
-    values = np.array(
-        [[[getattr(b, col) for col in REWARD_COLUMNS] for b in row] for row in breakdowns],
-        dtype=float,
-    )
-    return RewardTable(breakdowns, values)
+    rows = []
+    for sample in samples:
+        breakdowns = (total_reward(sample, render(tup, sample, rng), weights) for tup in ALL_TUPLES)
+        rows.append([[getattr(b, col) for col in REWARD_COLUMNS] for b in breakdowns])
+    return np.array(rows, dtype=float)
 
 
 def train(config: SimConfig) -> TrainTrace:
@@ -460,20 +400,17 @@ def train(config: SimConfig) -> TrainTrace:
         raise ToolkitError("bad-config", "lr must be finite and > 0")
     samples = config.samples or default_samples()
     table = reward_matrix(samples, config.weights, config.seed)
-    totals = table.values[..., -1]
+    totals = table[..., -1]
     rng = np.random.default_rng(config.seed)
-    dealer = _BalancedDealer(rng)
+    deals = _balanced_deals(rng)
     policy = ToyPolicy()
     trace: list[TraceStep] = []
     for step in range(config.steps):
         si = int(rng.integers(len(samples)))
-        if config.exploration == "policy":
-            indices = [int(k) for k in rng.choice(NUM_TUPLES, size=config.group_size, p=policy.probs())]
-        else:
-            indices = dealer.deal(config.group_size)
-        group = table.values[si, indices]
+        indices = list(itertools.islice(deals, config.group_size))
+        group = table[si, indices]
         advantages = group_advantages(group[:, -1])
-        policy = policy_step(policy, GroupRollout(indices, advantages), config.lr)
+        policy = policy_step(policy, indices, advantages, config.lr)
         probs = policy.probs()
         r_format, r_ocr, r_asr, r_va, total = group.mean(axis=0)
         trace.append(

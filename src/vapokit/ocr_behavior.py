@@ -39,10 +39,12 @@ def detect(output: str, partition: VocabPartition) -> bool:
     return bool(tokens & partition.v_slide_only)
 
 
-def detect_all(samples: Sequence[Sample], outputs: Sequence[Hypothesis]) -> list[dict]:
-    """Per-sample detection rows, paired by id and sorted by id."""
+def detect_all(
+    samples: Sequence[Sample], outputs: Sequence[Hypothesis], allow_partial: bool = False
+) -> list[dict]:
+    """Per-sample detection rows, paired by id (see ``pair_by_id``) and sorted by id."""
     rows = []
-    for sample, hyp in pair_by_id(samples, outputs):
+    for sample, hyp in pair_by_id(samples, outputs, allow_partial=allow_partial):
         partition = partition_vocab(sample)
         flagged = detect(hyp.text, partition)
         rows.append(

@@ -12,7 +12,7 @@ arbitrary input text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import _as_number, load_json
@@ -29,8 +29,11 @@ class RewardWeights:
     lambda_asr: float = 1.0
     lambda_va: float = 1.0
 
+    def as_dict(self) -> dict[str, float]:
+        return dict(vars(self))
+
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.lambda_format, self.lambda_ocr, self.lambda_asr, self.lambda_va)
+        return tuple(vars(self).values())
 
     @property
     def total(self) -> float:
@@ -41,8 +44,7 @@ class RewardWeights:
         """Weights from a mapping of numbers or numeric strings; missing keys default to 1."""
         if not isinstance(d, dict):
             raise ToolkitError("bad-weights", f"weights must be an object, got {d!r:.80}")
-        known = {"lambda_format", "lambda_ocr", "lambda_asr", "lambda_va"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ToolkitError("bad-weights", f"unknown weight keys: {sorted(unknown)}")
         weights = cls(**{k: _as_number(v, float, "bad-weights", k) for k, v in d.items()})

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vapokit import ocr_behavior
+from vapokit import cli, ocr_behavior
 from vapokit.cli import main
 from vapokit.data import Hypothesis, Sample, builtin_path, read_jsonl, write_jsonl
 from vapokit.structured import serialize_structured
@@ -173,10 +173,20 @@ def test_detect_partitions_each_record_once(tmp_path, corpus, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
+    pairings = []
+    real_pair_by_id = ocr_behavior.pair_by_id
+
+    def counting_pair_by_id(*args, **kwargs):
+        pairings.append(1)
+        return real_pair_by_id(*args, **kwargs)
+
     monkeypatch.setattr(ocr_behavior, "partition_vocab", counting_partition_vocab)
+    monkeypatch.setattr(ocr_behavior, "pair_by_id", counting_pair_by_id)
+    monkeypatch.setattr(cli, "pair_by_id", counting_pair_by_id)
     code = main(["detect", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "d.json")])
     assert code == 0
     assert len(calls) == len(samples)
+    assert len(pairings) == 1
 
 
 def test_empty_id_is_bad_record(tmp_path, capsys):
@@ -517,6 +527,9 @@ def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
     '{"weights": [1]}',
     '{"weights": {"lambda_va": "x"}}',
     '{"samples": 5}',
+    '{"step": 3}',
+    '{"lambda_ocr": 0}',
+    '{"exploration": "uniform"}',
 ])
 def test_simulate_bad_config_is_error_record(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"

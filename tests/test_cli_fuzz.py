@@ -115,7 +115,6 @@ CONFIG = st.fixed_dictionaries(
         "seed": st.integers(0, 3),
         "weights": WEIGHTS,
         "samples": st.sampled_from(["builtin:grpo_samples.jsonl", "builtin:seeds_5.jsonl", "missing.jsonl"]),
-        "exploration": st.sampled_from(["uniform", "policy"]),
     },
 )
 CONFIG_FILE = _mostly(
