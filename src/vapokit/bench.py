@@ -33,7 +33,7 @@ from .data import (
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
-from .textnorm import is_cjk, normalize_tokenize
+from .textnorm import _TOKEN_RE, is_cjk, normalize_tokenize
 
 MAX_BODY_WORDS = 150
 
@@ -52,18 +52,18 @@ class SlideText:
 
 
 def word_count(text: str) -> int:
-    """Word-cap counting: whitespace words for latin, ceil(chars / 2) for CJK."""
+    """Word-cap counting: whitespace words for latin, ceil(chars / 2) for CJK.
+
+    The atoms are the tokenizer's, on the raw text: each CJK codepoint alone,
+    every other maximal non-space run as one word.
+    """
     words = 0
     cjk_chars = 0
-    for chunk in text.split():
-        in_run = False
-        for ch in chunk:
-            if is_cjk(ch):
-                cjk_chars += 1
-                in_run = False
-            elif not in_run:
-                words += 1
-                in_run = True
+    for atom in _TOKEN_RE.findall(text):
+        if len(atom) == 1 and is_cjk(atom):
+            cjk_chars += 1
+        else:
+            words += 1
     return words + math.ceil(cjk_chars / 2)
 
 
@@ -203,24 +203,15 @@ class SlideLayout:
 
 
 def _wrap_atoms(text: str) -> list[tuple[str, str]]:
-    """(atom, separator) pairs; CJK runs break per character, latin words are atomic."""
-    atoms: list[tuple[str, str]] = []
-    for chunk in text.split():
-        sep = " "
-        run = ""
-        for ch in chunk:
-            if is_cjk(ch):
-                if run:
-                    atoms.append((run, sep))
-                    sep = ""
-                    run = ""
-                atoms.append((ch, sep))
-                sep = ""
-            else:
-                run += ch
-        if run:
-            atoms.append((run, sep))
-    return atoms
+    """(atom, separator) pairs over the tokenizer's atoms of the raw text.
+
+    CJK breaks per character and latin words are atomic. An atom that starts
+    the text or follows whitespace joins its line with " ", any other with "".
+    """
+    return [
+        (m.group(), " " if m.start() == 0 or text[m.start() - 1].isspace() else "")
+        for m in _TOKEN_RE.finditer(text)
+    ]
 
 
 def _wrap(text: str, max_chars: int) -> list[str]:

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
@@ -16,10 +17,20 @@ from .rewards import RewardWeights, total_reward
 from .tables import render_table
 
 
+@contextmanager
+def _writing(target):
+    """Scope of a command's output writes: an OSError there is "bad-out"."""
+    try:
+        yield
+    except OSError as e:
+        raise ToolkitError("bad-out", f"cannot write {target}: {e}") from e
+
+
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    with _writing(path):
+        Path(path).write_text(
+            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        )
 
 
 def cmd_score(args) -> int:
@@ -61,7 +72,8 @@ def cmd_detect(args) -> int:
 def cmd_build(args) -> int:
     seeds = bench.read_seed_records(args.seeds)
     generator = bench.RemoteGenerator() if args.generator == "remote" else bench.TemplateGenerator()
-    manifest = bench.build_dataset(seeds, args.outdir, generator)
+    with _writing(args.outdir):
+        manifest = bench.build_dataset(seeds, args.outdir, generator)
     print(
         json.dumps(
             {"samples": manifest.samples, "entities": manifest.entities, "hours": manifest.hours}
@@ -71,13 +83,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # The CSV trace goes beside the JSONL one, with the suffix .csv; checked
+    # before training so that a rejected --out leaves nothing written.
+    out = Path(args.out)
+    if not out.name or out.suffix == ".csv":
+        raise ToolkitError("bad-out", f"--out {args.out!r} must name a file without the CSV trace's suffix .csv")
     config = grpo.SimConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed
     trace = grpo.train(config)
-    out = Path(args.out)
-    trace.write_jsonl(out)
-    trace.write_csv(out.with_suffix(".csv"))
+    with _writing(out):
+        trace.write_jsonl(out)
+        trace.write_csv(out.with_suffix(".csv"))
     print(json.dumps({"steps": len(trace.steps), "p_optimal": trace.final.p_optimal}))
     return 0
 

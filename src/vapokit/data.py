@@ -6,7 +6,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,7 +35,9 @@ class Sample:
     duration_s: float | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # A shallow copy in field order: asdict would deep-copy the entity list.
+        d = dict(vars(self))
+        d["entities"] = list(self.entities)
         if d["slide_image_ref"] is None:
             d.pop("slide_image_ref")
         if d["duration_s"] is None:

@@ -230,27 +230,24 @@ def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int 
 
 def _keyword_spans(ref: tuple[str, ...], keywords: Sequence[EntityRef]) -> list[tuple[int, int, EntityRef]]:
     """Greedy leftmost-longest, non-overlapping keyword spans in ``ref``."""
-    by_len = sorted(keywords, key=lambda e: -e.token_count)
+    by_len = sorted(((len(e.tokens), e) for e in keywords), key=lambda pair: -pair[0])
     spans: list[tuple[int, int, EntityRef]] = []
     i = 0
     while i < len(ref):
-        hit = None
-        for ent in by_len:
-            k = ent.token_count
+        for k, ent in by_len:
             if ref[i : i + k] == ent.tokens:
-                hit = ent
+                spans.append((i, i + k, ent))
+                i += k
                 break
-        if hit is None:
-            i += 1
         else:
-            spans.append((i, i + hit.token_count, hit))
-            i += hit.token_count
+            i += 1
     return spans
 
 
-def _partition_counts(reference, hypothesis, keywords: Sequence[EntityRef], alignment=None):
+def _partition_counts(reference, hypothesis, spans: Sequence[tuple[int, int, EntityRef]], alignment=None):
     """(keyword_errors, keyword_tokens, other_errors, other_tokens).
 
+    ``spans`` are the reference's keyword spans from ``_keyword_spans``.
     Substitutions and deletions take the label of their reference token;
     insertions take the label of the nearest preceding reference token
     (sentence-initial insertions count as non-keyword). ``alignment`` is the
@@ -258,7 +255,7 @@ def _partition_counts(reference, hypothesis, keywords: Sequence[EntityRef], alig
     """
     ref = tuple(reference)
     is_kw = [False] * len(ref)
-    for start, stop, _ in _keyword_spans(ref, keywords):
+    for start, stop, _ in spans:
         for i in range(start, stop):
             is_kw[i] = True
     if alignment is None:
@@ -292,9 +289,10 @@ def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tup
     return report.b_wer, report.u_wer
 
 
-def _recall_counts(ref, hyp, keywords: Sequence[EntityRef]) -> tuple[int, int]:
+def _recall_counts(hyp, spans: Sequence[tuple[int, int, EntityRef]]) -> tuple[int, int]:
+    """(occurrences reproduced verbatim in ``hyp``, occurrences) of the reference's keyword ``spans``."""
     occurrences: dict[tuple[str, ...], int] = {}
-    for _, _, ent in _keyword_spans(ref, keywords):
+    for _, _, ent in spans:
         occurrences[ent.tokens] = occurrences.get(ent.tokens, 0) + 1
     recalled = 0
     total = 0
@@ -404,8 +402,9 @@ def _tally(
 ) -> dict[str, dict[str, int]]:
     """Raw counts for the requested metrics, computing only what they need.
 
-    One alignment serves WER and the B/U partition; one fuzzy match per entity
-    serves NE-WER and NE-FNR. The entity list doubles as the keyword list.
+    One alignment serves WER and the B/U partition; one keyword-span pass
+    serves the B/U partition and recall; one fuzzy match per entity serves
+    NE-WER and NE-FNR. The entity list doubles as the keyword list.
     """
     counts: dict[str, dict[str, int]] = {}
     if "wer" in metrics or "bwer" in metrics or "uwer" in metrics:
@@ -418,14 +417,16 @@ def _tally(
             "hits": alignment.hits,
             "ref": len(ref),
         }
+    if "bwer" in metrics or "uwer" in metrics or "recall" in metrics:
+        spans = _keyword_spans(ref, ents)
     if "bwer" in metrics or "uwer" in metrics:
-        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, ents, alignment)
+        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, spans, alignment)
         if "bwer" in metrics:
             counts["bwer"] = {"errors": kw_err, "ref": kw_tok}
         if "uwer" in metrics:
             counts["uwer"] = {"errors": other_err, "ref": other_tok}
     if "recall" in metrics:
-        recalled, total = _recall_counts(ref, hyp, ents)
+        recalled, total = _recall_counts(hyp, spans)
         counts["recall"] = {"recalled": recalled, "occurrences": total}
     if "newer" in metrics or "nefnr" in metrics:
         errors, tokens, found = _entity_counts(ents, hyp)

@@ -4,11 +4,13 @@ Everything here is deliberately written without reusing the library's
 implementations: recursive edit distance (memoized over the decision space),
 an alignment trace walked over that recursive cost, literal enumeration of
 every alignment path for small inputs, a general windowed entity search, a
-per-character tokenizer, and a regex-based recognizer for the rollout grammar.
+per-character tokenizer, per-character slide word counting and wrap atoms, a
+greedy line fill, and a regex-based recognizer for the rollout grammar.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import unicodedata
@@ -156,6 +158,70 @@ def reference_tokenize(text: str) -> tuple[str, ...]:
         if run:
             tokens.append(run)
     return tuple(tokens)
+
+
+def _reference_is_cjk(ch: str) -> bool:
+    return any(lo <= ord(ch) <= hi for lo, hi in _REFERENCE_CJK)
+
+
+def reference_word_count(text: str) -> int:
+    """Slide word cap, character by character: each whitespace chunk adds one
+    word per non-CJK run, and all CJK codepoints together add ceil(n / 2)."""
+    words = 0
+    cjk_chars = 0
+    for chunk in text.split():
+        in_run = False
+        for ch in chunk:
+            if _reference_is_cjk(ch):
+                cjk_chars += 1
+                in_run = False
+            elif not in_run:
+                words += 1
+                in_run = True
+    return words + math.ceil(cjk_chars / 2)
+
+
+def reference_wrap_atoms(text: str) -> list[tuple[str, str]]:
+    """(atom, separator) pairs, character by character: the first atom of
+    each whitespace chunk gets " ", every later one in that chunk gets ""."""
+    atoms: list[tuple[str, str]] = []
+    for chunk in text.split():
+        sep = " "
+        run = ""
+        for ch in chunk:
+            if _reference_is_cjk(ch):
+                if run:
+                    atoms.append((run, sep))
+                    sep = ""
+                    run = ""
+                atoms.append((ch, sep))
+                sep = ""
+            else:
+                run += ch
+        if run:
+            atoms.append((run, sep))
+    return atoms
+
+
+def reference_wrap(atoms: list[tuple[str, str]], max_chars: int) -> list[str] | None:
+    """Greedy line fill over (atom, separator) pairs, tracking line widths;
+    None when one atom alone is wider than ``max_chars``."""
+    lines: list[str] = []
+    parts: list[str] = []
+    width = 0
+    for atom, sep in atoms:
+        if len(atom) > max_chars:
+            return None
+        if parts and width + len(sep) + len(atom) <= max_chars:
+            parts += [sep, atom]
+            width += len(sep) + len(atom)
+        else:
+            if parts:
+                lines.append("".join(parts))
+            parts, width = [atom], len(atom)
+    if parts:
+        lines.append("".join(parts))
+    return lines
 
 
 # Reference recognizer for the rollout grammar: one think block, one answer

@@ -8,12 +8,15 @@ import threading
 
 import pytest
 
+from oracles import _REFERENCE_CJK, reference_word_count, reference_wrap, reference_wrap_atoms
 from vapokit.bench import (
     MAX_BODY_WORDS,
     RemoteGenerator,
     SeedRecord,
     SlideText,
     TemplateGenerator,
+    _wrap,
+    _wrap_atoms,
     build_dataset,
     generate_slide_text,
     layout_slide,
@@ -36,6 +39,33 @@ def test_word_count_cjk_half_chars():
     assert word_count("你好世界") == 2  # 4 chars / 2
     assert word_count("你好世") == 2  # ceil(3 / 2)
     assert word_count("hello 你好") == 2  # 1 word + ceil(2/2)
+
+
+# Edges of every CJK range and their outside neighbours, whitespace that is
+# not ASCII (ideographic space, NEL, the U+001C separator, NBSP), characters
+# that look like separators but are not whitespace (zero-width space), a
+# combining mark, and plain latin.
+_ATOM_ALPHABET = (
+    [chr(cp) for lo, hi in _REFERENCE_CJK for cp in (lo - 1, lo, hi, hi + 1)]
+    + ["\u3000", "\u0085", "\u001c", "\u00a0", "\u200b", "\u0301", "字", "한"]
+    + [" ", "\t", "\n", "a", "b", "xyz", "-", "."]
+)
+
+
+def test_word_count_and_wrap_equal_per_character_references_random():
+    rng = random.Random(23)
+    for _ in range(20000):
+        text = "".join(rng.choices(_ATOM_ALPHABET, k=rng.randint(0, 8)))
+        atoms = reference_wrap_atoms(text)
+        assert word_count(text) == reference_word_count(text), repr(text)
+        assert _wrap_atoms(text) == atoms, repr(text)
+        for width in (20, 4):  # 4 also makes lines break and atoms overflow
+            lines = reference_wrap(atoms, width)
+            if lines is None:
+                with pytest.raises(ToolkitError):
+                    _wrap(text, width)
+            else:
+                assert _wrap(text, width) == lines, repr(text)
 
 
 def test_template_generator_embeds_entities():

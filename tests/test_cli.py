@@ -668,3 +668,47 @@ def test_empty_entity_is_rejected_by_score_and_reward(tmp_path, corpus, capsys, 
     assert main([command, "--dataset", str(dataset), flag, str(hyp), "--out", str(out)]) == 1
     assert _error_code(capsys) == "empty-entity"
     assert not out.exists()
+
+
+def test_simulate_out_with_csv_suffix_is_bad_out(tmp_path, capsys):
+    """The CSV trace is written to --out with the suffix .csv; when that is
+    --out itself it would replace the JSONL trace, so nothing is written."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": 3}')
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert _error_code(capsys) == "bad-out"
+    assert not out.exists()
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--dataset", "{golden}/manifest.jsonl", "--hyp", "{golden}/hyp.jsonl", "--out", "{tmp}/missing/o.json"],
+        ["score", "--dataset", "{golden}/manifest.jsonl", "--hyp", "{golden}/hyp.jsonl", "--out", "{tmp}/file/o.json"],
+        ["reward", "--dataset", "{golden}/manifest.jsonl", "--rollouts", "{golden}/rollouts.jsonl",
+         "--out", "{tmp}/missing/o.json"],
+        ["detect", "--dataset", "{golden}/manifest.jsonl", "--hyp", "{golden}/hyp.jsonl", "--out", "{tmp}"],
+        ["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/missing/d/t.jsonl"],
+        ["build", "--seeds", "{golden}/seeds.jsonl", "--outdir", "{tmp}/file/built"],
+        ["build", "--seeds", "{golden}/seeds.jsonl", "--outdir", "{tmp}/file"],
+    ],
+    ids=["score-missing-dir", "score-under-file", "reward-missing-dir", "detect-onto-dir",
+         "simulate-missing-dir", "build-under-file", "build-onto-file"],
+)
+def test_unwritable_output_is_one_bad_out_record(tmp_path, argv):
+    (tmp_path / "file").write_text("a regular file, not a directory\n")
+    (tmp_path / "cfg.json").write_text('{"steps": 3}')
+    argv = [a.format(golden=_GOLDEN, tmp=tmp_path) for a in argv]
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "vapokit.cli", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "bad-out"

@@ -1,11 +1,13 @@
-"""Import boundary: the offline commands never load numpy or the network stack.
+"""Import boundary: the offline commands never load numpy or the network stack,
+and import compiles the tokenizer's CJK class once.
 
 ``score``, ``reward``, ``detect``, ``build`` and ``report`` are short runs, and
 their wall time is mostly import. numpy belongs to ``simulate`` alone, and
 ``urllib.request`` (with ``http.client``, ``ssl`` and ``email``) to the remote
 slide-text generator alone, so both are imported inside the functions that
-use them. Each check runs in a fresh interpreter, because this test process
-has long since imported everything.
+use them. Import also compiles the module-level regexes, and the CJK class
+is the costly one, so it is compiled once. Each check runs in a fresh
+interpreter, because this test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -66,3 +68,31 @@ def test_offline_commands_load_no_numpy_or_network_stack(argv, tmp_path):
 def test_simulate_still_loads_numpy(tmp_path):
     argv = ["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(tmp_path / "t.jsonl")]
     assert "numpy" in _loaded_after(argv)["loaded"]
+
+
+# Records every pattern compiled while vapokit.cli is imported, then prints
+# how many distinct ones contain the tokenizer's CJK class (its first range
+# starts at U+3040). Each such class costs milliseconds to compile.
+_CJK_PROBE = """
+import json, re
+seen = set()
+compile_ = re._compile
+def recording(pattern, flags):
+    seen.add(pattern)
+    return compile_(pattern, flags)
+re._compile = recording
+import vapokit.cli
+print(json.dumps(sum(1 for p in seen if isinstance(p, str) and "\\u3040" in p)))
+"""
+
+
+def test_import_compiles_the_cjk_class_once():
+    """Every command pays import-time regex compiles in its setup time, so the
+    CJK class is compiled once, into the tokenizer's pattern, and reused."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CJK_PROBE],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == 1

@@ -218,9 +218,9 @@ def test_partition_is_exhaustive_random():
         ref = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
         hyp = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
         a = align(ref, hyp)
-        from vapokit.metrics import _partition_counts
+        from vapokit.metrics import _keyword_spans, _partition_counts
 
-        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, kws)
+        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, _keyword_spans(ref, kws))
         assert kw_err + other_err == a.errors
         assert kw_tok + other_tok == len(ref)
 
@@ -488,7 +488,7 @@ def test_sample_report_chinese_per_character():
 def test_sample_report_aligns_once_and_matches_each_entity_once(monkeypatch):
     import vapokit.metrics as metrics
 
-    calls = {"align": 0, "fuzzy_find": 0}
+    calls = {"align": 0, "fuzzy_find": 0, "_keyword_spans": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -497,17 +497,17 @@ def test_sample_report_aligns_once_and_matches_each_entity_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(metrics, "align", counting("align", metrics.align))
-    monkeypatch.setattr(metrics, "fuzzy_find", counting("fuzzy_find", metrics.fuzzy_find))
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
     sample = _mini_sample(
         5, "we take aspirin and warfarin daily with new york water", ["aspirin", "warfarin", "new york"]
     )
     sample_report(sample, "we take aspirin and warfaring daily with york water")
-    assert calls == {"align": 1, "fuzzy_find": 3}
+    assert calls == {"align": 1, "fuzzy_find": 3, "_keyword_spans": 1}
 
-    calls.update(align=0, fuzzy_find=0)
+    calls.update(align=0, fuzzy_find=0, _keyword_spans=0)
     sample_report(sample, "we take aspirin", metrics=("wer",))
-    assert calls == {"align": 1, "fuzzy_find": 0}
+    assert calls == {"align": 1, "fuzzy_find": 0, "_keyword_spans": 0}
 
 
 def test_sample_report_equals_standalone_metrics_random():
