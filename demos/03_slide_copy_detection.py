@@ -7,7 +7,7 @@ flags any output intersecting it, then aggregates a dataset-level rate.
 """
 
 from vapokit.data import Hypothesis, Sample
-from vapokit.ocr_behavior import dataset_rate, partition_vocab, summary_row
+from vapokit.ocr_behavior import detect_all, partition_vocab, summarize
 
 samples = [
     Sample(
@@ -37,8 +37,8 @@ flaky = [
 
 print()
 for name, outputs in [("faithful", faithful), ("slide-copier", copier), ("flaky", flaky)]:
-    rate = dataset_rate(samples, outputs)
+    rate = summarize(detect_all(samples, outputs))["rate_percent"]
     print(f"{name:12s} slide-copy rate: {rate:5.1f}%")
 
 print()
-print("summary row:", summary_row(samples, flaky, name="flaky", split="dev"))
+print("summary row:", summarize(detect_all(samples, flaky), name="flaky", split="dev"))

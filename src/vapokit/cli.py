@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,6 +27,17 @@ def _writing(target):
         raise ToolkitError("bad-out", f"cannot write {target}: {e}") from e
 
 
+def _reject_input_as_out(out, *inputs) -> None:
+    """Raise "bad-out" before anything is read when ``out`` is one of the command's input files."""
+    for path in inputs:
+        try:
+            same = path is not None and os.path.samefile(out, path)
+        except (OSError, ValueError):  # a missing file is no input to overwrite
+            continue
+        if same:
+            raise ToolkitError("bad-out", f"output {str(out)!r} would overwrite the input {path!r}")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with _writing(path):
         Path(path).write_text(
@@ -34,6 +46,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_score(args) -> int:
+    _reject_input_as_out(args.out, args.dataset, args.hyp)
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
@@ -49,6 +62,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_reward(args) -> int:
+    _reject_input_as_out(args.out, args.dataset, args.rollouts, args.weights)
     samples = read_samples(args.dataset)
     rollouts = read_hypotheses(args.rollouts)
     weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights()
@@ -62,6 +76,7 @@ def cmd_reward(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _reject_input_as_out(args.out, args.dataset, args.hyp)
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
     rows = ocr_behavior.detect_all(samples, hyps, allow_partial=args.allow_partial)
@@ -88,6 +103,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     if not out.name or out.suffix == ".csv":
         raise ToolkitError("bad-out", f"--out {args.out!r} must name a file without the CSV trace's suffix .csv")
+    if not out.parent.is_dir():
+        raise ToolkitError("bad-out", f"--out {args.out!r}: {str(out.parent)!r} is not an existing directory")
+    _reject_input_as_out(out, args.config)
+    _reject_input_as_out(out.with_suffix(".csv"), args.config)
     config = grpo.SimConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed

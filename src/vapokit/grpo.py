@@ -5,11 +5,13 @@ behavior tuples (format ok? x OCR grade x ASR grade x anchoring grade, grades
 in {0, 0.5, 1}). Before training, every (sample, behavior tuple) pair is
 rendered once into a concrete <think>/<answer> string by deterministic
 corruption operators and scored once with the real reward engine. The
-resulting reward table, one float array from ``reward_matrix``, is exact: a
-rollout's rewards depend only on its grades and its sample, never on which
-positions the corruption picks. Each step draws a sample and a group of
-tuples, reads their rewards from the table, and updates the policy logits with a likelihood-ratio gradient using
-the within-group normalized advantage as the baseline.
+resulting table, one float array from ``reward_matrix``, holds the four
+weight-free reward components, so one table serves every weight setting;
+``train`` forms the totals once with ``RewardWeights.weigh``. Each step draws
+a sample and a group of tuples, reads their rewards from the table, and
+updates the policy logits with a likelihood-ratio gradient using the
+within-group normalized advantage as the baseline. Random numbers are drawn
+only in ``train``.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
@@ -24,10 +26,10 @@ reward and the optimum wins deterministically.
 
 The corruption operators are built so each grade maps monotonically onto its
 reward component (substituting k of n tokens with unique garbage gives edit
-distance exactly k). Corruption is entity-first: a degraded OCR or ASR grade
-also wipes out the entity anchors, so every single-grade downgrade costs
-clearly more than its own component and the all-ones tuple is the unique
-optimum under positive weights.
+distance exactly k). Corruption is entity-first, then the plain tokens in
+ascending position: a degraded OCR or ASR grade also wipes out the entity
+anchors, so every single-grade downgrade costs clearly more than its own
+component and the all-ones tuple is the unique optimum under positive weights.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _substitute(tokens: list[str], positions: Sequence[int]) -> None:
         tokens[p] = _garbage(p)
 
 
-def render(tup: BehaviorTuple, sample: Sample, rng: np.random.Generator) -> str:
+def render(tup: BehaviorTuple, sample: Sample) -> str:
     """Render a behavior tuple into a rollout string for ``sample``.
 
     - ocr_level: 1 - (fraction of slide tokens corrupted in the think block);
@@ -145,8 +147,9 @@ def render(tup: BehaviorTuple, sample: Sample, rng: np.random.Generator) -> str:
       trailing ones are corrupted in every occurrence, list order)
     - format_ok=False drops the closing answer tag
 
-    Corrupted tokens are unique garbage, so error counts (and the resulting
-    rewards) depend only on the grades, not on which positions the rng picks.
+    Each block corrupts entity positions first, then plain positions, each in
+    ascending order, with unique garbage, so the error counts (and the rewards)
+    follow from the grades alone.
     """
     slide = list(normalize_tokenize(sample.slide_text))
     transcript = list(normalize_tokenize(sample.transcript_gt))
@@ -164,8 +167,7 @@ def render(tup: BehaviorTuple, sample: Sample, rng: np.random.Generator) -> str:
         k_ocr = math.ceil(len(slide) * (1.0 - tup.ocr_level))
         ent_pos, _ = _entity_spans(tuple(slide), entity_tokens)
         plain = [i for i in range(len(slide)) if i not in ent_pos]
-        order = sorted(ent_pos) + [plain[i] for i in rng.permutation(len(plain))]
-        _substitute(think, order[:k_ocr])
+        _substitute(think, (sorted(ent_pos) + plain)[:k_ocr])
 
     # answer block: the anchoring grade corrupts trailing entities in every
     # occurrence; the ASR grade then tops corruption up to its token fraction,
@@ -184,8 +186,7 @@ def render(tup: BehaviorTuple, sample: Sample, rng: np.random.Generator) -> str:
     if extra > 0:
         remaining_ent = sorted(ent_pos_tr - anchored_out)
         plain_tr = [i for i in range(len(transcript)) if i not in ent_pos_tr]
-        order = remaining_ent + [plain_tr[i] for i in rng.permutation(len(plain_tr))]
-        _substitute(answer, order[:extra])
+        _substitute(answer, (remaining_ent + plain_tr)[:extra])
 
     closing = "</answer>" if tup.format_ok else ""
     return f"<think>{' '.join(think)}</think><answer>{' '.join(answer)}{closing}"
@@ -365,23 +366,21 @@ def _balanced_deals(rng: np.random.Generator) -> Iterator[int]:
 
 
 # The last axis of the reward_matrix array, in order.
-REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va", "total")
+REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va")
 
 
-def reward_matrix(samples: Sequence[Sample], weights: RewardWeights, seed: int = 0) -> np.ndarray:
+def reward_matrix(samples: Sequence[Sample]) -> np.ndarray:
     """Render and score every (sample, behavior tuple) pair exactly once.
 
     Returns a ``(len(samples), NUM_TUPLES, len(REWARD_COLUMNS))`` float array
-    whose entry ``[si, k]`` holds the REWARD_COLUMNS of sample ``si`` scored
-    under ``ALL_TUPLES[k]``. Grades fully determine the rewards (corruption
-    counts, not positions), so one rendering per pair is exact.
+    whose entry ``[si, k]`` holds the weight-free reward components of sample
+    ``si`` rendered under ``ALL_TUPLES[k]``.
     """
     import numpy as np
 
-    rng = np.random.default_rng([seed, NUM_TUPLES])
     rows = []
     for sample in samples:
-        breakdowns = (total_reward(sample, render(tup, sample, rng), weights) for tup in ALL_TUPLES)
+        breakdowns = (total_reward(sample, render(tup, sample)) for tup in ALL_TUPLES)
         rows.append([[getattr(b, col) for col in REWARD_COLUMNS] for b in breakdowns])
     return np.array(rows, dtype=float)
 
@@ -399,8 +398,10 @@ def train(config: SimConfig) -> TrainTrace:
     if not 0 < config.lr < math.inf:
         raise ToolkitError("bad-config", "lr must be finite and > 0")
     samples = config.samples or default_samples()
-    table = reward_matrix(samples, config.weights, config.seed)
-    totals = table[..., -1]
+    components = reward_matrix(samples)
+    weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
+    table = np.concatenate([components, weighted[..., None]], axis=-1)
+    totals = table[..., -1]  # a strided view: ``probs @`` a contiguous copy can round differently
     rng = np.random.default_rng(config.seed)
     deals = _balanced_deals(rng)
     policy = ToyPolicy()

@@ -244,22 +244,19 @@ def _keyword_spans(ref: tuple[str, ...], keywords: Sequence[EntityRef]) -> list[
     return spans
 
 
-def _partition_counts(reference, hypothesis, spans: Sequence[tuple[int, int, EntityRef]], alignment=None):
+def _partition_counts(ref: tuple[str, ...], spans: Sequence[tuple[int, int, EntityRef]], alignment: Alignment):
     """(keyword_errors, keyword_tokens, other_errors, other_tokens).
 
-    ``spans`` are the reference's keyword spans from ``_keyword_spans``.
-    Substitutions and deletions take the label of their reference token;
-    insertions take the label of the nearest preceding reference token
-    (sentence-initial insertions count as non-keyword). ``alignment`` is the
-    reference/hypothesis alignment when the caller already has it.
+    ``spans`` are the reference's keyword spans from ``_keyword_spans`` and
+    ``alignment`` is ``align(ref, hypothesis)``. Substitutions and deletions
+    take the label of their reference token; insertions take the label of the
+    nearest preceding reference token (sentence-initial insertions count as
+    non-keyword).
     """
-    ref = tuple(reference)
     is_kw = [False] * len(ref)
     for start, stop, _ in spans:
         for i in range(start, stop):
             is_kw[i] = True
-    if alignment is None:
-        alignment = align(ref, tuple(hypothesis))
     kw_err = other_err = 0
     last_ref = -1
     for kind, ri, _hi in alignment.ops:
@@ -341,13 +338,12 @@ def _entity_counts(entities: Sequence[EntityRef], hyp: tuple[str, ...]) -> tuple
     return errors, tokens, found
 
 
-def ne_wer(entities: Iterable[EntityRef], reference, hypothesis) -> float:
+def ne_wer(entities: Iterable[EntityRef], hypothesis) -> float:
     """Token error rate restricted to entity spans.
 
     Each entity occurrence either contributes the edit distance of its fuzzy
     match in the hypothesis, or counts as fully deleted; the denominator is
-    the total entity token count. ``reference`` is the transcript the
-    occurrence list was drawn from (each entity is expected to occur in it).
+    the total entity token count.
     """
     ents = list(entities)
     if not ents:
@@ -420,7 +416,7 @@ def _tally(
     if "bwer" in metrics or "uwer" in metrics or "recall" in metrics:
         spans = _keyword_spans(ref, ents)
     if "bwer" in metrics or "uwer" in metrics:
-        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, hyp, spans, alignment)
+        kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, spans, alignment)
         if "bwer" in metrics:
             counts["bwer"] = {"errors": kw_err, "ref": kw_tok}
         if "uwer" in metrics:

@@ -57,25 +57,10 @@ def detect_all(
     return rows
 
 
-def dataset_rate(samples: Sequence[Sample], outputs: Sequence[Hypothesis]) -> float:
-    """Percentage (0..100) of samples whose output exhibits OCR behavior."""
-    if not samples:
-        raise ToolkitError("pairing", "dataset_rate needs at least one sample")
-    return summarize(detect_all(samples, outputs))["rate_percent"]
-
-
-def summary_row(
-    samples: Sequence[Sample],
-    outputs: Sequence[Hypothesis],
-    name: str | None = None,
-    split: str | None = None,
-) -> dict:
-    """One report row: model name, split, sample count, detection percentage."""
-    return summarize(detect_all(samples, outputs), name, split)
-
-
 def summarize(rows: Sequence[dict], name: str | None = None, split: str | None = None) -> dict:
-    """The summary_row of detection rows already computed by detect_all."""
+    """One report row of ``detect_all`` rows: name, split, sample count, detection percentage (0..100)."""
+    if not rows:
+        raise ToolkitError("pairing", "a detection summary needs at least one paired sample")
     detected = sum(r["ocr_behavior"] for r in rows)
     return {
         "name": name,

@@ -39,6 +39,15 @@ class RewardWeights:
     def total(self) -> float:
         return sum(self.as_tuple())
 
+    def weigh(self, r_format, r_ocr, r_asr, r_va):
+        """The weighted total, summed left to right; floats or arrays give the same doubles."""
+        return (
+            self.lambda_format * r_format
+            + self.lambda_ocr * r_ocr
+            + self.lambda_asr * r_asr
+            + self.lambda_va * r_va
+        )
+
     @classmethod
     def from_mapping(cls, d: dict) -> "RewardWeights":
         """Weights from a mapping of numbers or numeric strings; missing keys default to 1."""
@@ -201,18 +210,12 @@ def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) 
     r_asr = asr_reward(answer, sample.transcript_gt)
     e_think = extract_anchored(think, sample.entities)
     r_va = visual_anchoring_reward(e_think, answer, sample.entities)
-    total = (
-        weights.lambda_format * r_fmt
-        + weights.lambda_ocr * r_ocr
-        + weights.lambda_asr * r_asr
-        + weights.lambda_va * r_va
-    )
     return RewardBreakdown(
         r_format=r_fmt,
         r_ocr=r_ocr,
         r_asr=r_asr,
         r_va=r_va,
-        total=total,
+        total=weights.weigh(r_fmt, r_ocr, r_asr, r_va),
         anchored_entities=e_think,
         diagnostics=diagnostics,
     )

@@ -26,7 +26,7 @@ from vapokit.grpo import (
     surrogate_objective,
 )
 from vapokit.metrics import align, aggregate_reports, sample_report
-from vapokit.ocr_behavior import dataset_rate
+from vapokit.ocr_behavior import detect_all, summarize
 from vapokit.rewards import RewardWeights, asr_reward, total_reward
 from vapokit.structured import parse_structured
 
@@ -148,9 +148,9 @@ def test_criterion_detector():
     ocr_model = [Hypothesis(id=s.id, text=s.slide_text) for s in samples]
     faithful = [Hypothesis(id=s.id, text=s.transcript_gt) for s in samples]
     mixed = faithful[:3] + [ocr_model[3]]
-    r100 = dataset_rate(samples, ocr_model)
-    r0 = dataset_rate(samples, faithful)
-    r25 = dataset_rate(samples, mixed)
+    r100, r0, r25 = (
+        summarize(detect_all(samples, outputs))["rate_percent"] for outputs in (ocr_model, faithful, mixed)
+    )
     _report(
         "slide-copy detector rates",
         (r100, r0, r25) == (100.0, 0.0, 25.0),

@@ -151,13 +151,15 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def chat_server():
+def chat_server(monkeypatch):
+    monkeypatch.setattr(_ChatHandler, "seen", [])
     server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll: keep it short
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
     thread.start()
-    _ChatHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_generator_round_trip(chat_server):
@@ -192,14 +194,13 @@ def test_remote_generator_unreachable():
         RemoteGenerator(url="", model="m")("medicine", ["aspirin"])
 
 
-def test_remote_generator_invalid_reply_retries_to_failure(chat_server):
-    _ChatHandler.reply = "###\nTitle\n###\nbody missing the entity"
+def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypatch):
+    monkeypatch.setattr(_ChatHandler, "reply", "###\nTitle\n###\nbody missing the entity")
     gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
     with pytest.raises(ToolkitError) as exc:
         generate_slide_text("medicine", ["aspirin"], gen)
     assert exc.value.code == "generation-invalid"
     assert len(_ChatHandler.seen) == 3
-    _ChatHandler.reply = "###\nGenerated Title\n###\nBody mentioning aspirin.\n"
 
 
 # ---------------------------------------------------------------------------

@@ -712,3 +712,50 @@ def test_unwritable_output_is_one_bad_out_record(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "bad-out"
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["score", "--dataset", "d.jsonl", "--hyp", "h.jsonl", "--out", "d.jsonl"], "d.jsonl"),
+        (["score", "--dataset", "d.jsonl", "--hyp", "h.jsonl", "--out", "h.jsonl"], "h.jsonl"),
+        (["reward", "--dataset", "d.jsonl", "--rollouts", "r.jsonl", "--out", "d.jsonl"], "d.jsonl"),
+        (["reward", "--dataset", "d.jsonl", "--rollouts", "r.jsonl", "--out", "r.jsonl"], "r.jsonl"),
+        (["reward", "--dataset", "d.jsonl", "--rollouts", "r.jsonl", "--weights", "w.json", "--out", "w.json"],
+         "w.json"),
+        (["detect", "--dataset", "d.jsonl", "--hyp", "h.jsonl", "--out", "d.jsonl"], "d.jsonl"),
+        (["detect", "--dataset", "d.jsonl", "--hyp", "h.jsonl", "--out", "h.jsonl"], "h.jsonl"),
+        (["simulate", "--config", "cfg.json", "--out", "cfg.json"], "cfg.json"),
+        (["simulate", "--config", "cfg.csv", "--out", "cfg.jsonl"], "cfg.csv"),
+    ],
+    ids=["score-dataset", "score-hyp", "reward-dataset", "reward-rollouts", "reward-weights",
+         "detect-dataset", "detect-hyp", "simulate-config", "simulate-config-as-csv-trace"],
+)
+def test_out_naming_an_input_is_bad_out(tmp_path, capsys, monkeypatch, argv, target):
+    """An --out (or the simulate CSV trace beside it) that is one of the
+    command's inputs is rejected before anything is read or written."""
+    for name, golden in (("d.jsonl", "manifest.jsonl"), ("h.jsonl", "hyp.jsonl"), ("r.jsonl", "rollouts.jsonl")):
+        (tmp_path / name).write_bytes((_GOLDEN / golden).read_bytes())
+    (tmp_path / "w.json").write_text('{"lambda_va": 2.0}')
+    (tmp_path / "cfg.json").write_text('{"steps": 3}')
+    (tmp_path / "cfg.csv").write_text('{"steps": 3}')
+    before = (tmp_path / target).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "bad-out"
+    assert (tmp_path / target).read_bytes() == before
+
+
+@pytest.mark.parametrize("out", ["missing/t.jsonl", "file/t.jsonl"])
+def test_simulate_unusable_out_directory_fails_before_training(tmp_path, capsys, monkeypatch, out):
+    def no_training(config):
+        raise AssertionError("simulate trained before rejecting --out")
+
+    monkeypatch.setattr(cli.grpo, "train", no_training)
+    (tmp_path / "file").write_text("a regular file, not a directory\n")
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": 3}')
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 1
+    assert _error_code(capsys) == "bad-out"

@@ -62,26 +62,38 @@ def ten_token_sample() -> Sample:
 
 
 def test_render_clean_tuple_scores_perfect(fixture_samples):
-    rng = np.random.default_rng(1)
     for sample in fixture_samples:
-        b = total_reward(sample, render(OPTIMAL_TUPLE, sample, rng))
+        b = total_reward(sample, render(OPTIMAL_TUPLE, sample))
         assert (b.r_format, b.r_ocr, b.r_asr, b.r_va) == (1, 1.0, 1.0, 1.0)
 
 
 def test_render_format_broken(fixture_samples):
-    rng = np.random.default_rng(2)
     tup = BehaviorTuple(False, 1.0, 1.0, 1.0)
-    b = total_reward(fixture_samples[0], render(tup, fixture_samples[0], rng))
+    b = total_reward(fixture_samples[0], render(tup, fixture_samples[0]))
     assert b.r_format == 0
 
 
 def test_render_half_ocr_on_ten_token_slide():
     sample = ten_token_sample()
-    rng = np.random.default_rng(3)
-    b = total_reward(sample, render(BehaviorTuple(True, 0.5, 1.0, 1.0), sample, rng))
+    b = total_reward(sample, render(BehaviorTuple(True, 0.5, 1.0, 1.0), sample))
     # corruption substitutes ceil(5) of 10 slide tokens
     assert b.r_ocr == pytest.approx(0.5, abs=0.1 + 1e-9)
     assert b.r_ocr == 0.5
+
+
+def test_render_corrupts_entities_then_plain_positions_ascending():
+    sample = ten_token_sample()
+    slide = "w1 w2 w3 w4 aspirin w6 w7 warfarin w9 w10"
+    # think: the entity positions 4 and 7, then plain positions 0, 1, 2
+    assert render(BehaviorTuple(True, 0.5, 1.0, 1.0), sample) == (
+        "<think>xq0z xq1z xq2z w4 xq4z w6 w7 xq7z w9 w10</think>"
+        "<answer>u1 u2 u3 u4 aspirin u6 u7 warfarin u9 u10</answer>"
+    )
+    # answer: the anchoring grade drops warfarin (7); the ASR grade tops up
+    # with the remaining entity position 4, then plain positions 0, 1, 2
+    assert render(BehaviorTuple(False, 1.0, 0.5, 0.5), sample) == (
+        f"<think>{slide}</think><answer>xq0z xq1z xq2z u4 xq4z u6 u7 xq7z u9 u10"
+    )
 
 
 def test_render_too_small():
@@ -95,7 +107,7 @@ def test_render_too_small():
         audio_ref="a.wav",
     )
     with pytest.raises(ToolkitError) as exc:
-        render(OPTIMAL_TUPLE, sample, np.random.default_rng(0))
+        render(OPTIMAL_TUPLE, sample)
     assert exc.value.code == "sample-too-small"
 
 
@@ -134,11 +146,10 @@ def test_render_reward_monotone_per_axis():
                 audio_ref=f"a{i}.wav",
             )
         )
-    rng = np.random.default_rng(4)
     for sample in samples:
         scores = {}
         for k, tup in enumerate(ALL_TUPLES):
-            scores[tup] = total_reward(sample, render(tup, sample, rng))
+            scores[tup] = total_reward(sample, render(tup, sample))
         for axis, field in (("ocr_level", "ocr"), ("asr_level", "asr"), ("anchor_level", "anchor")):
             for fmt in (False, True):
                 others = [
@@ -155,12 +166,16 @@ def test_render_reward_monotone_per_axis():
 
 
 def test_render_unique_optimum(fixture_samples):
-    rng = np.random.default_rng(5)
     for sample in fixture_samples:
-        totals = {t: total_reward(sample, render(t, sample, rng)).total for t in ALL_TUPLES}
+        totals = {t: total_reward(sample, render(t, sample)).total for t in ALL_TUPLES}
         best = max(totals.values())
         argmax = [t for t, v in totals.items() if v == best]
         assert argmax == [OPTIMAL_TUPLE]
+
+
+@pytest.fixture(scope="module")
+def components(fixture_samples):
+    return reward_matrix(fixture_samples)
 
 
 @pytest.mark.parametrize(
@@ -168,18 +183,16 @@ def test_render_unique_optimum(fixture_samples):
     [RewardWeights(), RewardWeights(lambda_va=2.0), RewardWeights(0.0, 0.0, 1.0, 0.0)],
     ids=["balanced", "va-doubled", "asr-only"],
 )
-def test_reward_matrix_matches_fresh_scoring(fixture_samples, weights):
-    # the table is exact only if a rollout's rewards do not depend on which
-    # positions the rng corrupts: every entry must equal a fresh rendering
-    # scored under any rng stream
-    table = reward_matrix(fixture_samples, weights, seed=0)
-    assert table.shape == (len(fixture_samples), NUM_TUPLES, len(REWARD_COLUMNS))
-    for rng_seed in range(5):
-        rng = np.random.default_rng(rng_seed)
-        for si, sample in enumerate(fixture_samples):
-            for k, tup in enumerate(ALL_TUPLES):
-                fresh = total_reward(sample, render(tup, sample, rng), weights)
-                assert list(table[si, k]) == [getattr(fresh, c) for c in REWARD_COLUMNS]
+def test_reward_matrix_matches_fresh_scoring(fixture_samples, components, weights):
+    # one weight-free table serves every weight setting: each entry equals a
+    # fresh scoring, and weighing its columns gives each fresh total bitwise
+    assert components.shape == (len(fixture_samples), NUM_TUPLES, len(REWARD_COLUMNS))
+    weighted = weights.weigh(*np.moveaxis(components, -1, 0))
+    for si, sample in enumerate(fixture_samples):
+        for k, tup in enumerate(ALL_TUPLES):
+            fresh = total_reward(sample, render(tup, sample), weights)
+            assert list(components[si, k]) == [getattr(fresh, c) for c in REWARD_COLUMNS]
+            assert float(weighted[si, k]).hex() == fresh.total.hex()
 
 
 @pytest.mark.parametrize("steps", [50, 500])

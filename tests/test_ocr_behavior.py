@@ -8,11 +8,10 @@ from vapokit.data import Hypothesis, Sample
 from vapokit.errors import ToolkitError
 from vapokit.ocr_behavior import (
     VocabPartition,
-    dataset_rate,
     detect,
     detect_all,
     partition_vocab,
-    summary_row,
+    summarize,
 )
 
 
@@ -89,34 +88,42 @@ def _fixture_corpus() -> tuple[list[Sample], list[Hypothesis], list[Hypothesis]]
     return samples, ocr_outputs, faithful_outputs
 
 
+def _rate(samples, outputs) -> float:
+    return summarize(detect_all(samples, outputs))["rate_percent"]
+
+
 def test_dataset_rate_mock_models():
     samples, ocr_outputs, faithful_outputs = _fixture_corpus()
-    assert dataset_rate(samples, ocr_outputs) == 100.0
-    assert dataset_rate(samples, faithful_outputs) == 0.0
+    assert _rate(samples, ocr_outputs) == 100.0
+    assert _rate(samples, faithful_outputs) == 0.0
     mixed = faithful_outputs[:3] + [ocr_outputs[3]]
-    assert dataset_rate(samples, mixed) == 25.0
+    assert _rate(samples, mixed) == 25.0
 
 
 def test_dataset_rate_permutation_invariant():
     samples, ocr_outputs, faithful_outputs = _fixture_corpus()
     mixed = faithful_outputs[:2] + ocr_outputs[2:]
-    rate = dataset_rate(samples, mixed)
+    rate = _rate(samples, mixed)
     rng = random.Random(16)
     for _ in range(5):
         s = samples[:]
         rng.shuffle(s)
         m = mixed[:]
         rng.shuffle(m)
-        assert dataset_rate(s, m) == rate
+        assert _rate(s, m) == rate
 
 
 def test_dataset_rate_pairing_error():
     samples, ocr_outputs, _ = _fixture_corpus()
     with pytest.raises(ToolkitError) as exc:
-        dataset_rate(samples, ocr_outputs[:-1])
+        _rate(samples, ocr_outputs[:-1])
     assert exc.value.code == "pairing"
-    with pytest.raises(ToolkitError):
-        dataset_rate([], [])
+    with pytest.raises(ToolkitError) as exc:
+        _rate([], [])
+    assert exc.value.code == "pairing"
+    with pytest.raises(ToolkitError) as exc:
+        summarize([])
+    assert exc.value.code == "pairing"
 
 
 def test_detect_all_rows_sorted_by_id():
@@ -128,5 +135,5 @@ def test_detect_all_rows_sorted_by_id():
 
 def test_summary_row_shape():
     samples, ocr_outputs, faithful = _fixture_corpus()
-    row = summary_row(samples, faithful[:3] + [ocr_outputs[3]], name="mock", split="dev")
+    row = summarize(detect_all(samples, faithful[:3] + [ocr_outputs[3]]), name="mock", split="dev")
     assert row == {"name": "mock", "split": "dev", "samples": 4, "detected": 1, "rate_percent": 25.0}
