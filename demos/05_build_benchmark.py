@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 from vapokit.bench import build_dataset, read_seed_records, validate_manifest
-from vapokit.data import builtin_path
+from vapokit.data import builtin_path, read_samples
 
 seeds = read_seed_records(builtin_path("seeds_5.jsonl"))
 print(f"{len(seeds)} seed records, e.g.:")
@@ -19,11 +19,11 @@ print("  entities:  ", seeds[0].entities)
 print("  transcript:", seeds[0].transcript)
 
 outdir = Path(tempfile.mkdtemp(prefix="slidebench_"))
-manifest = build_dataset(seeds, outdir)
-print(f"\nbuilt {manifest.samples} samples with {manifest.entities} entities "
-      f"({manifest.hours:.4f} hours) under {outdir}")
+stats = build_dataset(seeds, outdir)
+print(f"\nbuilt {stats['samples']} samples with {stats['entities']} entities "
+      f"({stats['hours']:.4f} hours) under {outdir}")
 
-sample = manifest.entries[0]
+sample = read_samples(outdir / "manifest.jsonl")[0]
 print("\ngenerated slide text for", sample.id)
 print("  " + sample.slide_text.replace("\n", "\n  "))
 print("slide image:", outdir / sample.slide_image_ref)

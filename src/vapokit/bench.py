@@ -25,9 +25,9 @@ from .data import (
     _record,
     _record_id,
     _text_field,
+    load_json,
     read_jsonl,
     reject_repeated_ids,
-    validate_sample,
     write_jsonl,
 )
 from .errors import ToolkitError
@@ -36,6 +36,8 @@ from .prompts import SLIDE_TEXT_PROMPT
 from .textnorm import _TOKEN_RE, is_cjk, normalize_tokenize
 
 MAX_BODY_WORDS = 150
+# Generator calls per record before its slide text is rejected.
+GENERATION_ATTEMPTS = 3
 
 # Pluggable generator: (domain, entities) -> (title, body)
 TextGenerator = Callable[[str, Sequence[str]], tuple[str, str]]
@@ -45,7 +47,6 @@ TextGenerator = Callable[[str, Sequence[str]], tuple[str, str]]
 class SlideText:
     title: str
     body: str
-    embedded_entities: tuple[str, ...]
 
     def full_text(self) -> str:
         return f"{self.title}\n{self.body}" if self.title else self.body
@@ -67,16 +68,39 @@ def word_count(text: str) -> int:
     return words + math.ceil(cjk_chars / 2)
 
 
-def _slide_violations(slide: SlideText) -> list[str]:
+# The sample invariants, as (code, detail) pairs: a seed's entities are
+# spoken in its transcript, and its slide shows them within the word cap.
+# ``build_dataset`` checks the seed before generation and
+# ``generate_slide_text`` each generated slide; ``validate_manifest`` checks
+# both on every row, so a built manifest always validates.
+
+
+def _seed_violations(transcript: str, entities: Sequence[str], domain: str) -> list[tuple[str, str]]:
+    problems = []
+    spoken = normalize_tokenize(transcript)
+    if not spoken:
+        problems.append(("empty-transcript", "no transcript tokens"))
+    if not entities and domain != "general":
+        problems.append(("no-entities", f"domain {domain!r} requires entities"))
+    for surface in entities:
+        needle = normalize_tokenize(surface)
+        if not needle:
+            problems.append(("empty-entity", repr(surface)))
+        elif _find_exact_span(needle, spoken) < 0:
+            problems.append(("entity-not-in-transcript", surface))
+    return problems
+
+
+def _slide_violations(slide: SlideText, entities: Sequence[str]) -> list[tuple[str, str]]:
     problems = []
     body_words = word_count(slide.body)
     if body_words > MAX_BODY_WORDS:
-        problems.append(f"body has {body_words} words (cap {MAX_BODY_WORDS})")
-    combined = normalize_tokenize(slide.full_text())
-    for surface in slide.embedded_entities:
+        problems.append(("body-too-long", f"{body_words} words (cap {MAX_BODY_WORDS})"))
+    shown = normalize_tokenize(slide.full_text())
+    for surface in entities:
         needle = normalize_tokenize(surface)
-        if not needle or _find_exact_span(needle, combined) < 0:
-            problems.append(f"entity not embedded: {surface!r}")
+        if not needle or _find_exact_span(needle, shown) < 0:
+            problems.append(("entity-not-in-slide", surface))
     return problems
 
 
@@ -154,25 +178,26 @@ def generate_slide_text(
     domain: str,
     entities: Sequence[str],
     generator: TextGenerator | None = None,
-    attempts: int = 3,
 ) -> SlideText:
     """Generate and validate slide text, retrying a misbehaving generator.
 
     Output is re-validated regardless of generator (entity coverage and the
-    word cap); after ``attempts`` failures the record is rejected.
+    word cap); after ``GENERATION_ATTEMPTS`` failures the record is rejected.
+    The title's whitespace runs become single spaces, so the title is one
+    line of the manifest's ``slide_text``.
     """
     if not entities:
         raise ToolkitError("no-entities", "slide generation needs at least one entity")
     if generator is None:
         generator = TemplateGenerator()
-    problems: list[str] = []
-    for _ in range(attempts):
+    problems: list[tuple[str, str]] = []
+    for _ in range(GENERATION_ATTEMPTS):
         title, body = generator(domain, entities)
-        slide = SlideText(title=title, body=body, embedded_entities=tuple(entities))
-        problems = _slide_violations(slide)
+        slide = SlideText(title=" ".join(title.split()), body=body)
+        problems = _slide_violations(slide, entities)
         if not problems:
             return slide
-    raise ToolkitError("generation-invalid", "; ".join(problems))
+    raise ToolkitError("generation-invalid", "; ".join(f"{code}: {detail}" for code, detail in problems))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +219,6 @@ class LayoutLine:
     text: str
     size_class: str  # "title" | "body"
     y: int
-
-
-@dataclass(frozen=True)
-class SlideLayout:
-    lines: tuple[LayoutLine, ...]
-    canvas: tuple[int, int] = CANVAS
 
 
 def _wrap_atoms(text: str) -> list[tuple[str, str]]:
@@ -231,7 +250,7 @@ def _wrap(text: str, max_chars: int) -> list[str]:
     return lines
 
 
-def layout_slide(slide: SlideText) -> SlideLayout:
+def layout_slide(slide: SlideText) -> tuple[LayoutLine, ...]:
     """Greedy monospace line-wrap: title in the large class, body in the small one."""
     usable = CANVAS[0] - 2 * _MARGIN_X
     lines: list[LayoutLine] = []
@@ -243,17 +262,17 @@ def layout_slide(slide: SlideText) -> SlideLayout:
     for text in _wrap(slide.body, usable // _BODY_CHAR_W):
         lines.append(LayoutLine(text, "body", y))
         y += _BODY_LINE_H
-    return SlideLayout(lines=tuple(lines))
+    return tuple(lines)
 
 
-def slide_svg(layout: SlideLayout) -> bytes:
-    """Byte-stable SVG serialization of a layout."""
-    w, h = layout.canvas
+def slide_svg(layout: Sequence[LayoutLine]) -> bytes:
+    """Byte-stable SVG serialization of a layout on the ``CANVAS``."""
+    w, h = CANVAS
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="#ffffff"/>',
     ]
-    for line in layout.lines:
+    for line in layout:
         px = _FONT_PX[line.size_class]
         parts.append(
             f'<text x="{_MARGIN_X}" y="{line.y}" font-family="monospace" '
@@ -263,10 +282,9 @@ def slide_svg(layout: SlideLayout) -> bytes:
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def render_slide(slide: SlideText, out_path: str | Path | None = None) -> SlideLayout:
+def render_slide(slide: SlideText, out_path: str | Path) -> tuple[LayoutLine, ...]:
     layout = layout_slide(slide)
-    if out_path is not None:
-        Path(out_path).write_bytes(slide_svg(layout))
+    Path(out_path).write_bytes(slide_svg(layout))
     return layout
 
 
@@ -302,14 +320,6 @@ def read_seed_records(path: str | Path) -> list[SeedRecord]:
     return [SeedRecord.from_dict(d) for d in read_jsonl(path)]
 
 
-@dataclass
-class DatasetManifest:
-    samples: int
-    entities: int
-    hours: float | None
-    entries: list[Sample] = field(default_factory=list)
-
-
 def _slide_ref(record_id: str) -> str:
     """``slides/<id>.svg``; an id that cannot be one file name there is "bad-id"."""
     name = f"{record_id}.svg"
@@ -322,15 +332,16 @@ def build_dataset(
     seed_records: Sequence[SeedRecord],
     outdir: str | Path,
     generator: TextGenerator | None = None,
-) -> DatasetManifest:
-    """Build one Sample per seed record under ``outdir``.
+) -> dict:
+    """Build one Sample per seed record under ``outdir``; returns the stats.
 
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
-    Records that fail generation go to errors.jsonl and are excluded; a build
-    without failures removes any errors.jsonl a previous build left. Output
-    is byte-identical across rebuilds for the same seeds and generator. Seed
-    ids must be unique: a repeated id raises "duplicate-id" before anything
-    is written.
+    A seed that breaks a sample invariant goes to errors.jsonl with its first
+    violation's code before the generator is called, and so does a record
+    whose generation fails; a build without failures removes any errors.jsonl
+    a previous build left. Output is byte-identical across rebuilds for the
+    same seeds and generator. Seed ids must be unique: a repeated id raises
+    "duplicate-id" before anything is written.
     """
     reject_repeated_ids(seed_records, "seeds")
     outdir = Path(outdir)
@@ -340,6 +351,9 @@ def build_dataset(
     for rec in seed_records:
         try:
             image_rel = _slide_ref(rec.id)
+            problems = _seed_violations(rec.transcript, rec.entities, rec.domain)
+            if problems:
+                raise ToolkitError(*problems[0])
             slide = generate_slide_text(rec.domain, rec.entities, generator)
             render_slide(slide, outdir / image_rel)
             entries.append(
@@ -370,9 +384,7 @@ def build_dataset(
         write_jsonl(outdir / "errors.jsonl", failures)
     else:
         (outdir / "errors.jsonl").unlink(missing_ok=True)
-    return DatasetManifest(
-        samples=len(entries), entities=entity_count, hours=hours, entries=entries
-    )
+    return stats
 
 
 @dataclass
@@ -409,20 +421,19 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
             violations.append({"id": sample.id, "code": "duplicate-id", "detail": sample.id})
         seen.add(sample.id)
         entity_count += len(sample.entities)
-        violations.extend(validate_sample(sample))
-        if sample.slide_text:
-            title, _, body = sample.slide_text.partition("\n")
-            body_words = word_count(body if body else title)
-            if body_words > MAX_BODY_WORDS:
-                violations.append(
-                    {"id": sample.id, "code": "body-too-long", "detail": f"{body_words} words"}
-                )
+        title, newline, body = sample.slide_text.partition("\n")
+        slide = SlideText(title, body) if newline else SlideText("", title)
+        problems = _seed_violations(sample.transcript_gt, sample.entities, sample.domain)
+        problems += _slide_violations(slide, sample.entities)
+        violations.extend({"id": sample.id, "code": code, "detail": detail} for code, detail in problems)
     stats_path = manifest_path.parent / "stats.json"
     if stats_path.exists():
         try:
-            stats = json.loads(stats_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+            stats = load_json(stats_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
             raise ToolkitError("manifest-parse", f"{stats_path}: {e}") from e
+        if not isinstance(stats, dict):
+            raise ToolkitError("manifest-parse", f"{stats_path}: not a JSON object: {stats!r:.80}")
         if stats.get("samples") != len(rows):
             violations.append(
                 {

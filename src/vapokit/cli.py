@@ -50,6 +50,8 @@ def cmd_score(args) -> int:
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    if not metrics:
+        raise ToolkitError("unknown-metric", "no metrics requested")
     unknown = set(metrics) - set(ALL_METRICS)
     if unknown:
         raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
@@ -85,15 +87,17 @@ def cmd_detect(args) -> int:
 
 
 def cmd_build(args) -> int:
+    # build writes manifest.jsonl, stats.json and slides/<id>.svg under
+    # --outdir, and writes or deletes errors.jsonl: a seeds file that is one
+    # of these, or lies in slides/, is rejected before it is read.
+    outdir, seeds_name = Path(args.outdir), Path(args.seeds).name
+    for out in ("manifest.jsonl", "stats.json", "errors.jsonl", f"slides/{seeds_name}"):
+        _reject_input_as_out(outdir / out, args.seeds)
     seeds = bench.read_seed_records(args.seeds)
     generator = bench.RemoteGenerator() if args.generator == "remote" else bench.TemplateGenerator()
     with _writing(args.outdir):
-        manifest = bench.build_dataset(seeds, args.outdir, generator)
-    print(
-        json.dumps(
-            {"samples": manifest.samples, "entities": manifest.entities, "hours": manifest.hours}
-        )
-    )
+        stats = bench.build_dataset(seeds, args.outdir, generator)
+    print(json.dumps(stats))
     return 0
 
 

@@ -12,8 +12,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
-from .metrics import _find_exact_span
-from .textnorm import normalize_tokenize
 
 
 @dataclass
@@ -118,13 +116,18 @@ def _duration_field(d: dict) -> float | None:
 
 
 def _as_number(value, kind: type, code: str, name: str):
-    """``kind(value)`` for a number or a numeric string; anything else raises ``code``."""
-    if not isinstance(value, bool):
+    """``kind(value)`` for a number or a numeric string; anything else raises ``code``.
+
+    ``int`` would truncate a float, so an int field takes only a whole one.
+    """
+    truncated = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not truncated:
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ToolkitError(code, f"{name} must be a number, got {value!r:.80}")
+    what = "a whole number" if kind is int else "a number"
+    raise ToolkitError(code, f"{name} must be {what}, got {value!r:.80}")
 
 
 def _entity_list(d: dict) -> list[str]:
@@ -234,30 +237,3 @@ def pair_by_id(
         raise ToolkitError("pairing", "no overlapping ids between dataset and hypotheses")
     pairs.sort(key=lambda p: p[0].id)
     return pairs
-
-
-def validate_sample(sample: Sample) -> list[dict]:
-    """Check record-level invariants; returns violation records (empty = ok)."""
-    violations = []
-    transcript = normalize_tokenize(sample.transcript_gt)
-    slide = normalize_tokenize(sample.slide_text) if sample.slide_text else ()
-    if not sample.id:
-        violations.append({"id": sample.id, "code": "missing-id", "detail": "empty id"})
-    if not transcript:
-        violations.append({"id": sample.id, "code": "empty-transcript", "detail": "no transcript tokens"})
-    if not sample.entities and sample.domain != "general":
-        violations.append(
-            {"id": sample.id, "code": "no-entities", "detail": f"domain {sample.domain!r} requires entities"}
-        )
-    for surface in sample.entities:
-        needle = normalize_tokenize(surface)
-        if not needle:
-            violations.append({"id": sample.id, "code": "empty-entity", "detail": repr(surface)})
-            continue
-        if _find_exact_span(needle, transcript) < 0:
-            violations.append(
-                {"id": sample.id, "code": "entity-not-in-transcript", "detail": surface}
-            )
-        if slide and _find_exact_span(needle, slide) < 0:
-            violations.append({"id": sample.id, "code": "entity-not-in-slide", "detail": surface})
-    return violations

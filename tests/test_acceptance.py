@@ -232,16 +232,16 @@ def test_criterion_builder(tmp_path):
     report = validate_manifest(tmp_path / "one" / "manifest.jsonl")
     identical = _tree_digest(tmp_path / "one") == _tree_digest(tmp_path / "two")
     ok = (
-        m1.samples == 60
-        and m1.entities == 200
-        and m2.samples == 60
+        m1["samples"] == 60
+        and m1["entities"] == 200
+        and m2["samples"] == 60
         and identical
         and report.ok
     )
     _report(
         "benchmark builder counts/rebuild/validation",
         ok,
-        f"samples={m1.samples} entities={m1.entities} identical={identical} violations={len(report.violations)}",
+        f"samples={m1['samples']} entities={m1['entities']} identical={identical} violations={len(report.violations)}",
     )
 
 

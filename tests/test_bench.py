@@ -4,9 +4,13 @@ import hashlib
 import http.server
 import json
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import _REFERENCE_CJK, reference_word_count, reference_wrap, reference_wrap_atoms
 from vapokit.bench import (
@@ -124,6 +128,14 @@ def test_generation_fails_after_three_attempts():
         generate_slide_text("medicine", ["aspirin"], gen)
     assert exc.value.code == "generation-invalid"
     assert gen.calls == 3
+    assert str(exc.value) == "entity-not-in-slide: aspirin"
+
+
+def test_title_whitespace_runs_become_one_line():
+    slide = generate_slide_text("x\ny", ["aspirin"], lambda domain, entities: (" A\n\tB  C ", "aspirin"))
+    assert slide.title == "A B C"
+    assert TemplateGenerator()("x\ny", ["aspirin"])[0] == "X\nY Overview"
+    assert generate_slide_text("x\ny", ["aspirin"]).title == "X Y Overview"
 
 
 # ---------------------------------------------------------------------------
@@ -208,34 +220,34 @@ def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypa
 
 
 def test_layout_single_title_line():
-    layout = layout_slide(SlideText(title="hello", body="", embedded_entities=()))
-    assert len(layout.lines) == 1
-    assert layout.lines[0].size_class == "title"
+    layout = layout_slide(SlideText(title="hello", body=""))
+    assert len(layout) == 1
+    assert layout[0].size_class == "title"
 
 
 def test_layout_greedy_wrap_counts():
     # body words sized so exactly 8 fit in the 70-char line: 20 words -> 3 lines
     body = " ".join(["abcdefg"] * 20)
-    layout = layout_slide(SlideText(title="t", body=body, embedded_entities=()))
-    body_lines = [l for l in layout.lines if l.size_class == "body"]
+    layout = layout_slide(SlideText(title="t", body=body))
+    body_lines = [l for l in layout if l.size_class == "body"]
     assert len(body_lines) == 3
     assert [len(l.text.split()) for l in body_lines] == [8, 8, 4]
 
 
 def test_layout_cjk_breaks_per_character():
     body = "字" * 100
-    layout = layout_slide(SlideText(title="t", body=body, embedded_entities=()))
-    assert all(len(l.text) <= 70 for l in layout.lines)
+    layout = layout_slide(SlideText(title="t", body=body))
+    assert all(len(l.text) <= 70 for l in layout)
 
 
 def test_layout_unwrappable_token():
     with pytest.raises(ToolkitError) as exc:
-        layout_slide(SlideText(title="x" * 200, body="", embedded_entities=()))
+        layout_slide(SlideText(title="x" * 200, body=""))
     assert exc.value.code == "unwrappable-token"
 
 
 def test_svg_deterministic():
-    slide = SlideText(title="Hello <World>", body="a & b", embedded_entities=())
+    slide = SlideText(title="Hello <World>", body="a & b")
     one = slide_svg(layout_slide(slide))
     two = slide_svg(layout_slide(slide))
     assert one == two
@@ -248,7 +260,6 @@ def test_svg_escapes_markup_characters(tmp_path):
     slide = SlideText(
         title="R&D <Q&A> \"x\" it's",
         body="a & b < c > d \"quoted\" 'single' &amp; <tag/> >>= &&",
-        embedded_entities=(),
     )
     expected = (
         b'<svg xmlns="http://www.w3.org/2000/svg" width="960" height="720" viewBox="0 0 960 720">\n'
@@ -265,7 +276,7 @@ def test_svg_escapes_markup_characters(tmp_path):
 
 
 def test_render_slide_writes_file(tmp_path):
-    slide = SlideText(title="T", body="body words", embedded_entities=())
+    slide = SlideText(title="T", body="body words")
     layout = render_slide(slide, tmp_path / "s.svg")
     assert (tmp_path / "s.svg").read_bytes() == slide_svg(layout)
 
@@ -286,9 +297,9 @@ def _seed(idx: int, entities: list[str], transcript: str | None = None) -> SeedR
 
 def test_build_dataset_counts_and_files(tmp_path):
     seeds = [_seed(0, ["aspirin", "warfarin"]), _seed(1, ["metformin"])]
-    manifest = build_dataset(seeds, tmp_path)
-    assert manifest.samples == 2 and manifest.entities == 3
-    assert manifest.hours is None
+    stats = build_dataset(seeds, tmp_path)
+    assert stats["samples"] == 2 and stats["entities"] == 3
+    assert stats["hours"] is None
     assert (tmp_path / "manifest.jsonl").exists()
     assert (tmp_path / "stats.json").exists()
     assert (tmp_path / "slides" / "b0.svg").exists()
@@ -297,8 +308,8 @@ def test_build_dataset_counts_and_files(tmp_path):
 
 
 def test_build_dataset_empty(tmp_path):
-    manifest = build_dataset([], tmp_path)
-    assert manifest.samples == 0 and manifest.entities == 0
+    stats = build_dataset([], tmp_path)
+    assert stats["samples"] == 0 and stats["entities"] == 0
     assert json.loads((tmp_path / "stats.json").read_text()) == {
         "entities": 0,
         "hours": None,
@@ -308,18 +319,18 @@ def test_build_dataset_empty(tmp_path):
 
 def test_build_dataset_error_sidecar(tmp_path):
     seeds = [_seed(0, ["aspirin"]), SeedRecord(id="bad", domain="medicine", transcript="x", entities=[]), _seed(2, ["warfarin"])]
-    manifest = build_dataset(seeds, tmp_path)
-    assert manifest.samples == 2
+    stats = build_dataset(seeds, tmp_path)
+    assert stats["samples"] == 2
     errors = read_jsonl(tmp_path / "errors.jsonl")
     assert len(errors) == 1 and errors[0]["id"] == "bad" and errors[0]["code"] == "no-entities"
 
 
 def test_build_dataset_hours_when_durations_known(tmp_path):
     seeds = read_seed_records(builtin_path("seeds_5.jsonl"))
-    manifest = build_dataset(seeds, tmp_path)
-    assert manifest.samples == 5
+    stats = build_dataset(seeds, tmp_path)
+    assert stats["samples"] == 5
     expected_hours = sum(s.duration_s for s in seeds) / 3600.0
-    assert manifest.hours == pytest.approx(expected_hours)
+    assert stats["hours"] == pytest.approx(expected_hours)
 
 
 def _tree_digest(root) -> str:
@@ -365,6 +376,12 @@ def test_validate_manifest_unreadable(tmp_path):
     bad.write_text("{not json\n")
     with pytest.raises(ToolkitError):
         validate_manifest(bad)
+    # a stats.json that parses but is not an object
+    build_dataset([_seed(0, ["aspirin"])], tmp_path)
+    (tmp_path / "stats.json").write_text("[1]\n")
+    with pytest.raises(ToolkitError) as exc:
+        validate_manifest(tmp_path / "manifest.jsonl")
+    assert exc.value.code == "manifest-parse"
 
 
 def test_bundled_seed_sets():
@@ -382,3 +399,65 @@ def test_validate_manifest_reports_records_it_cannot_read(tmp_path):
     codes = [(v["id"], v["code"]) for v in report.violations]
     assert (None, "bad-record") in codes and ("s2", "bad-record") in codes
     assert not any(v["id"] == row["id"] for v in report.violations)
+
+
+class CountingGenerator(TemplateGenerator):
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, domain, entities):
+        self.calls += 1
+        return super().__call__(domain, entities)
+
+
+@pytest.mark.parametrize(
+    "seed, code",
+    [
+        (SeedRecord(id="p", domain="medicine", transcript="aspirin !!!", entities=["aspirin", "!!!"]), "empty-entity"),
+        (SeedRecord(id="p", domain="medicine", transcript="talk", entities=["aspirin"]), "entity-not-in-transcript"),
+        (SeedRecord(id="p", domain="medicine", transcript=" ... ", entities=["aspirin"]), "empty-transcript"),
+        (SeedRecord(id="p", domain="", transcript="talk", entities=[]), "no-entities"),
+    ],
+)
+def test_seed_that_breaks_an_invariant_is_rejected_before_generation(tmp_path, seed, code):
+    gen = CountingGenerator()
+    stats = build_dataset([seed, _seed(1, ["aspirin"])], tmp_path, gen)
+    assert stats["samples"] == 1 and gen.calls == 1
+    errors = read_jsonl(tmp_path / "errors.jsonl")
+    assert [(e["id"], e["code"]) for e in errors] == [("p", code)]
+
+
+def test_multiline_domain_at_the_word_cap_builds_and_validates(tmp_path):
+    entities = [f"term{i}" for i in range(59)]
+    seed = SeedRecord(id="m", domain="x\ny", transcript=" ".join(entities), entities=entities)
+    assert build_dataset([seed], tmp_path)["samples"] == 1
+    assert word_count(read_jsonl(tmp_path / "manifest.jsonl")[0]["slide_text"].split("\n", 1)[1]) == 149
+    report = validate_manifest(tmp_path / "manifest.jsonl")
+    assert report.ok, report.violations
+
+
+_WORDS = ["aspirin", "warfarin", "keth", "字", "Zal-Pra", "tor"]
+_ENTITIES = st.sampled_from(_WORDS + ["!!!", "...", "absent", "not spoken"])
+
+
+@st.composite
+def _seed_sets(draw):
+    seeds = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 70))
+        entities = draw(st.lists(_ENTITIES, min_size=n, max_size=n))
+        spoken = " ".join(e for e in entities if e not in ("absent", "not spoken"))
+        transcript = draw(st.sampled_from(["", " !! ", spoken, "talk about " + spoken]))
+        domain = draw(st.sampled_from(["", "general", "medicine", "a  b", "x\ny", " \t x \n\n y-z "]))
+        seeds.append(SeedRecord(id=f"s{i}", domain=domain, transcript=transcript, entities=entities))
+    return seeds
+
+
+@given(seeds=_seed_sets())
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_every_built_manifest_validates(seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        build_dataset(seeds, tmp)
+        report = validate_manifest(Path(tmp) / "manifest.jsonl")
+    assert report.violations == []

@@ -71,6 +71,18 @@ def test_score_metric_subset(tmp_path, corpus):
     assert [r["id"] for r in payload["rows"]] == ["c0", "c1", "c2"]
 
 
+@pytest.mark.parametrize("metrics", ["wer,nope", ",", ""], ids=["unknown", "comma-only", "empty"])
+def test_score_unknown_or_no_metrics_is_error_record(tmp_path, corpus, capsys, metrics):
+    samples, dataset = corpus
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["transcript_gt"]} for s in samples])
+    out = tmp_path / "report.json"
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--metrics", metrics, "--out", str(out)])
+    assert code == 1
+    assert _error_code(capsys) == "unknown-metric"
+    assert not out.exists()
+
+
 def test_score_pairing_failure(tmp_path, corpus, capsys):
     samples, dataset = corpus
     hyp = tmp_path / "hyp.jsonl"
@@ -250,6 +262,16 @@ def test_simulate_command(tmp_path, capsys):
     assert summary["steps"] == 40
     assert out.exists() and (tmp_path / "trace.csv").exists()
     assert len(read_jsonl(out)) == 41  # config header + 40 steps
+
+
+def test_simulate_accepts_whole_float_integers(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"steps": 3.0, "group_size": 4.0, "seed": 1.0}))
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 3
+    config_record = read_jsonl(out)[0]["config"]
+    assert (config_record["steps"], config_record["group_size"], config_record["seed"]) == (3, 4, 1)
 
 
 def test_simulate_bundled_default_config(tmp_path, capsys):
@@ -530,6 +552,9 @@ def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
     '{"step": 3}',
     '{"lambda_ocr": 0}',
     '{"exploration": "uniform"}',
+    '{"steps": 2.9}',
+    '{"group_size": 3.5}',
+    '{"seed": 0.9}',
 ])
 def test_simulate_bad_config_is_error_record(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
@@ -746,6 +771,25 @@ def test_out_naming_an_input_is_bad_out(tmp_path, capsys, monkeypatch, argv, tar
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "bad-out"
     assert (tmp_path / target).read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["manifest.jsonl", "stats.json", "errors.jsonl", "slides/seeds.jsonl"])
+def test_build_seeds_that_build_would_write_are_bad_out(tmp_path, capsys, target):
+    """A --seeds file that build would overwrite or delete under --outdir is
+    rejected before it is read; seeds elsewhere in --outdir still build."""
+    outdir = tmp_path / "built"
+    (outdir / "slides").mkdir(parents=True)
+    seeds = outdir / target
+    seeds.write_bytes((_GOLDEN / "seeds.jsonl").read_bytes())
+    assert main(["build", "--seeds", str(seeds), "--outdir", str(outdir)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "bad-out"
+    assert seeds.read_bytes() == (_GOLDEN / "seeds.jsonl").read_bytes()
+    elsewhere = outdir / "seeds.jsonl"
+    elsewhere.write_bytes(seeds.read_bytes())
+    assert main(["build", "--seeds", str(elsewhere), "--outdir", str(outdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 6
 
 
 @pytest.mark.parametrize("out", ["missing/t.jsonl", "file/t.jsonl"])
