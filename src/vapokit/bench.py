@@ -14,7 +14,7 @@ import html
 import json
 import math
 from dataclasses import dataclass, field
-from os import environ
+from os import environ, scandir, unlink
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -339,9 +339,11 @@ def build_dataset(
     A seed that breaks a sample invariant goes to errors.jsonl with its first
     violation's code before the generator is called, and so does a record
     whose generation fails; a build without failures removes any errors.jsonl
-    a previous build left. Output is byte-identical across rebuilds for the
-    same seeds and generator. Seed ids must be unique: a repeated id raises
-    "duplicate-id" before anything is written.
+    a previous build left, and every build removes the slides/*.svg files
+    that are not its manifest's. Output is byte-identical across rebuilds for
+    the same seeds and generator, and to a fresh build into an empty outdir.
+    Seed ids must be unique: a repeated id raises "duplicate-id" before
+    anything is written.
     """
     reject_repeated_ids(seed_records, "seeds")
     outdir = Path(outdir)
@@ -384,6 +386,11 @@ def build_dataset(
         write_jsonl(outdir / "errors.jsonl", failures)
     else:
         (outdir / "errors.jsonl").unlink(missing_ok=True)
+    kept = {s.slide_image_ref for s in entries}
+    with scandir(outdir / "slides") as slides:
+        for entry in slides:
+            if entry.name.endswith(".svg") and f"slides/{entry.name}" not in kept and entry.is_file():
+                unlink(entry.path)
     return stats
 
 

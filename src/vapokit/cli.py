@@ -116,8 +116,7 @@ def cmd_simulate(args) -> int:
         config.seed = args.seed
     trace = grpo.train(config)
     with _writing(out):
-        trace.write_jsonl(out)
-        trace.write_csv(out.with_suffix(".csv"))
+        trace.write(out, out.with_suffix(".csv"))
     print(json.dumps({"steps": len(trace.steps), "p_optimal": trace.final.p_optimal}))
     return 0
 

@@ -13,6 +13,12 @@ updates the policy logits with a likelihood-ratio gradient using the
 within-group normalized advantage as the baseline. Random numbers are drawn
 only in ``train``.
 
+The dealer never reads the policy, so ``train`` deals the steps in blocks of
+``DEAL_BLOCK_ROLLOUTS`` rollouts: each block's draws (in the per-step order),
+group advantages and component means are computed at once, and only the
+logits recurrence runs per step. ``TrainTrace.write`` writes the JSONL and CSV traces in one
+pass, formatting each value once.
+
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
 without-replacement cycles over the grid rather than drawn from the trained
@@ -34,7 +40,6 @@ component and the all-ones tuple is the unique optimum under positive weights.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -86,19 +91,28 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class ToyPolicy:
-    """Categorical policy over the behavior grid, parameterized by logits."""
+    """Categorical policy over the behavior grid, parameterized by logits.
+
+    The logits are a read-only copy, so ``probs`` computes the softmax once
+    and returns the same read-only array on every call.
+    """
 
     def __init__(self, logits: np.ndarray | None = None):
         import numpy as np
 
         if logits is None:
             logits = np.zeros(NUM_TUPLES)
-        self.logits = np.asarray(logits, dtype=float)
+        self.logits = np.array(logits, dtype=float)
         if self.logits.shape != (NUM_TUPLES,):
             raise ToolkitError("bad-config", f"policy needs {NUM_TUPLES} logits")
+        self.logits.flags.writeable = False
+        self._probs: np.ndarray | None = None
 
     def probs(self) -> np.ndarray:
-        return _softmax(self.logits)
+        if self._probs is None:
+            self._probs = _softmax(self.logits)
+            self._probs.flags.writeable = False
+        return self._probs
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +212,25 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
 _STD_FLOOR = 1e-8
 
 
-def group_advantages(rewards: Sequence[float]) -> np.ndarray:
-    """(r - mean) / population std; all zeros when the group is flat."""
+def group_advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
+    """(r - mean) / population std along the last axis; all zeros for a flat group.
+
+    A 1-D input is one group; each row of a 2-D input is a group.
+    """
     import numpy as np
 
     r = np.asarray(rewards, dtype=float)
-    if r.size < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ToolkitError("degenerate-group", "need at least 2 rollouts per group")
     # Rewards above ~1e154 (finite but huge weights) overflow the squares, and
     # a group sum near 1e308 overflows the mean: report it as one error record
     # instead of numpy warnings and, for an infinite std, all-zero advantages.
     with np.errstate(over="ignore", invalid="ignore"):
-        std = r.std()
-    if not math.isfinite(std):
+        std = r.std(axis=-1, keepdims=True)
+    if not np.isfinite(std).all():
         raise ToolkitError("numerical", "group reward spread overflows")
-    if std < _STD_FLOOR:
-        return np.zeros_like(r)
-    return (r - r.mean()) / std
+    flat = std < _STD_FLOOR
+    return np.where(flat, 0.0, (r - r.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
 
 
 def surrogate_objective(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> float:
@@ -226,14 +242,18 @@ def surrogate_objective(logits: np.ndarray, indices: Sequence[int], advantages: 
     return float(sum(a * logp[k] for k, a in zip(indices, advantages)))
 
 
-def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
+def _gradient(probs: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
+    """Gradient of ``surrogate_objective`` at the logits whose softmax is ``probs``."""
     import numpy as np
 
     adv = np.asarray(advantages, dtype=float)
-    grad = np.zeros_like(logits)
-    np.add.at(grad, np.asarray(indices, dtype=int), adv)
-    grad -= _softmax(logits) * adv.sum()
+    grad = np.bincount(np.asarray(indices, dtype=int), weights=adv, minlength=NUM_TUPLES)
+    grad -= probs * adv.sum()
     return grad
+
+
+def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
+    return _gradient(_softmax(logits), indices, advantages)
 
 
 def policy_step(policy: ToyPolicy, indices: Sequence[int], advantages: Sequence[float], lr: float) -> ToyPolicy:
@@ -242,10 +262,14 @@ def policy_step(policy: ToyPolicy, indices: Sequence[int], advantages: Sequence[
 
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
-    grad = surrogate_gradient(policy.logits, indices, advantages)
-    if not np.all(np.isfinite(grad)):
-        raise ToolkitError("numerical", "non-finite policy gradient")
-    return ToyPolicy(policy.logits + lr * grad)
+    grad = _gradient(policy.probs(), indices, advantages)
+    # A non-finite gradient, or a step that overflows (a huge lr), leaves
+    # non-finite logits: one error record instead of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = policy.logits + lr * grad
+    if not np.isfinite(logits).all():
+        raise ToolkitError("numerical", "non-finite policy gradient or logits")
+    return ToyPolicy(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +303,8 @@ class SimConfig:
         if not isinstance(samples_ref, str):
             raise ToolkitError("bad-config", f"samples must be a path string, got {samples_ref!r:.80}")
         samples = read_samples(resolve_data_path(samples_ref))
+        if not samples:
+            raise ToolkitError("bad-config", f"no samples in {samples_ref}")
         return cls(
             steps=_as_number(raw.get("steps", cls.steps), int, "bad-config", "steps"),
             group_size=_as_number(raw.get("group_size", cls.group_size), int, "bad-config", "group_size"),
@@ -323,20 +349,26 @@ class TrainTrace:
     def final(self) -> TraceStep:
         return self.steps[-1]
 
-    def write_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"record": "config", "seed": self.seed, "config": self.config}))
-            f.write("\n")
-            for step in self.steps:
-                f.write(json.dumps({"record": "step", **vars(step)}))
-                f.write("\n")
+    def write(self, jsonl_path: str | Path, csv_path: str | Path) -> None:
+        """Write the JSONL trace (a config record, then one record per step) and
+        the CSV trace (the step columns) in one pass.
 
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=[column.name for column in fields(TraceStep)])
-            writer.writeheader()
+        Each step's values are formatted once, with ``repr``: ``json.dumps`` and
+        ``csv`` both write a finite float as its ``repr``, and every trace value
+        is finite, because a reward spread that overflows stops training with
+        "numerical".
+        """
+        names = [column.name for column in fields(TraceStep)]
+        jsonl_step = '{"record": "step", ' + ", ".join(f'"{name}": %s' for name in names) + "}\n"
+        csv_step = ",".join(["%s"] * len(names)) + "\r\n"  # csv's default line terminator
+        with open(jsonl_path, "w", encoding="utf-8") as jsonl_file, \
+                open(csv_path, "w", encoding="utf-8", newline="") as csv_file:
+            jsonl_file.write(json.dumps({"record": "config", "seed": self.seed, "config": self.config}) + "\n")
+            csv_file.write(",".join(names) + "\r\n")
             for step in self.steps:
-                writer.writerow(vars(step))
+                values = tuple(map(repr, vars(step).values()))
+                jsonl_file.write(jsonl_step % values)
+                csv_file.write(csv_step % values)
 
 
 def expected_grades(policy: ToyPolicy) -> dict[str, float]:
@@ -385,11 +417,19 @@ def reward_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+# Rollouts per dealt block in ``train``: 32 steps of the shipped group size 8.
+# A budget in rollouts rather than steps keeps a block's arrays small at any
+# group size.
+DEAL_BLOCK_ROLLOUTS = 256
+
+
 def train(config: SimConfig) -> TrainTrace:
     """Build the reward table once, then run the sample -> look up -> update loop.
 
     Every step reads its group's rewards, the trace's mean components and the
-    policy's expected reward from the same table. Reproducible from the seed.
+    policy's expected reward from the same table. The draws for a block of
+    steps are made in the per-step order, so the trace does not depend on the
+    block size. Reproducible from the seed.
     """
     import numpy as np
 
@@ -406,24 +446,32 @@ def train(config: SimConfig) -> TrainTrace:
     deals = _balanced_deals(rng)
     policy = ToyPolicy()
     trace: list[TraceStep] = []
-    for step in range(config.steps):
-        si = int(rng.integers(len(samples)))
-        indices = list(itertools.islice(deals, config.group_size))
-        group = table[si, indices]
-        advantages = group_advantages(group[:, -1])
-        policy = policy_step(policy, indices, advantages, config.lr)
-        probs = policy.probs()
-        r_format, r_ocr, r_asr, r_va, total = group.mean(axis=0)
-        trace.append(
-            TraceStep(
-                step=step,
-                mean_reward=float(total),
-                expected_reward=float(probs @ totals[si]),
-                mean_format=float(r_format),
-                mean_ocr=float(r_ocr),
-                mean_asr=float(r_asr),
-                mean_va=float(r_va),
-                p_optimal=float(probs[OPTIMAL_INDEX]),
+    block_steps = max(1, DEAL_BLOCK_ROLLOUTS // config.group_size)
+    for start in range(0, config.steps, block_steps):
+        block = range(start, min(start + block_steps, config.steps))
+        si, dealt = [], []
+        for _ in block:
+            si.append(int(rng.integers(len(samples))))
+            dealt.append(list(itertools.islice(deals, config.group_size)))
+        indices = np.array(dealt)
+        groups = table[np.array(si)[:, None], indices]  # (block, group, components + total)
+        advantages = group_advantages(groups[..., -1])
+        # Summed over a middle axis, each mean adds the group's rows in order,
+        # as a per-step ``group.mean(axis=0)`` does (a last-axis sum is pairwise).
+        means = groups.mean(axis=1).tolist()
+        for step, k, tuples, adv, (r_format, r_ocr, r_asr, r_va, total) in zip(block, si, indices, advantages, means):
+            policy = policy_step(policy, tuples, adv, config.lr)
+            probs = policy.probs()
+            trace.append(
+                TraceStep(
+                    step=step,
+                    mean_reward=total,
+                    expected_reward=float(probs @ totals[k]),
+                    mean_format=r_format,
+                    mean_ocr=r_ocr,
+                    mean_asr=r_asr,
+                    mean_va=r_va,
+                    p_optimal=float(probs[OPTIMAL_INDEX]),
+                )
             )
-        )
     return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_policy=policy)

@@ -5,7 +5,8 @@ implementations: recursive edit distance (memoized over the decision space),
 an alignment trace walked over that recursive cost, literal enumeration of
 every alignment path for small inputs, a general windowed entity search, a
 per-character tokenizer, per-character slide word counting and wrap atoms, a
-greedy line fill, and a regex-based recognizer for the rollout grammar.
+greedy line fill, a regex-based recognizer for the rollout grammar, and the
+policy sandbox's training loop run one step at a time.
 """
 
 from __future__ import annotations
@@ -290,3 +291,65 @@ def rollout_soup(rng: random.Random) -> str:
     think = " ".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
     answer = " ".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
     return f"<think>{think}</think><answer>{answer}</answer>"
+
+
+def train_reference(config) -> tuple[list[dict], "np.ndarray"]:
+    """The sandbox's training loop, one step at a time, in plain numpy.
+
+    Each step draws a sample, deals a group from rng-shuffled cycles over the
+    grid (a cycle is shuffled when its first index is needed), normalizes the
+    group's totals, takes one gradient step on the logits and records the
+    trace fields. The reward table is the input, not what is checked: it comes
+    from ``grpo.reward_matrix``, looked up on the module so a test can cache it,
+    weighed with the config's weights. Returns the step records and the final
+    logits.
+    """
+    import numpy as np
+
+    from vapokit import grpo
+
+    samples = config.samples or grpo.default_samples()
+    components = grpo.reward_matrix(samples)
+    weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
+    table = np.concatenate([components, weighted[..., None]], axis=-1)
+    totals = table[..., -1]
+    arms = table.shape[1]
+    optimum = grpo.ALL_TUPLES.index(grpo.OPTIMAL_TUPLE)
+    rng = np.random.default_rng(config.seed)
+    cycle: list[int] = []
+
+    def deal() -> int:
+        if not cycle:
+            cycle.extend(rng.permutation(arms).tolist())
+        return cycle.pop(0)
+
+    def softmax(z):
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    logits = np.zeros(arms)
+    steps = []
+    for step in range(config.steps):
+        si = int(rng.integers(len(samples)))
+        indices = [deal() for _ in range(config.group_size)]
+        group = table[si, indices]
+        rewards = group[:, -1]
+        std = rewards.std()
+        advantages = np.zeros(len(rewards)) if std < 1e-8 else (rewards - rewards.mean()) / std
+        grad = np.zeros(arms)
+        np.add.at(grad, indices, advantages)
+        grad -= softmax(logits) * advantages.sum()
+        logits = logits + config.lr * grad
+        probs = softmax(logits)
+        r_format, r_ocr, r_asr, r_va, total = group.mean(axis=0)
+        steps.append({
+            "step": step,
+            "mean_reward": float(total),
+            "expected_reward": float(probs @ totals[si]),
+            "mean_format": float(r_format),
+            "mean_ocr": float(r_ocr),
+            "mean_asr": float(r_asr),
+            "mean_va": float(r_va),
+            "p_optimal": float(probs[optimum]),
+        })
+    return steps, logits

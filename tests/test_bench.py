@@ -348,6 +348,21 @@ def test_build_dataset_idempotent(tmp_path):
     assert _tree_digest(tmp_path / "one") == _tree_digest(tmp_path / "two")
 
 
+@pytest.mark.parametrize("change", ["dropped", "rejected"])
+def test_rebuild_removes_slides_not_in_its_manifest(tmp_path, change):
+    # a rebuild into a used outdir leaves the same tree as a fresh build, also
+    # when a record of the first build is left out or rejected this time
+    first = [_seed(0, ["aspirin"]), _seed(1, ["warfarin"])]
+    broken = _seed(1, ["warfarin"], transcript="a talk that never names the drug")
+    second = [first[0]] if change == "dropped" else [first[0], broken]
+    build_dataset(first, tmp_path / "out")
+    assert (tmp_path / "out" / "slides" / "b1.svg").exists()
+    build_dataset(second, tmp_path / "out")
+    build_dataset(second, tmp_path / "fresh")
+    assert not (tmp_path / "out" / "slides" / "b1.svg").exists()
+    assert _tree_digest(tmp_path / "out") == _tree_digest(tmp_path / "fresh")
+
+
 def test_validate_manifest_catches_corruption(tmp_path):
     seeds = [_seed(0, ["aspirin"])]
     build_dataset(seeds, tmp_path)

@@ -555,8 +555,11 @@ def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
     '{"steps": 2.9}',
     '{"group_size": 3.5}',
     '{"seed": 0.9}',
+    '{"samples": "empty.jsonl"}',
 ])
-def test_simulate_bad_config_is_error_record(tmp_path, capsys, config):
+def test_simulate_bad_config_is_error_record(tmp_path, capsys, monkeypatch, config):
+    (tmp_path / "empty.jsonl").write_text("")  # a samples file without records
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(config)
     out = tmp_path / "trace.jsonl"
@@ -668,6 +671,23 @@ def test_simulate_overflowing_rewards_are_one_error_record(tmp_path, weight):
     """
     config = tmp_path / "cfg.json"
     config.write_text('{"steps": 3, "weights": {"lambda_format": %s}}' % weight)
+    out = tmp_path / "trace.jsonl"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "vapokit.cli", "simulate", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "numerical"
+    assert not out.exists()
+
+
+def test_simulate_overflowing_step_is_one_error_record(tmp_path):
+    """A huge lr overflows the new logits: one error record, no numpy warning."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": 3, "lr": 1e308}')
     out = tmp_path / "trace.jsonl"
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(

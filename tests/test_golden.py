@@ -21,17 +21,22 @@ the builtin samples at seed 0:
     PYTHONPATH=src python -m vapokit.cli simulate --config tests/golden/simulate.json \
         --out tests/golden/simulate_trace.jsonl
 
+The benchmark's own ``simulate`` run, the shipped ``simulate_default.json``
+(2000 steps) at seed 0, is pinned by the sha256 of its two trace files.
+
 A change that alters one of them changes a result; say what and why before
 regenerating.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from vapokit.cli import main
+from vapokit.data import builtin_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATASET = str(GOLDEN / "manifest.jsonl")
@@ -64,3 +69,17 @@ def test_golden_simulate(tmp_path, capsys):
     assert capsys.readouterr().out == '{"steps": 60, "p_optimal": 0.07044549581819541}\n'
     for name in ("simulate_trace.jsonl", "simulate_trace.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+SHIPPED_SIMULATE_SHA256 = {
+    "trace.jsonl": "72e3b8d2e5760a5aa13db27ad636362f6b82bd10add93d84c080b37878392e26",
+    "trace.csv": "74512e6e8158bcac559442c5eabad0aa5b44b4b12a9f5ee838eaacd5a9e02b43",
+}
+
+
+def test_golden_simulate_shipped_config(tmp_path, capsys):
+    config = str(builtin_path("simulate_default.json"))
+    assert main(["simulate", "--config", config, "--seed", "0", "--out", str(tmp_path / "trace.jsonl")]) == 0
+    assert capsys.readouterr().out == '{"steps": 2000, "p_optimal": 0.9944226150252309}\n'
+    for name, digest in SHIPPED_SIMULATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import train_reference
 from vapokit import grpo
 from vapokit.bench import TemplateGenerator, generate_slide_text
 from vapokit.data import Sample
@@ -43,6 +46,19 @@ def test_policy_probs_normalize():
     rng = np.random.default_rng(0)
     pol = ToyPolicy(rng.normal(0, 50, NUM_TUPLES))
     assert abs(pol.probs().sum() - 1.0) < 1e-9
+
+
+def test_policy_probs_are_cached_and_read_only():
+    logits = np.linspace(-1, 1, NUM_TUPLES)
+    pol = ToyPolicy(logits)
+    probs = pol.probs()
+    assert pol.probs() is probs
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+    with pytest.raises(ValueError):
+        pol.logits[0] = 1.0  # a changed logit would leave the cached probabilities stale
+    logits[0] = 5.0  # the policy holds its own copy
+    assert pol.logits[0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +259,19 @@ def test_group_advantages_zero_mean_unit_var():
             assert a.std() == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("group_size", [2, 8, 9, 120])
+def test_group_advantages_rows_equal_single_groups(group_size):
+    # a 2-D input normalizes each row exactly as the row alone, flat rows included
+    rng = np.random.default_rng(group_size)
+    rows = rng.uniform(0, 4, size=(6, group_size))
+    rows[2] = 1.5
+    got = group_advantages(rows)
+    assert got.shape == rows.shape
+    assert not got[2].any()
+    for row, advantages in zip(rows, got):
+        assert advantages.tobytes() == group_advantages(row).tobytes()
+
+
 def test_policy_step_zero_advantages_noop():
     pol = ToyPolicy(np.linspace(-1, 1, NUM_TUPLES))
     out = policy_step(pol, [3, 9, 11], np.zeros(3), lr=0.1)
@@ -294,6 +323,49 @@ def test_train_trace_shape_and_determinism(fixture_samples):
     assert len(t1.steps) == 120
     assert [vars(s) for s in t1.steps] == [vars(s) for s in t2.steps]
     assert np.array_equal(t1.final_policy.logits, t2.final_policy.logits)
+
+
+_WEIGHT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0)
+
+
+@pytest.fixture
+def cached_reward_matrix(monkeypatch, fixture_samples, components):
+    """Patch ``grpo.reward_matrix`` to return the module's table, so each
+    example trains without rendering and scoring the 162 pairs again."""
+
+    def cached(samples):
+        assert samples == fixture_samples
+        return components
+
+    monkeypatch.setattr(grpo, "reward_matrix", cached)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    steps=st.integers(1, 300),
+    group_size=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.floats(1e-3, 5.0),
+    weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT),
+)
+@example(steps=grpo.DEAL_BLOCK_ROLLOUTS // 8, group_size=8, seed=0, lr=0.1, weights=(1.0, 1.0, 1.0, 1.0))
+@example(steps=grpo.DEAL_BLOCK_ROLLOUTS // 8 + 1, group_size=8, seed=1, lr=0.1, weights=(0.0, 0.0, 0.0, 0.0))
+@example(steps=5, group_size=grpo.DEAL_BLOCK_ROLLOUTS + 1, seed=2, lr=0.1, weights=(1.0, 1.0, 1.0, 1.0))
+def test_train_matches_the_per_step_reference(fixture_samples, cached_reward_matrix,
+                                              steps, group_size, seed, lr, weights):
+    # the blocked loop gives the per-step loop's trace and final logits bit for bit
+    config = SimConfig(steps=steps, group_size=group_size, lr=lr, seed=seed,
+                       weights=RewardWeights(*weights), samples=fixture_samples)
+    trace = train(config)
+    expected, logits = train_reference(config)
+    assert len(trace.steps) == len(expected)
+    for got, want in zip(trace.steps, expected):
+        assert got.step == want["step"]
+        assert {k: float(v).hex() for k, v in vars(got).items() if k != "step"} == {
+            k: v.hex() for k, v in want.items() if k != "step"
+        }
+    assert trace.final_policy.logits.tobytes() == logits.tobytes()
 
 
 def test_train_rejects_bad_config(fixture_samples):
@@ -368,7 +440,7 @@ def test_config_record_round_trips(tmp_path):
         )
     )
     trace = train(SimConfig.from_file(cfg))
-    trace.write_jsonl(tmp_path / "trace.jsonl")
+    trace.write(tmp_path / "trace.jsonl", tmp_path / "trace.csv")
     record = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
     again = tmp_path / "again.json"
     again.write_text(json.dumps(record["config"]))
@@ -378,8 +450,7 @@ def test_config_record_round_trips(tmp_path):
 def test_trace_files(tmp_path, fixture_samples):
     trace = train(SimConfig(steps=25, seed=2, samples=fixture_samples))
     out = tmp_path / "trace.jsonl"
-    trace.write_jsonl(out)
-    trace.write_csv(tmp_path / "trace.csv")
+    trace.write(out, tmp_path / "trace.csv")
     lines = out.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["record"] == "config" and header["seed"] == 2
