@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Build a small synthetic slide dataset and validate it.
 
-Each seed record (domain, entities, transcript, audio ref) becomes a full
-sample: slide text from the deterministic template generator, a vector slide
-rendering, and a manifest line. Rebuilds are byte-identical.
+Each seed (a Sample without a slide: domain, entities, transcript, audio
+ref) becomes a full sample: slide text from the deterministic template
+generator, a vector slide rendering, and a manifest line. Rebuilds are
+byte-identical.
 """
 
 import tempfile
@@ -16,7 +17,7 @@ seeds = read_seed_records(builtin_path("seeds_5.jsonl"))
 print(f"{len(seeds)} seed records, e.g.:")
 print("  id:        ", seeds[0].id)
 print("  entities:  ", seeds[0].entities)
-print("  transcript:", seeds[0].transcript)
+print("  transcript:", seeds[0].transcript_gt)
 
 outdir = Path(tempfile.mkdtemp(prefix="slidebench_"))
 stats = build_dataset(seeds, outdir)

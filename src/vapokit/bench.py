@@ -1,11 +1,12 @@
 """Synthetic slide-benchmark construction.
 
-Turns seed records (domain, entity list, transcript, opaque audio ref) into
-full samples: a slide-style text embedding every entity, a deterministic
-vector rendering of that text, and a line-delimited manifest with count
-statistics. The text generator is pluggable — a deterministic template by
-default, or any chat-completion endpoint — and generator output is always
-re-validated (entity coverage, word cap) regardless of source.
+Turns seeds (Samples without a slide: domain, entity list, transcript,
+opaque audio ref) into full samples: a slide-style text embedding every
+entity, a deterministic vector rendering of that text, and a line-delimited
+manifest with count statistics. The text generator is pluggable — a
+deterministic template by default, or any chat-completion endpoint — and
+generator output is always re-validated (entity coverage, word cap)
+regardless of source.
 """
 
 from __future__ import annotations
@@ -18,18 +19,7 @@ from os import environ, scandir, unlink
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .data import (
-    Sample,
-    _duration_field,
-    _entity_list,
-    _record,
-    _record_id,
-    _text_field,
-    load_json,
-    read_jsonl,
-    reject_repeated_ids,
-    write_jsonl,
-)
+from .data import Sample, _as_number, load_json, read_jsonl, reject_repeated_ids, write_jsonl
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -75,14 +65,14 @@ def word_count(text: str) -> int:
 # both on every row, so a built manifest always validates.
 
 
-def _seed_violations(transcript: str, entities: Sequence[str], domain: str) -> list[tuple[str, str]]:
+def _seed_violations(sample: Sample) -> list[tuple[str, str]]:
     problems = []
-    spoken = normalize_tokenize(transcript)
+    spoken = normalize_tokenize(sample.transcript_gt)
     if not spoken:
         problems.append(("empty-transcript", "no transcript tokens"))
-    if not entities and domain != "general":
-        problems.append(("no-entities", f"domain {domain!r} requires entities"))
-    for surface in entities:
+    if not sample.entities and sample.domain != "general":
+        problems.append(("no-entities", f"domain {sample.domain!r} requires entities"))
+    for surface in sample.entities:
         needle = normalize_tokenize(surface)
         if not needle:
             problems.append(("empty-entity", repr(surface)))
@@ -136,14 +126,19 @@ class RemoteGenerator:
 
     Endpoint, model name, and timeout come from the constructor or from
     VAPOKIT_GENERATOR_URL / VAPOKIT_GENERATOR_MODEL / VAPOKIT_GENERATOR_TIMEOUT_S.
+    A timeout that is not a finite number > 0 is "bad-config".
     """
 
     def __init__(self, url: str | None = None, model: str | None = None, timeout_s: float | None = None):
         self.url = url or environ.get("VAPOKIT_GENERATOR_URL", "")
         self.model = model or environ.get("VAPOKIT_GENERATOR_MODEL", "")
+        name = "timeout_s"
         if timeout_s is None:
-            timeout_s = float(environ.get("VAPOKIT_GENERATOR_TIMEOUT_S", "30"))
-        self.timeout_s = timeout_s
+            name = "VAPOKIT_GENERATOR_TIMEOUT_S"
+            timeout_s = environ.get(name, "30")
+        self.timeout_s = _as_number(timeout_s, float, "bad-config", name)
+        if not 0 < self.timeout_s < math.inf:
+            raise ToolkitError("bad-config", f"{name} must be finite and > 0, got {timeout_s!r:.80}")
 
     def __call__(self, domain: str, entities: Sequence[str]) -> tuple[str, str]:
         # Imported here: urllib.request loads http.client, ssl and email, which
@@ -186,8 +181,6 @@ def generate_slide_text(
     The title's whitespace runs become single spaces, so the title is one
     line of the manifest's ``slide_text``.
     """
-    if not entities:
-        raise ToolkitError("no-entities", "slide generation needs at least one entity")
     if generator is None:
         generator = TemplateGenerator()
     problems: list[tuple[str, str]] = []
@@ -292,32 +285,19 @@ def render_slide(slide: SlideText, out_path: str | Path) -> tuple[LayoutLine, ..
 # dataset assembly and validation
 
 
-@dataclass
-class SeedRecord:
-    id: str
-    domain: str
-    transcript: str
-    entities: list[str]
-    lang: str = "en"
-    audio_ref: str = ""
-    duration_s: float | None = None
+def read_seed_records(path: str | Path) -> list[Sample]:
+    """One Sample without a slide per seed record.
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeedRecord":
-        _record(d)
-        return cls(
-            id=_record_id(d),
-            domain=_text_field(d, "domain"),
-            transcript=_text_field(d, "transcript" if "transcript" in d else "transcript_gt"),
-            entities=_entity_list(d),
-            lang=_text_field(d, "lang", "en"),
-            audio_ref=_text_field(d, "audio_ref"),
-            duration_s=_duration_field(d),
-        )
-
-
-def read_seed_records(path: str | Path) -> list[SeedRecord]:
-    return [SeedRecord.from_dict(d) for d in read_jsonl(path)]
+    A seed's ``transcript`` key is read as ``transcript_gt`` and wins when a
+    record has both. Slide fields are parsed like a dataset record's, and
+    ``build_dataset`` replaces them.
+    """
+    seeds = []
+    for d in read_jsonl(path):
+        if isinstance(d, dict) and "transcript" in d:
+            d["transcript_gt"] = d["transcript"]
+        seeds.append(Sample.from_dict(d))
+    return seeds
 
 
 def _slide_ref(record_id: str) -> str:
@@ -329,12 +309,13 @@ def _slide_ref(record_id: str) -> str:
 
 
 def build_dataset(
-    seed_records: Sequence[SeedRecord],
+    seeds: Sequence[Sample],
     outdir: str | Path,
     generator: TextGenerator | None = None,
 ) -> dict:
-    """Build one Sample per seed record under ``outdir``; returns the stats.
+    """Build one Sample per seed under ``outdir``; returns the stats.
 
+    A manifest row is its seed with ``slide_text`` and ``slide_image_ref`` set.
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
     A seed that breaks a sample invariant goes to errors.jsonl with its first
     violation's code before the generator is called, and so does a record
@@ -345,34 +326,22 @@ def build_dataset(
     Seed ids must be unique: a repeated id raises "duplicate-id" before
     anything is written.
     """
-    reject_repeated_ids(seed_records, "seeds")
+    reject_repeated_ids(seeds, "seeds")
     outdir = Path(outdir)
     (outdir / "slides").mkdir(parents=True, exist_ok=True)
     entries: list[Sample] = []
     failures: list[dict] = []
-    for rec in seed_records:
+    for seed in seeds:
         try:
-            image_rel = _slide_ref(rec.id)
-            problems = _seed_violations(rec.transcript, rec.entities, rec.domain)
+            image_rel = _slide_ref(seed.id)
+            problems = _seed_violations(seed)
             if problems:
                 raise ToolkitError(*problems[0])
-            slide = generate_slide_text(rec.domain, rec.entities, generator)
+            slide = generate_slide_text(seed.domain, seed.entities, generator)
             render_slide(slide, outdir / image_rel)
-            entries.append(
-                Sample(
-                    id=rec.id,
-                    domain=rec.domain,
-                    lang=rec.lang,
-                    slide_text=slide.full_text(),
-                    transcript_gt=rec.transcript,
-                    entities=list(rec.entities),
-                    audio_ref=rec.audio_ref,
-                    slide_image_ref=image_rel,
-                    duration_s=rec.duration_s,
-                )
-            )
+            entries.append(Sample(**{**vars(seed), "slide_text": slide.full_text(), "slide_image_ref": image_rel}))
         except ToolkitError as e:
-            failures.append({"id": rec.id, "code": e.code, "detail": str(e)})
+            failures.append({"id": seed.id, "code": e.code, "detail": str(e)})
     entity_count = sum(len(s.entities) for s in entries)
     hours = None
     if entries and all(s.duration_s is not None for s in entries):
@@ -430,8 +399,7 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
         entity_count += len(sample.entities)
         title, newline, body = sample.slide_text.partition("\n")
         slide = SlideText(title, body) if newline else SlideText("", title)
-        problems = _seed_violations(sample.transcript_gt, sample.entities, sample.domain)
-        problems += _slide_violations(slide, sample.entities)
+        problems = _seed_violations(sample) + _slide_violations(slide, sample.entities)
         violations.extend({"id": sample.id, "code": code, "detail": detail} for code, detail in problems)
     stats_path = manifest_path.parent / "stats.json"
     if stats_path.exists():

@@ -16,7 +16,6 @@ from oracles import _REFERENCE_CJK, reference_word_count, reference_wrap, refere
 from vapokit.bench import (
     MAX_BODY_WORDS,
     RemoteGenerator,
-    SeedRecord,
     SlideText,
     TemplateGenerator,
     _wrap,
@@ -30,7 +29,7 @@ from vapokit.bench import (
     validate_manifest,
     word_count,
 )
-from vapokit.data import builtin_path, read_jsonl
+from vapokit.data import Sample, builtin_path, read_jsonl
 from vapokit.errors import ToolkitError
 
 
@@ -93,12 +92,6 @@ def test_template_generator_closed_loop_random():
             entities.append(" ".join(words))
         slide = generate_slide_text("field-" + rng.choice(syllables), entities)
         assert isinstance(slide, SlideText)  # validation passed inside
-
-
-def test_generate_requires_entities():
-    with pytest.raises(ToolkitError) as exc:
-        generate_slide_text("medicine", [])
-    assert exc.value.code == "no-entities"
 
 
 class FlakyGenerator:
@@ -215,6 +208,14 @@ def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypa
     assert len(_ChatHandler.seen) == 3
 
 
+@pytest.mark.parametrize("timeout_s", [0, -1, float("nan"), float("inf"), "abc", True])
+def test_remote_generator_rejects_a_timeout_that_is_not_finite_and_positive(timeout_s):
+    with pytest.raises(ToolkitError) as exc:
+        RemoteGenerator(url="http://127.0.0.1:9/nothing", model="m", timeout_s=timeout_s)
+    assert exc.value.code == "bad-config" and "timeout_s" in str(exc.value)
+    assert RemoteGenerator(timeout_s="2.5").timeout_s == 2.5
+
+
 # ---------------------------------------------------------------------------
 # layout and svg
 
@@ -285,12 +286,18 @@ def test_render_slide_writes_file(tmp_path):
 # dataset build and validation
 
 
-def _seed(idx: int, entities: list[str], transcript: str | None = None) -> SeedRecord:
-    return SeedRecord(
-        id=f"b{idx}",
-        domain="medicine",
-        transcript=transcript or ("talk about " + " and ".join(entities) + " in clinics today"),
-        entities=entities,
+def _seed_sample(rid: str, domain: str, transcript: str, entities: list[str], audio_ref: str = "") -> Sample:
+    """A seed: a Sample without a slide."""
+    return Sample(id=rid, domain=domain, lang="en", slide_text="", transcript_gt=transcript,
+                  entities=entities, audio_ref=audio_ref)
+
+
+def _seed(idx: int, entities: list[str], transcript: str | None = None) -> Sample:
+    return _seed_sample(
+        f"b{idx}",
+        "medicine",
+        transcript or ("talk about " + " and ".join(entities) + " in clinics today"),
+        entities,
         audio_ref=f"audio/b{idx}.wav",
     )
 
@@ -318,11 +325,51 @@ def test_build_dataset_empty(tmp_path):
 
 
 def test_build_dataset_error_sidecar(tmp_path):
-    seeds = [_seed(0, ["aspirin"]), SeedRecord(id="bad", domain="medicine", transcript="x", entities=[]), _seed(2, ["warfarin"])]
+    seeds = [_seed(0, ["aspirin"]), _seed_sample("bad", "medicine", "x", []), _seed(2, ["warfarin"])]
     stats = build_dataset(seeds, tmp_path)
     assert stats["samples"] == 2
     errors = read_jsonl(tmp_path / "errors.jsonl")
     assert len(errors) == 1 and errors[0]["id"] == "bad" and errors[0]["code"] == "no-entities"
+
+
+def test_general_seed_without_entities_builds_and_validates(tmp_path):
+    seed = _seed_sample("g", "general", "hello world today", [])
+    assert build_dataset([seed], tmp_path)["samples"] == 1
+    (row,) = read_jsonl(tmp_path / "manifest.jsonl")
+    assert row["slide_text"] == "General Overview\nA short review of current general practice and terminology."
+    assert validate_manifest(tmp_path / "manifest.jsonl").violations == []
+
+
+def test_seed_records_read_transcript_as_transcript_gt(tmp_path):
+    path = tmp_path / "seeds.jsonl"
+    rows = [
+        {"id": "a", "domain": "medicine", "transcript": "spoken", "entities": []},
+        {"id": "b", "domain": "medicine", "transcript": "spoken", "transcript_gt": "ignored"},
+        {"id": "c", "domain": "medicine", "transcript_gt": "kept", "slide_text": "", "slide_image_ref": None},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    seeds = read_seed_records(path)
+    assert all(isinstance(s, Sample) for s in seeds)
+    assert [s.transcript_gt for s in seeds] == ["spoken", "spoken", "kept"]
+    assert [(s.slide_text, s.slide_image_ref) for s in seeds] == [("", None)] * 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": "a", "transcript": "talk", "slide_text": 5}',
+        '{"id": "a", "transcript": "talk", "slide_image_ref": ["x.svg"]}',
+        '{"id": "a", "transcript": 5}',
+        '["transcript"]',
+        '"transcript"',
+    ],
+)
+def test_seed_with_a_mistyped_field_is_bad_record(tmp_path, line):
+    path = tmp_path / "seeds.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ToolkitError) as exc:
+        read_seed_records(path)
+    assert exc.value.code == "bad-record"
 
 
 def test_build_dataset_hours_when_durations_known(tmp_path):
@@ -399,6 +446,18 @@ def test_validate_manifest_unreadable(tmp_path):
     assert exc.value.code == "manifest-parse"
 
 
+def test_validate_manifest_reports_a_body_over_the_word_cap(tmp_path):
+    body = "aspirin " + " ".join(["word"] * MAX_BODY_WORDS)
+    row = {"id": "w", "domain": "medicine", "slide_text": "Title\n" + body,
+           "transcript_gt": "talk about aspirin", "entities": ["aspirin"]}
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    report = validate_manifest(path)
+    assert [(v["id"], v["code"], v["detail"]) for v in report.violations] == [
+        ("w", "body-too-long", f"{MAX_BODY_WORDS + 1} words (cap {MAX_BODY_WORDS})")
+    ]
+
+
 def test_bundled_seed_sets():
     seeds = read_seed_records(builtin_path("seeds_60.jsonl"))
     assert len(seeds) == 60
@@ -428,10 +487,10 @@ class CountingGenerator(TemplateGenerator):
 @pytest.mark.parametrize(
     "seed, code",
     [
-        (SeedRecord(id="p", domain="medicine", transcript="aspirin !!!", entities=["aspirin", "!!!"]), "empty-entity"),
-        (SeedRecord(id="p", domain="medicine", transcript="talk", entities=["aspirin"]), "entity-not-in-transcript"),
-        (SeedRecord(id="p", domain="medicine", transcript=" ... ", entities=["aspirin"]), "empty-transcript"),
-        (SeedRecord(id="p", domain="", transcript="talk", entities=[]), "no-entities"),
+        (_seed_sample("p", "medicine", "aspirin !!!", ["aspirin", "!!!"]), "empty-entity"),
+        (_seed_sample("p", "medicine", "talk", ["aspirin"]), "entity-not-in-transcript"),
+        (_seed_sample("p", "medicine", " ... ", ["aspirin"]), "empty-transcript"),
+        (_seed_sample("p", "", "talk", []), "no-entities"),
     ],
 )
 def test_seed_that_breaks_an_invariant_is_rejected_before_generation(tmp_path, seed, code):
@@ -444,11 +503,23 @@ def test_seed_that_breaks_an_invariant_is_rejected_before_generation(tmp_path, s
 
 def test_multiline_domain_at_the_word_cap_builds_and_validates(tmp_path):
     entities = [f"term{i}" for i in range(59)]
-    seed = SeedRecord(id="m", domain="x\ny", transcript=" ".join(entities), entities=entities)
+    seed = _seed_sample("m", "x\ny", " ".join(entities), entities)
     assert build_dataset([seed], tmp_path)["samples"] == 1
     assert word_count(read_jsonl(tmp_path / "manifest.jsonl")[0]["slide_text"].split("\n", 1)[1]) == 149
     report = validate_manifest(tmp_path / "manifest.jsonl")
     assert report.ok, report.violations
+
+
+def test_seed_over_the_word_cap_is_generation_invalid(tmp_path):
+    # 100 entities make a 244-word template body: 9 words of preamble, 33
+    # sentences of 3 entities (7 words each), and one of 1 entity (4 words)
+    entities = [f"term{i}" for i in range(100)]
+    gen = CountingGenerator()
+    stats = build_dataset([_seed_sample("w", "medicine", " ".join(entities), entities)], tmp_path, gen)
+    assert stats["samples"] == 0 and gen.calls == 3
+    assert read_jsonl(tmp_path / "errors.jsonl") == [
+        {"id": "w", "code": "generation-invalid", "detail": "body-too-long: 244 words (cap 150)"}
+    ]
 
 
 _WORDS = ["aspirin", "warfarin", "keth", "字", "Zal-Pra", "tor"]
@@ -464,7 +535,7 @@ def _seed_sets(draw):
         spoken = " ".join(e for e in entities if e not in ("absent", "not spoken"))
         transcript = draw(st.sampled_from(["", " !! ", spoken, "talk about " + spoken]))
         domain = draw(st.sampled_from(["", "general", "medicine", "a  b", "x\ny", " \t x \n\n y-z "]))
-        seeds.append(SeedRecord(id=f"s{i}", domain=domain, transcript=transcript, entities=entities))
+        seeds.append(_seed_sample(f"s{i}", domain, transcript, entities))
     return seeds
 
 

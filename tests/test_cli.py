@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -509,6 +510,8 @@ def test_report_unexpected_json_is_error_record(tmp_path, capsys, payload, code)
     '{"lambda_ocr": 1e999}',
     '{"lambda_format": 1e308, "lambda_ocr": 1e308}',
     "lambda_asr=1.5e308\nlambda_va=1.5e308\n",
+    '{"lambda_ocr": 1',
+    "lambda_ocr 2\n",
 ])
 def test_reward_non_numeric_weight_is_bad_weights(tmp_path, corpus, capsys, weights):
     samples, dataset = corpus
@@ -823,3 +826,89 @@ def test_simulate_unusable_out_directory_fails_before_training(tmp_path, capsys,
     config.write_text('{"steps": 3}')
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 1
     assert _error_code(capsys) == "bad-out"
+
+
+@pytest.mark.parametrize("timeout", ["abc", "inf", "nan", "-1", "0"])
+def test_build_bad_generator_timeout_is_one_bad_config_record(tmp_path, capsys, monkeypatch, timeout):
+    monkeypatch.setenv("VAPOKIT_GENERATOR_URL", "http://127.0.0.1:9/nothing")
+    monkeypatch.setenv("VAPOKIT_GENERATOR_TIMEOUT_S", timeout)
+    outdir = tmp_path / "built"
+    argv = ["build", "--seeds", str(builtin_path("seeds_5.jsonl")), "--outdir", str(outdir), "--generator", "remote"]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "bad-config" and "VAPOKIT_GENERATOR_TIMEOUT_S" in err["detail"]
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, field, code", [("score", "transcript_gt", "undefined-wer"),
+                                                  ("detect", "slide_text", "no-slide")])
+def test_record_without_tokens_is_one_error_record(tmp_path, corpus, capsys, command, field, code):
+    samples, _ = corpus
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [samples[0] | {field: " ... "}])
+    hyp = tmp_path / "h.jsonl"
+    write_jsonl(hyp, [{"id": "c0", "text": "aspirin"}])
+    out = tmp_path / "o.json"
+    assert main([command, "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == code
+    assert not out.exists()
+
+
+def test_reward_empty_weights_file_uses_the_default_weights(tmp_path, corpus):
+    samples, dataset = corpus
+    rollouts = tmp_path / "r.jsonl"
+    write_jsonl(rollouts, [{"id": s["id"], "text": serialize_structured(s["slide_text"], s["transcript_gt"])}
+                           for s in samples])
+    weights = tmp_path / "w.cfg"
+    weights.write_text(" \n")
+    out = tmp_path / "o.json"
+    assert main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
+                 "--weights", str(weights), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["weights"] == {"lambda_format": 1.0, "lambda_ocr": 1.0, "lambda_asr": 1.0, "lambda_va": 1.0}
+    assert payload["mean_total"] == 4.0
+
+
+def test_reward_weights_directory_is_one_bad_weights_record(tmp_path, corpus, capsys):
+    samples, dataset = corpus
+    rollouts = tmp_path / "r.jsonl"
+    write_jsonl(rollouts, [{"id": s["id"], "text": "<think>x</think><answer>y</answer>"} for s in samples])
+    (tmp_path / "w").mkdir()
+    out = tmp_path / "o.json"
+    assert main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
+                 "--weights", str(tmp_path / "w"), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "bad-weights"
+    assert not out.exists()
+
+
+def test_report_tsv_of_detect_output_prints_booleans_in_lower_case(tmp_path, corpus, capsys):
+    samples, dataset = corpus
+    hyp = tmp_path / "h.jsonl"
+    write_jsonl(hyp, [{"id": s["id"], "text": s["slide_text"] if s["id"] == "c0" else s["transcript_gt"]}
+                      for s in samples])
+    out = tmp_path / "detect.json"
+    assert main(["detect", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(out)]) == 0
+    assert main(["report", "--in", str(out), "--format", "tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    column = lines[0].split("\t").index("ocr_behavior")
+    assert [line.split("\t")[column] for line in lines[1:]] == ["true", "false", "false"]
+
+
+# Codes that only library calls can raise: no command reaches them.
+_LIBRARY_ONLY_CODES = {"degenerate-group", "no-keywords"}
+
+
+def test_readme_names_every_error_code():
+    root = Path(__file__).resolve().parent.parent
+    codes = set()
+    for path in (root / "src" / "vapokit").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        codes.update(re.findall(r'ToolkitError\(\s*"([^"]+)"', text))
+        codes.update(re.findall(r'problems\.append\(\(\s*"([^"]+)"', text))
+    assert {"bad-record", "body-too-long", "sample-too-small"} <= codes  # the patterns still match
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    missing = sorted(c for c in codes - _LIBRARY_ONLY_CODES if f"`{c}`" not in readme)
+    assert missing == []

@@ -144,6 +144,20 @@ def test_total_reward_malformed_zeroes_content(sample):
     assert "malformed-format" in b.diagnostics
 
 
+def test_total_reward_disjoint_anchors_score_no_va(sample):
+    # the think block anchors aspirin, the answer holds only warfarin: F1 0
+    b = total_reward(sample, serialize_structured("s1 aspirin", "t1 warfarin"))
+    assert b.anchored_entities == ["aspirin"]
+    assert b.r_format == 1 and b.r_va == 0.0
+
+
+def test_total_reward_empty_transcript_is_a_diagnostic(sample):
+    sample.transcript_gt = " ... "
+    b = total_reward(sample, serialize_structured(sample.slide_text, "t1 aspirin warfarin"))
+    assert b.diagnostics == ["empty-transcript"]
+    assert b.r_asr == 0.0 and b.r_ocr == 1.0
+
+
 def test_total_reward_monotone_answer_corruption(sample):
     answer = sample.transcript_gt
     raw = serialize_structured(sample.slide_text, answer)
