@@ -11,15 +11,13 @@ regardless of source.
 
 from __future__ import annotations
 
-import html
 import json
 import math
-from dataclasses import dataclass, field
 from os import environ, scandir, unlink
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .data import Sample, _as_number, load_json, read_jsonl, reject_repeated_ids, write_jsonl
+from .data import Record, Sample, _as_number, load_json, read_jsonl, reject_repeated_ids, write_jsonl
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -33,8 +31,7 @@ GENERATION_ATTEMPTS = 3
 TextGenerator = Callable[[str, Sequence[str]], tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class SlideText:
+class SlideText(NamedTuple):
     title: str
     body: str
 
@@ -126,11 +123,14 @@ class RemoteGenerator:
 
     Endpoint, model name, and timeout come from the constructor or from
     VAPOKIT_GENERATOR_URL / VAPOKIT_GENERATOR_MODEL / VAPOKIT_GENERATOR_TIMEOUT_S.
-    A timeout that is not a finite number > 0 is "bad-config".
+    A missing endpoint, or a timeout that is not a finite number > 0, is
+    "bad-config", raised once here rather than once per record.
     """
 
     def __init__(self, url: str | None = None, model: str | None = None, timeout_s: float | None = None):
         self.url = url or environ.get("VAPOKIT_GENERATOR_URL", "")
+        if not self.url:
+            raise ToolkitError("bad-config", "no generator endpoint: pass url or set VAPOKIT_GENERATOR_URL")
         self.model = model or environ.get("VAPOKIT_GENERATOR_MODEL", "")
         name = "timeout_s"
         if timeout_s is None:
@@ -145,8 +145,6 @@ class RemoteGenerator:
         # no offline command needs.
         import urllib.request
 
-        if not self.url:
-            raise ToolkitError("generator-unreachable", "no generator URL configured")
         prompt = SLIDE_TEXT_PROMPT.format(domain, ", ".join(entities))
         payload = json.dumps(
             {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
@@ -207,8 +205,7 @@ _TITLE_BODY_GAP = 24
 _FONT_PX = {"title": 36, "body": 18}
 
 
-@dataclass(frozen=True)
-class LayoutLine:
+class LayoutLine(NamedTuple):
     text: str
     size_class: str  # "title" | "body"
     y: int
@@ -267,9 +264,10 @@ def slide_svg(layout: Sequence[LayoutLine]) -> bytes:
     ]
     for line in layout:
         px = _FONT_PX[line.size_class]
+        text = line.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_MARGIN_X}" y="{line.y}" font-family="monospace" '
-            f'font-size="{px}">{html.escape(line.text, quote=False)}</text>'
+            f'font-size="{px}">{text}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
@@ -363,11 +361,11 @@ def build_dataset(
     return stats
 
 
-@dataclass
-class ValidationReport:
-    samples: int
-    entities: int
-    violations: list[dict] = field(default_factory=list)
+class ValidationReport(Record):
+    def __init__(self, samples: int, entities: int, violations: list[dict] | None = None):
+        self.samples = samples
+        self.entities = entities
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

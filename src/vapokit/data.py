@@ -6,7 +6,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -14,26 +13,57 @@ from typing import Iterable, Sequence
 from .errors import ToolkitError
 
 
-@dataclass
-class Sample:
+class Record:
+    """Equality and repr over the instance attributes, in assignment order.
+
+    The mutable records subclass it instead of being dataclasses, because
+    importing ``dataclasses`` (and with it ``inspect``) and processing the
+    class bodies would make up most of the CLI's import time. Each record's
+    ``__init__`` assigns its fields in declaration order, so ``vars(record)``
+    lists them in that order.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Sample(Record):
     """One slide-ASR instance.
 
     ``audio_ref`` and ``slide_image_ref`` are opaque references; nothing in
     this toolkit reads audio or raster images.
     """
 
-    id: str
-    domain: str
-    lang: str  # "en" | "zh"
-    slide_text: str
-    transcript_gt: str
-    entities: list[str] = field(default_factory=list)
-    audio_ref: str = ""
-    slide_image_ref: str | None = None
-    duration_s: float | None = None
+    def __init__(
+        self,
+        id: str,
+        domain: str,
+        lang: str,  # "en" | "zh"
+        slide_text: str,
+        transcript_gt: str,
+        entities: list[str] | None = None,
+        audio_ref: str = "",
+        slide_image_ref: str | None = None,
+        duration_s: float | None = None,
+    ):
+        self.id = id
+        self.domain = domain
+        self.lang = lang
+        self.slide_text = slide_text
+        self.transcript_gt = transcript_gt
+        self.entities = [] if entities is None else entities
+        self.audio_ref = audio_ref
+        self.slide_image_ref = slide_image_ref
+        self.duration_s = duration_s
 
     def to_dict(self) -> dict:
-        # A shallow copy in field order: asdict would deep-copy the entity list.
+        # A shallow copy in field order, with its own entity list.
         d = dict(vars(self))
         d["entities"] = list(self.entities)
         if d["slide_image_ref"] is None:
@@ -60,12 +90,12 @@ class Sample:
         )
 
 
-@dataclass
-class Hypothesis:
+class Hypothesis(Record):
     """A model output paired to a sample by id."""
 
-    id: str
-    text: str
+    def __init__(self, id: str, text: str):
+        self.id = id
+        self.text = text
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hypothesis":

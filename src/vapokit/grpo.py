@@ -43,11 +43,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .data import Sample, _as_number, load_json, read_samples, resolve_data_path
+from .data import Record, Sample, _as_number, load_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
@@ -61,8 +60,7 @@ if TYPE_CHECKING:
 GRADES = (0.0, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class BehaviorTuple:
+class BehaviorTuple(NamedTuple):
     format_ok: bool
     ocr_level: float
     asr_level: float
@@ -276,15 +274,24 @@ def policy_step(policy: ToyPolicy, indices: Sequence[int], advantages: Sequence[
 # training loop
 
 
-@dataclass
-class SimConfig:
-    steps: int = 2000
-    group_size: int = 8
-    lr: float = 0.1
-    seed: int = 0
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    samples: list[Sample] = field(default_factory=list)
-    samples_ref: str = "builtin:grpo_samples.jsonl"
+class SimConfig(Record):
+    def __init__(
+        self,
+        steps: int = 2000,
+        group_size: int = 8,
+        lr: float = 0.1,
+        seed: int = 0,
+        weights: RewardWeights | None = None,
+        samples: list[Sample] | None = None,
+        samples_ref: str = "builtin:grpo_samples.jsonl",
+    ):
+        self.steps = steps
+        self.group_size = group_size
+        self.lr = lr
+        self.seed = seed
+        self.weights = RewardWeights() if weights is None else weights
+        self.samples = [] if samples is None else samples
+        self.samples_ref = samples_ref
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimConfig":
@@ -295,21 +302,22 @@ class SimConfig:
             raise ToolkitError("bad-config", f"cannot load config {path}: {e}") from e
         if not isinstance(raw, dict):
             raise ToolkitError("bad-config", f"config {path} is not a JSON object")
-        unknown = set(raw) - set(cls().snapshot())
+        default = cls()
+        unknown = set(raw) - set(default.snapshot())
         if unknown:
             raise ToolkitError("bad-config", f"unknown config keys: {sorted(unknown)}")
         weights = RewardWeights.from_mapping(raw.get("weights", {}))
-        samples_ref = raw.get("samples", cls.samples_ref)
+        samples_ref = raw.get("samples", default.samples_ref)
         if not isinstance(samples_ref, str):
             raise ToolkitError("bad-config", f"samples must be a path string, got {samples_ref!r:.80}")
         samples = read_samples(resolve_data_path(samples_ref))
         if not samples:
             raise ToolkitError("bad-config", f"no samples in {samples_ref}")
         return cls(
-            steps=_as_number(raw.get("steps", cls.steps), int, "bad-config", "steps"),
-            group_size=_as_number(raw.get("group_size", cls.group_size), int, "bad-config", "group_size"),
-            lr=_as_number(raw.get("lr", cls.lr), float, "bad-config", "lr"),
-            seed=_as_number(raw.get("seed", cls.seed), int, "bad-config", "seed"),
+            steps=_as_number(raw.get("steps", default.steps), int, "bad-config", "steps"),
+            group_size=_as_number(raw.get("group_size", default.group_size), int, "bad-config", "group_size"),
+            lr=_as_number(raw.get("lr", default.lr), float, "bad-config", "lr"),
+            seed=_as_number(raw.get("seed", default.seed), int, "bad-config", "seed"),
             weights=weights,
             samples=samples,
             samples_ref=samples_ref,
@@ -326,24 +334,38 @@ class SimConfig:
         }
 
 
-@dataclass
-class TraceStep:
-    step: int
-    mean_reward: float  # mean over the sampled group
-    expected_reward: float  # exact expectation under the current policy
-    mean_format: float
-    mean_ocr: float
-    mean_asr: float
-    mean_va: float
-    p_optimal: float
+class TraceStep(Record):
+    # The trace columns, in the order ``__init__`` assigns them.
+    _fields = ("step", "mean_reward", "expected_reward", "mean_format", "mean_ocr", "mean_asr", "mean_va",
+               "p_optimal")
+
+    def __init__(
+        self,
+        step: int,
+        mean_reward: float,  # mean over the sampled group
+        expected_reward: float,  # exact expectation under the current policy
+        mean_format: float,
+        mean_ocr: float,
+        mean_asr: float,
+        mean_va: float,
+        p_optimal: float,
+    ):
+        self.step = step
+        self.mean_reward = mean_reward
+        self.expected_reward = expected_reward
+        self.mean_format = mean_format
+        self.mean_ocr = mean_ocr
+        self.mean_asr = mean_asr
+        self.mean_va = mean_va
+        self.p_optimal = p_optimal
 
 
-@dataclass
-class TrainTrace:
-    steps: list[TraceStep]
-    seed: int
-    config: dict
-    final_policy: ToyPolicy
+class TrainTrace(Record):
+    def __init__(self, steps: list[TraceStep], seed: int, config: dict, final_policy: ToyPolicy):
+        self.steps = steps
+        self.seed = seed
+        self.config = config
+        self.final_policy = final_policy
 
     @property
     def final(self) -> TraceStep:
@@ -358,7 +380,7 @@ class TrainTrace:
         is finite, because a reward spread that overflows stops training with
         "numerical".
         """
-        names = [column.name for column in fields(TraceStep)]
+        names = TraceStep._fields
         jsonl_step = '{"record": "step", ' + ", ".join(f'"{name}": %s' for name in names) + "}\n"
         csv_step = ",".join(["%s"] * len(names)) + "\r\n"  # csv's default line terminator
         with open(jsonl_path, "w", encoding="utf-8") as jsonl_file, \

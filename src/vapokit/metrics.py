@@ -19,9 +19,9 @@ and traces back, reading each DP cell from its column's popcounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from .data import Record
 from .errors import ToolkitError
 from .textnorm import normalize_tokenize
 
@@ -70,8 +70,7 @@ def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> 
     return len(b) + vp.bit_count() - vn.bit_count()
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Minimum-cost token alignment with per-op trace.
 
     Satisfies hits + substitutions + deletions == len(reference) and
@@ -150,32 +149,36 @@ def wer(reference, hypothesis) -> float:
 # entity references and fuzzy matching
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class _EntityFields(NamedTuple):
+    surface: str
+    tokens: tuple[str, ...]
+
+
+class EntityRef(_EntityFields):
     """A keyword/entity surface with its tokenization.
 
     The edit budget follows from the token count alone: a single-token
     entity may be one character edit away, a longer one must match exactly.
+    An entity without tokens is "empty-entity".
     """
 
-    surface: str
-    tokens: tuple[str, ...]
+    __slots__ = ()
+
+    def __new__(cls, surface: str, tokens: tuple[str, ...]) -> "EntityRef":
+        if not tokens:
+            raise ToolkitError("empty-entity", f"entity normalizes to nothing: {surface!r}")
+        return tuple.__new__(cls, (surface, tokens))
 
     @property
     def token_count(self) -> int:
         return len(self.tokens)
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ToolkitError("empty-entity", f"entity normalizes to nothing: {self.surface!r}")
 
     @classmethod
     def from_surface(cls, surface: str) -> "EntityRef":
         return cls(surface=surface, tokens=normalize_tokenize(surface))
 
 
-@dataclass(frozen=True)
-class FuzzyMatch:
+class FuzzyMatch(NamedTuple):
     start: int
     stop: int  # exclusive token index
     distance: int  # 0 or 1
@@ -229,12 +232,18 @@ def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int 
 
 
 def _keyword_spans(ref: tuple[str, ...], keywords: Sequence[EntityRef]) -> list[tuple[int, int, EntityRef]]:
-    """Greedy leftmost-longest, non-overlapping keyword spans in ``ref``."""
-    by_len = sorted(((len(e.tokens), e) for e in keywords), key=lambda pair: -pair[0])
+    """Greedy leftmost-longest, non-overlapping keyword spans in ``ref``.
+
+    The keywords are indexed by first token, longest first (ties in list
+    order), so each position tries only the keywords that can start there.
+    """
+    by_first: dict[str, list[tuple[int, EntityRef]]] = {}
+    for ent in sorted(keywords, key=lambda e: -len(e.tokens)):
+        by_first.setdefault(ent.tokens[0], []).append((len(ent.tokens), ent))
     spans: list[tuple[int, int, EntityRef]] = []
     i = 0
     while i < len(ref):
-        for k, ent in by_len:
+        for k, ent in by_first.get(ref[i], ()):
             if ref[i : i + k] == ent.tokens:
                 spans.append((i, i + k, ent))
                 i += k
@@ -287,24 +296,32 @@ def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tup
 
 
 def _recall_counts(hyp, spans: Sequence[tuple[int, int, EntityRef]]) -> tuple[int, int]:
-    """(occurrences reproduced verbatim in ``hyp``, occurrences) of the reference's keyword ``spans``."""
+    """(occurrences reproduced verbatim in ``hyp``, occurrences) of the reference's keyword ``spans``.
+
+    Each keyword takes its leftmost non-overlapping occurrences in ``hyp``, up
+    to its count in the reference; the candidates are the positions of its
+    first token, indexed in one pass over ``hyp``.
+    """
     occurrences: dict[tuple[str, ...], int] = {}
     for _, _, ent in spans:
         occurrences[ent.tokens] = occurrences.get(ent.tokens, 0) + 1
+    starts: dict[str, list[int]] = {needle[0]: [] for needle in occurrences}
+    for j, tok in enumerate(hyp):
+        if tok in starts:
+            starts[tok].append(j)
     recalled = 0
-    total = 0
     for needle, count in occurrences.items():
-        total += count
+        k = len(needle)
         found = 0
-        pos = 0
-        while found < count:
-            pos = _find_exact_span(needle, hyp, pos)
-            if pos < 0:
-                break
-            found += 1
-            pos += len(needle)
+        free = 0  # the first hypothesis position no earlier occurrence covers
+        for j in starts[needle[0]]:
+            if j >= free and hyp[j : j + k] == needle:
+                found += 1
+                if found == count:
+                    break
+                free = j + k
         recalled += found
-    return recalled, total
+    return recalled, len(spans)
 
 
 def keyword_recall(reference, hypothesis, keywords: Iterable[EntityRef]) -> float | None:
@@ -365,8 +382,7 @@ def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
 ALL_METRICS = ("wer", "bwer", "uwer", "recall", "newer", "nefnr")
 
 
-@dataclass
-class MetricReport:
+class MetricReport(Record):
     """Metric values plus the raw tallies they were derived from.
 
     Values are ``_ratios(counts)``, for one sample and for a corpus aggregate
@@ -374,13 +390,23 @@ class MetricReport:
     (empty reference partition, no entities) are None.
     """
 
-    wer: float | None = None
-    b_wer: float | None = None
-    u_wer: float | None = None
-    recall: float | None = None
-    ne_wer: float | None = None
-    ne_fnr: float | None = None
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        wer: float | None = None,
+        b_wer: float | None = None,
+        u_wer: float | None = None,
+        recall: float | None = None,
+        ne_wer: float | None = None,
+        ne_fnr: float | None = None,
+        counts: dict[str, dict[str, int]] | None = None,
+    ):
+        self.wer = wer
+        self.b_wer = b_wer
+        self.u_wer = u_wer
+        self.recall = recall
+        self.ne_wer = ne_wer
+        self.ne_fnr = ne_fnr
+        self.counts = {} if counts is None else counts
 
     def as_dict(self) -> dict:
         return {

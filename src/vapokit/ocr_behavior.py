@@ -9,16 +9,14 @@ over-detects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .data import Hypothesis, Sample, pair_by_id
 from .errors import ToolkitError
 from .textnorm import normalize_tokenize
 
 
-@dataclass(frozen=True)
-class VocabPartition:
+class VocabPartition(NamedTuple):
     v_common: frozenset[str]
     v_slide_only: frozenset[str]
 

@@ -12,28 +12,27 @@ arbitrary input text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
-from .data import _as_number, load_json
+from .data import Record, _as_number, load_json
 from .errors import ToolkitError
 from .metrics import EntityRef, fuzzy_find, token_edit_distance
 from .structured import StructuredOutput, parse_structured
 from .textnorm import normalize_tokenize
 
 
-@dataclass(frozen=True)
-class RewardWeights:
+class RewardWeights(NamedTuple):
     lambda_format: float = 1.0
     lambda_ocr: float = 1.0
     lambda_asr: float = 1.0
     lambda_va: float = 1.0
 
     def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))
+        return self._asdict()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(vars(self).values())
+        return tuple(self)
 
     @property
     def total(self) -> float:
@@ -53,7 +52,7 @@ class RewardWeights:
         """Weights from a mapping of numbers or numeric strings; missing keys default to 1."""
         if not isinstance(d, dict):
             raise ToolkitError("bad-weights", f"weights must be an object, got {d!r:.80}")
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = set(d) - set(cls._fields)
         if unknown:
             raise ToolkitError("bad-weights", f"unknown weight keys: {sorted(unknown)}")
         weights = cls(**{k: _as_number(v, float, "bad-weights", k) for k, v in d.items()})
@@ -91,15 +90,24 @@ class RewardWeights:
         return cls.from_mapping(d)
 
 
-@dataclass
-class RewardBreakdown:
-    r_format: int
-    r_ocr: float
-    r_asr: float
-    r_va: float
-    total: float
-    anchored_entities: list[str] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+class RewardBreakdown(Record):
+    def __init__(
+        self,
+        r_format: int,
+        r_ocr: float,
+        r_asr: float,
+        r_va: float,
+        total: float,
+        anchored_entities: list[str] | None = None,
+        diagnostics: list[str] | None = None,
+    ):
+        self.r_format = r_format
+        self.r_ocr = r_ocr
+        self.r_asr = r_asr
+        self.r_va = r_va
+        self.total = total
+        self.anchored_entities = [] if anchored_entities is None else anchored_entities
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def as_dict(self) -> dict:
         return {

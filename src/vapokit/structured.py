@@ -10,7 +10,7 @@ reward can still be computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -19,8 +19,7 @@ ANSWER_CLOSE = "</answer>"
 _TAGS = (THINK_OPEN, THINK_CLOSE, ANSWER_OPEN, ANSWER_CLOSE)
 
 
-@dataclass(frozen=True)
-class StructuredOutput:
+class StructuredOutput(NamedTuple):
     think: str
     answer: str
     well_formed: bool

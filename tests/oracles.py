@@ -3,10 +3,12 @@
 Everything here is deliberately written without reusing the library's
 implementations: recursive edit distance (memoized over the decision space),
 an alignment trace walked over that recursive cost, literal enumeration of
-every alignment path for small inputs, a general windowed entity search, a
-per-character tokenizer, per-character slide word counting and wrap atoms, a
-greedy line fill, a regex-based recognizer for the rollout grammar, and the
-policy sandbox's training loop run one step at a time.
+every alignment path for small inputs, a general windowed entity search,
+keyword spans that try every keyword at every position, keyword recall as a
+count of disjoint occurrences, a per-character tokenizer, per-character slide
+word counting and wrap atoms, a greedy line fill, a regex-based recognizer
+for the rollout grammar, and the policy sandbox's training loop run one step
+at a time.
 """
 
 from __future__ import annotations
@@ -125,6 +127,44 @@ def reference_fuzzy_find(entity: tuple[str, ...], text: tuple[str, ...]) -> tupl
             if dist <= budget and (best is None or dist < best[2]):
                 best = (start, stop, dist)
     return best
+
+
+def reference_keyword_spans(ref: tuple[str, ...], keywords: list[tuple[str, ...]]) -> list[tuple[int, int]]:
+    """(start, stop) keyword spans of ``ref``, scanned left to right.
+
+    At each position every keyword is tried; the longest one that matches
+    there is taken and the scan resumes after it, else the scan moves one
+    token on.
+    """
+    spans = []
+    i = 0
+    while i < len(ref):
+        width = max((len(kw) for kw in keywords if tuple(ref[i : i + len(kw)]) == kw), default=0)
+        if width:
+            spans.append((i, i + width))
+            i += width
+        else:
+            i += 1
+    return spans
+
+
+def reference_recall(hyp: tuple[str, ...], needles: list[tuple[str, ...]]) -> tuple[int, int]:
+    """(recalled, occurrences) for the reference's keyword occurrences ``needles``.
+
+    Each distinct keyword is credited with at most as many occurrences as the
+    reference holds, and at most as many pairwise disjoint occurrences as
+    ``hyp`` holds; the latter is a longest-prefix recurrence over ``hyp``.
+    """
+    recalled = 0
+    for needle in set(needles):
+        k = len(needle)
+        best = [0] * (len(hyp) + 1)  # best[j]: disjoint occurrences within hyp[:j]
+        for j in range(1, len(hyp) + 1):
+            best[j] = best[j - 1]
+            if j >= k and tuple(hyp[j - k : j]) == needle:
+                best[j] = max(best[j], best[j - k] + 1)
+        recalled += min(needles.count(needle), best[len(hyp)])
+    return recalled, len(needles)
 
 
 # Codepoint ranges emitted one token per codepoint (Han, kana, hangul).

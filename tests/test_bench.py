@@ -195,8 +195,9 @@ def test_remote_generator_unreachable():
     with pytest.raises(ToolkitError) as exc:
         gen("medicine", ["aspirin"])
     assert exc.value.code == "generator-unreachable"
-    with pytest.raises(ToolkitError):
-        RemoteGenerator(url="", model="m")("medicine", ["aspirin"])
+    with pytest.raises(ToolkitError) as exc:
+        RemoteGenerator(url="", model="m")
+    assert exc.value.code == "bad-config"
 
 
 def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypatch):
@@ -213,7 +214,7 @@ def test_remote_generator_rejects_a_timeout_that_is_not_finite_and_positive(time
     with pytest.raises(ToolkitError) as exc:
         RemoteGenerator(url="http://127.0.0.1:9/nothing", model="m", timeout_s=timeout_s)
     assert exc.value.code == "bad-config" and "timeout_s" in str(exc.value)
-    assert RemoteGenerator(timeout_s="2.5").timeout_s == 2.5
+    assert RemoteGenerator(url="http://127.0.0.1:9/nothing", timeout_s="2.5").timeout_s == 2.5
 
 
 # ---------------------------------------------------------------------------

@@ -841,6 +841,19 @@ def test_build_bad_generator_timeout_is_one_bad_config_record(tmp_path, capsys, 
     assert not outdir.exists()
 
 
+def test_build_remote_generator_without_url_is_one_bad_config_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("VAPOKIT_GENERATOR_URL", raising=False)
+    outdir = tmp_path / "built"
+    argv = ["build", "--seeds", str(builtin_path("seeds_5.jsonl")), "--outdir", str(outdir), "--generator", "remote"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "bad-config" and "VAPOKIT_GENERATOR_URL" in record["detail"]
+    assert out == ""
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command, field, code", [("score", "transcript_gt", "undefined-wer"),
                                                   ("detect", "slide_text", "no-slide")])
 def test_record_without_tokens_is_one_error_record(tmp_path, corpus, capsys, command, field, code):

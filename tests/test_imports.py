@@ -1,13 +1,20 @@
-"""Import boundary: the offline commands never load numpy or the network stack,
-and import compiles the tokenizer's CJK class once.
+"""Import boundary: the offline commands never load numpy, the network stack,
+``dataclasses``, ``inspect`` or ``html``, and import compiles the tokenizer's
+CJK class once.
 
 ``score``, ``reward``, ``detect``, ``build`` and ``report`` are short runs, and
 their wall time is mostly import. numpy belongs to ``simulate`` alone, and
 ``urllib.request`` (with ``http.client``, ``ssl`` and ``email``) to the remote
 slide-text generator alone, so both are imported inside the functions that
-use them. Import also compiles the module-level regexes, and the CJK class
-is the costly one, so it is compiled once. Each check runs in a fresh
-interpreter, because this test process has long since imported everything.
+use them. The records are NamedTuples or plain classes, not dataclasses,
+because importing ``dataclasses`` (which loads ``inspect``) and processing
+its classes was most of vapokit's own import time;
+``test_records_keep_their_contract`` pins what the dataclasses promised.
+``html`` is not loaded either: the slide SVG escapes its three markup
+characters itself. ``simulate`` may still load ``inspect`` through numpy.
+Import also compiles the module-level regexes, and the CJK class is the
+costly one, so it is compiled once. Each check runs in a fresh interpreter,
+because this test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -20,9 +27,17 @@ from pathlib import Path
 
 import pytest
 
+from vapokit.bench import LayoutLine, SlideText, ValidationReport
+from vapokit.data import Hypothesis, Sample
+from vapokit.grpo import BehaviorTuple, SimConfig, TraceStep, TrainTrace
+from vapokit.metrics import Alignment, EntityRef, FuzzyMatch, MetricReport
+from vapokit.ocr_behavior import VocabPartition
+from vapokit.rewards import RewardBreakdown, RewardWeights
+from vapokit.structured import StructuredOutput
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "email")
+HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "email", "dataclasses", "inspect", "html")
 
 # Runs the CLI in-process, then prints which HEAVY modules got loaded.
 _PROBE = """
@@ -96,3 +111,62 @@ def test_import_compiles_the_cjk_class_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == 1
+
+
+# Per record: its class, every field in declaration order with a value (the
+# default for a field that has one), the fields that have defaults, a field
+# with another value, and whether the record is frozen.
+_RECORDS = [
+    (Alignment, {"substitutions": 1, "deletions": 0, "insertions": 2, "hits": 3, "ops": ()}, (), ("hits", 4), True),
+    (EntityRef, {"surface": "New York", "tokens": ("new", "york")}, (), ("surface", "new york"), True),
+    (FuzzyMatch, {"start": 0, "stop": 1, "distance": 1}, (), ("distance", 0), True),
+    (StructuredOutput, {"think": "t", "answer": "a", "well_formed": True}, (), ("answer", "b"), True),
+    (RewardWeights, {"lambda_format": 1.0, "lambda_ocr": 1.0, "lambda_asr": 1.0, "lambda_va": 1.0},
+     ("lambda_format", "lambda_ocr", "lambda_asr", "lambda_va"), ("lambda_va", 2.0), True),
+    (VocabPartition, {"v_common": frozenset({"a"}), "v_slide_only": frozenset()}, (), ("v_slide_only", frozenset("b")),
+     True),
+    (SlideText, {"title": "T", "body": "b"}, (), ("body", "c"), True),
+    (LayoutLine, {"text": "t", "size_class": "title", "y": 80}, (), ("y", 124), True),
+    (BehaviorTuple, {"format_ok": True, "ocr_level": 1.0, "asr_level": 0.5, "anchor_level": 0.0}, (),
+     ("format_ok", False), True),
+    (Sample, {"id": "s", "domain": "d", "lang": "en", "slide_text": "", "transcript_gt": "t", "entities": [],
+              "audio_ref": "", "slide_image_ref": None, "duration_s": None},
+     ("entities", "audio_ref", "slide_image_ref", "duration_s"), ("transcript_gt", "u"), False),
+    (Hypothesis, {"id": "h", "text": "x"}, (), ("text", "y"), False),
+    (MetricReport, {"wer": None, "b_wer": None, "u_wer": None, "recall": None, "ne_wer": None, "ne_fnr": None,
+                    "counts": {}}, ("wer", "b_wer", "u_wer", "recall", "ne_wer", "ne_fnr", "counts"), ("wer", 0.5),
+     False),
+    (RewardBreakdown, {"r_format": 1, "r_ocr": 0.5, "r_asr": 1.0, "r_va": 0.0, "total": 2.5,
+                       "anchored_entities": [], "diagnostics": []}, ("anchored_entities", "diagnostics"),
+     ("total", 3.0), False),
+    (SimConfig, {"steps": 2000, "group_size": 8, "lr": 0.1, "seed": 0, "weights": RewardWeights(), "samples": [],
+                 "samples_ref": "builtin:grpo_samples.jsonl"},
+     ("steps", "group_size", "lr", "seed", "weights", "samples", "samples_ref"), ("seed", 3), False),
+    (TraceStep, {"step": 0, "mean_reward": 1.0, "expected_reward": 0.5, "mean_format": 1.0, "mean_ocr": 0.5,
+                 "mean_asr": 0.5, "mean_va": 0.0, "p_optimal": 0.1}, (), ("p_optimal", 0.2), False),
+    (TrainTrace, {"steps": [], "seed": 0, "config": {}, "final_policy": None}, (), ("seed", 1), False),
+    (ValidationReport, {"samples": 1, "entities": 2, "violations": []}, ("violations",), ("entities", 3), False),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, change, frozen", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_records_keep_their_contract(cls, fields, defaults, change, frozen):
+    """The records keep the constructors, defaults, equality and (im)mutability they had as dataclasses."""
+    record = cls(**fields)
+    required = {k: v for k, v in fields.items() if k not in defaults}
+    assert cls(*fields.values()) == record
+    assert cls(**required) == record
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert cls(**{**fields, change[0]: change[1]}) != record
+    if frozen:
+        assert record._fields == tuple(fields)
+        with pytest.raises(AttributeError):
+            setattr(record, *change)
+        return
+    assert list(vars(record)) == list(fields)  # declaration order, which the outputs follow
+    assert getattr(cls, "_fields", tuple(fields)) == tuple(fields)  # TraceStep's trace columns
+    for name in defaults:
+        if isinstance(fields[name], (list, dict)):  # a fresh container per record
+            assert getattr(cls(**required), name) is not getattr(cls(**required), name)
+    setattr(record, *change)
+    assert getattr(record, change[0]) == change[1]

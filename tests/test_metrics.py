@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     char_distance,
@@ -10,12 +12,16 @@ from oracles import (
     levenshtein_recursive,
     reference_alignment_ops,
     reference_fuzzy_find,
+    reference_keyword_spans,
+    reference_recall,
 )
 from vapokit.data import Sample
 from vapokit.errors import ToolkitError
 from vapokit.metrics import (
     EntityRef,
     FuzzyMatch,
+    _keyword_spans,
+    _recall_counts,
     aggregate_reports,
     align,
     fuzzy_find,
@@ -252,6 +258,30 @@ def test_keyword_recall_absent_when_no_occurrence():
     assert keyword_recall(("a", "b"), ("a", "b"), [ent("aspirin")]) is None
 
 
+# Three tokens, so keywords repeat, overlap and are prefixes of each other.
+_TOKENS = st.sampled_from(("a", "b", "c"))
+_KEYWORD = st.lists(_TOKENS, min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    ref=st.lists(_TOKENS, max_size=12).map(tuple),
+    hyp=st.lists(_TOKENS, max_size=12).map(tuple),
+    keywords=st.lists(_KEYWORD, min_size=1, max_size=5),
+)
+# Two reference occurrences of "a a", but only one disjoint one in "a a a".
+@example(ref=("a", "a", "a", "a"), hyp=("a", "a", "a"), keywords=[("a", "a")])
+# A keyword, a repeat of it, and a longer keyword it is a prefix of.
+@example(ref=("a", "b", "a", "c", "a", "b"), hyp=("a", "b", "a"), keywords=[("a",), ("a", "b"), ("a",)])
+def test_keyword_spans_and_recall_equal_oracles(ref, hyp, keywords):
+    """The first-token index keeps greedy leftmost-longest spans and consumed occurrences."""
+    ents = [EntityRef(" ".join(kw), kw) for kw in keywords]
+    spans = _keyword_spans(ref, ents)
+    assert [(start, stop) for start, stop, _ in spans] == reference_keyword_spans(ref, keywords)
+    assert all(ent.tokens == ref[start:stop] for start, stop, ent in spans)
+    assert _recall_counts(hyp, spans) == reference_recall(hyp, [ent.tokens for _, _, ent in spans])
+
+
 # ---------------------------------------------------------------------------
 # entities and fuzzy matching
 
@@ -271,6 +301,9 @@ def test_entity_empty_surface():
     assert exc.value.code == "empty-entity"
     with pytest.raises(ToolkitError) as exc:
         EntityRef(surface="", tokens=())
+    assert exc.value.code == "empty-entity"
+    with pytest.raises(ToolkitError) as exc:
+        EntityRef("x", ())
     assert exc.value.code == "empty-entity"
 
 
