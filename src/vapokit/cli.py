@@ -102,6 +102,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # OpenBLAS starts its worker threads when numpy is first imported, and an
+    # idle worker spins on a second core: on 2 vCPUs that nearly doubled numpy's
+    # import time. The only BLAS call, a 54-element dot product per step, is
+    # never threaded, so one thread changes no output. A user's value wins;
+    # library users of grpo keep their own numpy setup.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # The CSV trace goes beside the JSONL one, with the suffix .csv; checked
     # before training so that a rejected --out leaves nothing written.
     out = Path(args.out)
@@ -109,8 +115,10 @@ def cmd_simulate(args) -> int:
         raise ToolkitError("bad-out", f"--out {args.out!r} must name a file without the CSV trace's suffix .csv")
     if not out.parent.is_dir():
         raise ToolkitError("bad-out", f"--out {args.out!r}: {str(out.parent)!r} is not an existing directory")
-    _reject_input_as_out(out, args.config)
-    _reject_input_as_out(out.with_suffix(".csv"), args.config)
+    for path in (out, out.with_suffix(".csv")):
+        if path.is_dir():
+            raise ToolkitError("bad-out", f"--out {args.out!r}: the trace {str(path)!r} is a directory")
+        _reject_input_as_out(path, args.config)
     config = grpo.SimConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed
@@ -187,9 +195,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early shows here, not at interpreter exit
+        return code
     except ToolkitError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}), file=sys.stderr)
+        return 1
+    except BrokenPipeError as e:
+        # What is still buffered goes to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": "bad-out", "detail": f"cannot write stdout: {e}"}), file=sys.stderr)
         return 1
 
 

@@ -815,17 +815,58 @@ def test_build_seeds_that_build_would_write_are_bad_out(tmp_path, capsys, target
     assert json.loads(capsys.readouterr().out)["samples"] == 6
 
 
-@pytest.mark.parametrize("out", ["missing/t.jsonl", "file/t.jsonl"])
+@pytest.mark.parametrize("out", ["missing/t.jsonl", "file/t.jsonl", "dir", "t.jsonl"])
 def test_simulate_unusable_out_directory_fails_before_training(tmp_path, capsys, monkeypatch, out):
+    """--out under a missing directory or a regular file, onto a directory, or
+    beside a directory named as its CSV trace (t.csv) is rejected before
+    training, and an existing JSONL trace keeps its bytes."""
     def no_training(config):
         raise AssertionError("simulate trained before rejecting --out")
 
     monkeypatch.setattr(cli.grpo, "train", no_training)
     (tmp_path / "file").write_text("a regular file, not a directory\n")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "t.csv").mkdir()
+    (tmp_path / "t.jsonl").write_text("old\n")
     config = tmp_path / "cfg.json"
     config.write_text('{"steps": 3}')
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 1
     assert _error_code(capsys) == "bad-out"
+    assert (tmp_path / "t.jsonl").read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--in", "{golden}/score.json"],
+        ["build", "--seeds", "{golden}/seeds.jsonl", "--outdir", "{tmp}/built"],
+    ],
+    ids=["report", "build"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_one_bad_out_record(tmp_path, argv, unbuffered):
+    """A reader that closed stdout before the command wrote to it gets one
+    bad-out record on stderr, with no traceback and no "Exception ignored",
+    whether the write fails at once or only when buffered stdout is flushed."""
+    argv = [a.format(golden=_GOLDEN, tmp=tmp_path) for a in argv]
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vapokit.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "bad-out"
 
 
 @pytest.mark.parametrize("timeout", ["abc", "inf", "nan", "-1", "0"])

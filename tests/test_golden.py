@@ -22,7 +22,9 @@ the builtin samples at seed 0:
         --out tests/golden/simulate_trace.jsonl
 
 The benchmark's own ``simulate`` run, the shipped ``simulate_default.json``
-(2000 steps) at seed 0, is pinned by the sha256 of its two trace files.
+(2000 steps) at seed 0, is pinned by the sha256 of its two trace files, both
+in-process and from a fresh ``python -m vapokit.cli``: only the fresh process
+imports numpy under the CLI's default of one OpenBLAS thread.
 
 A change that alters one of them changes a result; say what and why before
 regenerating.
@@ -31,6 +33,9 @@ regenerating.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,5 +86,24 @@ def test_golden_simulate_shipped_config(tmp_path, capsys):
     config = str(builtin_path("simulate_default.json"))
     assert main(["simulate", "--config", config, "--seed", "0", "--out", str(tmp_path / "trace.jsonl")]) == 0
     assert capsys.readouterr().out == '{"steps": 2000, "p_optimal": 0.9944226150252309}\n'
+    for name, digest in SHIPPED_SIMULATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("openblas", [None, "2"], ids=["default", "two-threads"])
+def test_golden_simulate_shipped_config_cli(tmp_path, openblas):
+    """The CLI's one-thread BLAS default and a user's two threads write the same traces."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(GOLDEN.parent.parent / "src")
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    config = str(builtin_path("simulate_default.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vapokit.cli", "simulate", "--config", config, "--seed", "0",
+         "--out", str(tmp_path / "trace.jsonl")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"steps": 2000, "p_optimal": 0.9944226150252309}\n'
     for name, digest in SHIPPED_SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,6 +1,6 @@
 """Import boundary: the offline commands never load numpy, the network stack,
-``dataclasses``, ``inspect`` or ``html``, and import compiles the tokenizer's
-CJK class once.
+``dataclasses``, ``inspect`` or ``html``, ``simulate`` loads numpy with one
+BLAS thread, and import compiles the tokenizer's CJK class once.
 
 ``score``, ``reward``, ``detect``, ``build`` and ``report`` are short runs, and
 their wall time is mostly import. numpy belongs to ``simulate`` alone, and
@@ -11,7 +11,10 @@ because importing ``dataclasses`` (which loads ``inspect``) and processing
 its classes was most of vapokit's own import time;
 ``test_records_keep_their_contract`` pins what the dataclasses promised.
 ``html`` is not loaded either: the slide SVG escapes its three markup
-characters itself. ``simulate`` may still load ``inspect`` through numpy.
+characters itself. ``simulate`` may still load ``inspect`` through numpy,
+and it sets ``OPENBLAS_NUM_THREADS=1`` (unless already set) before numpy loads,
+because OpenBLAS's idle worker thread slows the import; the offline commands
+leave the variable alone.
 Import also compiles the module-level regexes, and the CJK class is the
 costly one, so it is compiled once. Each check runs in a fresh interpreter,
 because this test process has long since imported everything.
@@ -39,18 +42,28 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "email", "dataclasses", "inspect", "html")
 
-# Runs the CLI in-process, then prints which HEAVY modules got loaded.
+# Runs the CLI in-process, then prints which HEAVY modules got loaded, the
+# OPENBLAS_NUM_THREADS it leaves in the environment and the process's thread
+# count (None where /proc/self/task does not exist).
 _PROBE = """
-import json, sys
+import json, os, sys
 import vapokit.cli
 argv = json.loads(sys.argv[1])
 code = vapokit.cli.main(argv) if argv else 0
-print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules)}))
+tasks = "/proc/self/task"
+print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules),
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))
 """ % (HEAVY,)
 
 
-def _loaded_after(argv: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _run_cli(argv: list[str], openblas: str | None = None) -> dict:
+    """Run the probe in a fresh interpreter with OPENBLAS_NUM_THREADS set to
+    ``openblas``, or removed from the environment when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argv)],
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
@@ -60,7 +73,8 @@ def _loaded_after(argv: list[str]) -> dict:
 
 
 def test_import_cli_loads_no_numpy_or_network_stack():
-    assert _loaded_after([]) == {"code": 0, "loaded": []}
+    result = _run_cli([])
+    assert (result["code"], result["loaded"], result["openblas"]) == (0, [], None)
 
 
 @pytest.mark.parametrize(
@@ -76,13 +90,27 @@ def test_import_cli_loads_no_numpy_or_network_stack():
     ids=lambda argv: argv[0],
 )
 def test_offline_commands_load_no_numpy_or_network_stack(argv, tmp_path):
+    """They also leave OPENBLAS_NUM_THREADS unset: only simulate uses BLAS."""
     argv = [a.format(golden=GOLDEN, tmp=tmp_path) for a in argv]
-    assert _loaded_after(argv) == {"code": 0, "loaded": []}
+    result = _run_cli(argv)
+    assert (result["code"], result["loaded"], result["openblas"]) == (0, [], None)
 
 
 def test_simulate_still_loads_numpy(tmp_path):
     argv = ["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(tmp_path / "t.jsonl")]
-    assert "numpy" in _loaded_after(argv)["loaded"]
+    assert "numpy" in _run_cli(argv)["loaded"]
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+def test_simulate_runs_blas_single_threaded_unless_told_otherwise(tmp_path, openblas, expected):
+    """An idle OpenBLAS worker thread slows numpy's import, so simulate sets
+    OPENBLAS_NUM_THREADS=1 before numpy loads, and keeps a value already set.
+    With the default, numpy starts no thread of its own."""
+    argv = ["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(tmp_path / "t.jsonl")]
+    result = _run_cli(argv, openblas)
+    assert (result["code"], result["openblas"]) == (0, expected)
+    if openblas is None and result["threads"] is not None:
+        assert result["threads"] == 1
 
 
 # Records every pattern compiled while vapokit.cli is imported, then prints
