@@ -22,7 +22,7 @@ for i in range(0, config.steps, 100):
 final = trace.final
 print(f"{final.step:5d} {final.expected_reward:10.3f} {final.p_optimal:11.5f}")
 
-grades = expected_grades(trace.final_policy)
+grades = expected_grades(trace.final_logits)
 print("\nconverged expected grades:")
 for key, value in grades.items():
     print(f"  {key:12s} {value:.4f}")

@@ -104,9 +104,9 @@ def cmd_build(args) -> int:
 def cmd_simulate(args) -> int:
     # OpenBLAS starts its worker threads when numpy is first imported, and an
     # idle worker spins on a second core: on 2 vCPUs that nearly doubled numpy's
-    # import time. The only BLAS call, a 54-element dot product per step, is
-    # never threaded, so one thread changes no output. A user's value wins;
-    # library users of grpo keep their own numpy setup.
+    # import time. Training calls no BLAS routine, so one thread changes no
+    # output. A user's value wins; library users of grpo keep their own numpy
+    # setup.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # The CSV trace goes beside the JSONL one, with the suffix .csv; checked
     # before training so that a rejected --out leaves nothing written.
@@ -193,11 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that closed stdout early shows here, not at interpreter exit
-        return code
+        try:
+            args = parser.parse_args(argv)  # --help writes to stdout, then raises SystemExit
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a reader that closed stdout early shows here, not at interpreter exit
     except ToolkitError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}), file=sys.stderr)
         return 1

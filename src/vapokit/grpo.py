@@ -9,15 +9,24 @@ resulting table, one float array from ``reward_matrix``, holds the four
 weight-free reward components, so one table serves every weight setting;
 ``train`` forms the totals once with ``RewardWeights.weigh``. Each step draws
 a sample and a group of tuples, reads their rewards from the table, and
-updates the policy logits with a likelihood-ratio gradient using the
-within-group normalized advantage as the baseline. Random numbers are drawn
+normalizes them within the group into advantages. Random numbers are drawn
 only in ``train``.
 
-The dealer never reads the policy, so ``train`` deals the steps in blocks of
-``DEAL_BLOCK_ROLLOUTS`` rollouts: each block's draws (in the per-step order),
-group advantages and component means are computed at once, and only the
-logits recurrence runs per step. ``TrainTrace.write`` writes the JSONL and CSV traces in one
-pass, formatting each value once.
+``train`` applies the likelihood-ratio gradient of ``surrogate_objective``
+without its zero-sum term. A group's normalized advantages sum to zero, so
+the term ``-softmax(logits) * sum(advantages)`` of ``surrogate_gradient`` is
+zero up to rounding, and each step adds ``lr`` times the advantages summed per
+arm: the logits after step t are ``lr * sum_{s <= t} bincount(indices_s,
+advantages_s)``. The policy never feeds back into its own updates, so the
+sandbox is a bandit ranked by each arm's summed advantage, and the policy is
+the softmax of that running sum.
+
+The dealer never reads the policy either, so ``train`` deals the steps in
+blocks of ``DEAL_BLOCK_ROLLOUTS`` rollouts: each block's draws (in the
+per-step order), group advantages, component means, logits (``policy_step``,
+one cumulative sum), probabilities and expected rewards are computed at once,
+and only the trace records are built per step. ``TrainTrace.write`` writes
+the JSONL and CSV traces in one pass, formatting each value once.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
@@ -82,35 +91,11 @@ _FORMAT_GRADE = tuple(float(t.format_ok) for t in ALL_TUPLES)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis: of one logits row, or of each row of a 2-D array."""
     import numpy as np
 
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
-class ToyPolicy:
-    """Categorical policy over the behavior grid, parameterized by logits.
-
-    The logits are a read-only copy, so ``probs`` computes the softmax once
-    and returns the same read-only array on every call.
-    """
-
-    def __init__(self, logits: np.ndarray | None = None):
-        import numpy as np
-
-        if logits is None:
-            logits = np.zeros(NUM_TUPLES)
-        self.logits = np.array(logits, dtype=float)
-        if self.logits.shape != (NUM_TUPLES,):
-            raise ToolkitError("bad-config", f"policy needs {NUM_TUPLES} logits")
-        self.logits.flags.writeable = False
-        self._probs: np.ndarray | None = None
-
-    def probs(self) -> np.ndarray:
-        if self._probs is None:
-            self._probs = _softmax(self.logits)
-            self._probs.flags.writeable = False
-        return self._probs
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +225,39 @@ def surrogate_objective(logits: np.ndarray, indices: Sequence[int], advantages: 
     return float(sum(a * logp[k] for k, a in zip(indices, advantages)))
 
 
-def _gradient(probs: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
-    """Gradient of ``surrogate_objective`` at the logits whose softmax is ``probs``."""
+def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
+    """Gradient of ``surrogate_objective`` with respect to the logits."""
     import numpy as np
 
     adv = np.asarray(advantages, dtype=float)
     grad = np.bincount(np.asarray(indices, dtype=int), weights=adv, minlength=NUM_TUPLES)
-    grad -= probs * adv.sum()
-    return grad
+    return grad - _softmax(logits) * adv.sum()
 
 
-def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
-    return _gradient(_softmax(logits), indices, advantages)
+def policy_step(logits: np.ndarray, indices: np.ndarray, advantages: np.ndarray, lr: float) -> np.ndarray:
+    """The logits after each step of a block, one row per step.
 
-
-def policy_step(policy: ToyPolicy, indices: Sequence[int], advantages: Sequence[float], lr: float) -> ToyPolicy:
-    """One likelihood-ratio ascent step on the group's tuple indices and advantages."""
+    Row t of ``indices`` and ``advantages`` is step t's group, and row t of the
+    result is ``logits + lr * sum_{s <= t} bincount(indices[s], advantages[s])``:
+    ``surrogate_gradient``'s ascent step without its zero-sum term. A one-row
+    block is one step.
+    """
     import numpy as np
 
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
-    grad = _gradient(policy.probs(), indices, advantages)
-    # A non-finite gradient, or a step that overflows (a huge lr), leaves
+    indices = np.asarray(indices, dtype=int)
+    rows = np.zeros((1 + len(indices), NUM_TUPLES))
+    # A non-finite advantage, or a step that overflows (a huge lr), leaves
     # non-finite logits: one error record instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = policy.logits + lr * grad
-    if not np.isfinite(logits).all():
+        np.add.at(rows[1:], (np.arange(len(indices))[:, None], indices), advantages)
+        rows[1:] *= lr
+        rows[0] = logits
+        steps = rows.cumsum(axis=0)[1:]
+    if not np.isfinite(steps).all():
         raise ToolkitError("numerical", "non-finite policy gradient or logits")
-    return ToyPolicy(logits)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +351,11 @@ class TraceStep(Record):
 
 
 class TrainTrace(Record):
-    def __init__(self, steps: list[TraceStep], seed: int, config: dict, final_policy: ToyPolicy):
+    def __init__(self, steps: list[TraceStep], seed: int, config: dict, final_logits: np.ndarray):
         self.steps = steps
         self.seed = seed
         self.config = config
-        self.final_policy = final_policy
+        self.final_logits = final_logits  # the policy after the last step, one logits row
 
     @property
     def final(self) -> TraceStep:
@@ -393,9 +383,9 @@ class TrainTrace(Record):
                 csv_file.write(csv_step % values)
 
 
-def expected_grades(policy: ToyPolicy) -> dict[str, float]:
-    """Policy-expected grade per behavior axis plus mass on the optimum."""
-    p = policy.probs()
+def expected_grades(logits: np.ndarray) -> dict[str, float]:
+    """Expected grade per behavior axis under the policy ``softmax(logits)``, plus its mass on the optimum."""
+    p = _softmax(logits)
     return {
         "format_rate": float(p @ _FORMAT_GRADE),
         "ocr_level": float(p @ _OCR_GRADE),
@@ -450,8 +440,9 @@ def train(config: SimConfig) -> TrainTrace:
 
     Every step reads its group's rewards, the trace's mean components and the
     policy's expected reward from the same table. The draws for a block of
-    steps are made in the per-step order, so the trace does not depend on the
-    block size. Reproducible from the seed.
+    steps are made in the per-step order, and the logits are carried from
+    block to block and summed in step order, so the trace does not depend on
+    the block size. Reproducible from the seed.
     """
     import numpy as np
 
@@ -463,10 +454,9 @@ def train(config: SimConfig) -> TrainTrace:
     components = reward_matrix(samples)
     weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
     table = np.concatenate([components, weighted[..., None]], axis=-1)
-    totals = table[..., -1]  # a strided view: ``probs @`` a contiguous copy can round differently
     rng = np.random.default_rng(config.seed)
     deals = _balanced_deals(rng)
-    policy = ToyPolicy()
+    logits = np.zeros(NUM_TUPLES)
     trace: list[TraceStep] = []
     block_steps = max(1, DEAL_BLOCK_ROLLOUTS // config.group_size)
     for start in range(0, config.steps, block_steps):
@@ -475,25 +465,29 @@ def train(config: SimConfig) -> TrainTrace:
         for _ in block:
             si.append(int(rng.integers(len(samples))))
             dealt.append(list(itertools.islice(deals, config.group_size)))
-        indices = np.array(dealt)
-        groups = table[np.array(si)[:, None], indices]  # (block, group, components + total)
+        si, indices = np.array(si), np.array(dealt)
+        groups = table[si[:, None], indices]  # (block, group, components + total)
         advantages = group_advantages(groups[..., -1])
         # Summed over a middle axis, each mean adds the group's rows in order,
         # as a per-step ``group.mean(axis=0)`` does (a last-axis sum is pairwise).
         means = groups.mean(axis=1).tolist()
-        for step, k, tuples, adv, (r_format, r_ocr, r_asr, r_va, total) in zip(block, si, indices, advantages, means):
-            policy = policy_step(policy, tuples, adv, config.lr)
-            probs = policy.probs()
+        block_logits = policy_step(logits, indices, advantages, config.lr)
+        probs = _softmax(block_logits)
+        expected = (probs * table[si, :, -1]).sum(axis=1).tolist()
+        p_optimal = probs[:, OPTIMAL_INDEX].tolist()
+        logits = block_logits[-1]
+        for step, expected_reward, p_opt, mean in zip(block, expected, p_optimal, means):
+            r_format, r_ocr, r_asr, r_va, total = mean
             trace.append(
                 TraceStep(
                     step=step,
                     mean_reward=total,
-                    expected_reward=float(probs @ totals[k]),
+                    expected_reward=expected_reward,
                     mean_format=r_format,
                     mean_ocr=r_ocr,
                     mean_asr=r_asr,
                     mean_va=r_va,
-                    p_optimal=float(probs[OPTIMAL_INDEX]),
+                    p_optimal=p_opt,
                 )
             )
-    return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_policy=policy)
+    return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_logits=logits)

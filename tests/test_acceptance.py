@@ -196,16 +196,16 @@ def test_criterion_ablation_direction(balanced_runs, va_doubled_runs, asr_double
     """Doubling the anchoring weight raises converged anchoring; doubling the
     ASR weight does not raise converged OCR beyond noise (0.05), 5 seeds each."""
     anchor_balanced = float(
-        np.mean([expected_grades(t.final_policy)["anchor_level"] for t, _ in balanced_runs])
+        np.mean([expected_grades(t.final_logits)["anchor_level"] for t, _ in balanced_runs])
     )
     anchor_va2 = float(
-        np.mean([expected_grades(t.final_policy)["anchor_level"] for t, _ in va_doubled_runs])
+        np.mean([expected_grades(t.final_logits)["anchor_level"] for t, _ in va_doubled_runs])
     )
     ocr_balanced = float(
-        np.mean([expected_grades(t.final_policy)["ocr_level"] for t, _ in balanced_runs])
+        np.mean([expected_grades(t.final_logits)["ocr_level"] for t, _ in balanced_runs])
     )
     ocr_asr2 = float(
-        np.mean([expected_grades(t.final_policy)["ocr_level"] for t, _ in asr_doubled_runs])
+        np.mean([expected_grades(t.final_logits)["ocr_level"] for t, _ in asr_doubled_runs])
     )
     ok = anchor_va2 >= anchor_balanced and ocr_asr2 <= ocr_balanced + 0.05
     _report(

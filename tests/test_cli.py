@@ -849,6 +849,20 @@ def test_closed_stdout_is_one_bad_out_record(tmp_path, argv, unbuffered):
     bad-out record on stderr, with no traceback and no "Exception ignored",
     whether the write fails at once or only when buffered stdout is flushed."""
     argv = [a.format(golden=_GOLDEN, tmp=tmp_path) for a in argv]
+    _assert_one_bad_out_record(_run_into_closed_pipe(argv, unbuffered))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]], ids=["vapokit", "simulate"])
+def test_help_into_closed_stdout_is_one_bad_out_record(argv):
+    """argparse buffers the help text and exits; the flush then fails. With
+    unbuffered stdout argparse itself drops the failed write and exits 0."""
+    _assert_one_bad_out_record(_run_into_closed_pipe(argv, unbuffered=False))
+
+
+def _run_into_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout on a pipe whose read end is closed. The
+    inherited PYTHONUNBUFFERED is removed unless asked for: with it, a write
+    fails at once instead of at the flush."""
     root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(root / "src")
@@ -857,12 +871,15 @@ def test_closed_stdout_is_one_bad_out_record(tmp_path, argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "vapokit.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
             timeout=120, env=env,
         )
     finally:
         os.close(write_end)
+
+
+def _assert_one_bad_out_record(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr

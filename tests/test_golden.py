@@ -77,8 +77,8 @@ def test_golden_simulate(tmp_path, capsys):
 
 
 SHIPPED_SIMULATE_SHA256 = {
-    "trace.jsonl": "72e3b8d2e5760a5aa13db27ad636362f6b82bd10add93d84c080b37878392e26",
-    "trace.csv": "74512e6e8158bcac559442c5eabad0aa5b44b4b12a9f5ee838eaacd5a9e02b43",
+    "trace.jsonl": "36aed6b7caddd675278f040cd9fd3477b7491ffd1f6a207138d7846fc46b8976",
+    "trace.csv": "27e6cb826f4ffaa54b4ec7ab17de818ecf1d0e9daadc47e6adb53656f17892c2",
 }
 
 

@@ -172,7 +172,7 @@ _RECORDS = [
      ("steps", "group_size", "lr", "seed", "weights", "samples", "samples_ref"), ("seed", 3), False),
     (TraceStep, {"step": 0, "mean_reward": 1.0, "expected_reward": 0.5, "mean_format": 1.0, "mean_ocr": 0.5,
                  "mean_asr": 0.5, "mean_va": 0.0, "p_optimal": 0.1}, (), ("p_optimal", 0.2), False),
-    (TrainTrace, {"steps": [], "seed": 0, "config": {}, "final_policy": None}, (), ("seed", 1), False),
+    (TrainTrace, {"steps": [], "seed": 0, "config": {}, "final_logits": None}, (), ("seed", 1), False),
     (ValidationReport, {"samples": 1, "entities": 2, "violations": []}, ("violations",), ("entities", 3), False),
 ]
 
