@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from os import environ, scandir, unlink
+import os
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -21,7 +21,7 @@ from .data import Record, Sample, _as_number, load_json, read_jsonl, reject_repe
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
-from .textnorm import _TOKEN_RE, is_cjk, normalize_tokenize
+from .textnorm import _token_re, is_cjk, normalize_tokenize
 
 MAX_BODY_WORDS = 150
 # Generator calls per record before its slide text is rejected.
@@ -42,12 +42,14 @@ class SlideText(NamedTuple):
 def word_count(text: str) -> int:
     """Word-cap counting: whitespace words for latin, ceil(chars / 2) for CJK.
 
-    The atoms are the tokenizer's, on the raw text: each CJK codepoint alone,
+    The atoms are the line wrap's (``_wrap_atoms``): each CJK codepoint alone,
     every other maximal non-space run as one word.
     """
+    if text.isascii():
+        return len(text.split())
     words = 0
     cjk_chars = 0
-    for atom in _TOKEN_RE.findall(text):
+    for atom, _ in _wrap_atoms(text):
         if len(atom) == 1 and is_cjk(atom):
             cjk_chars += 1
         else:
@@ -128,14 +130,14 @@ class RemoteGenerator:
     """
 
     def __init__(self, url: str | None = None, model: str | None = None, timeout_s: float | None = None):
-        self.url = url or environ.get("VAPOKIT_GENERATOR_URL", "")
+        self.url = url or os.environ.get("VAPOKIT_GENERATOR_URL", "")
         if not self.url:
             raise ToolkitError("bad-config", "no generator endpoint: pass url or set VAPOKIT_GENERATOR_URL")
-        self.model = model or environ.get("VAPOKIT_GENERATOR_MODEL", "")
+        self.model = model or os.environ.get("VAPOKIT_GENERATOR_MODEL", "")
         name = "timeout_s"
         if timeout_s is None:
             name = "VAPOKIT_GENERATOR_TIMEOUT_S"
-            timeout_s = environ.get(name, "30")
+            timeout_s = os.environ.get(name, "30")
         self.timeout_s = _as_number(timeout_s, float, "bad-config", name)
         if not 0 < self.timeout_s < math.inf:
             raise ToolkitError("bad-config", f"{name} must be finite and > 0, got {timeout_s!r:.80}")
@@ -214,29 +216,39 @@ class LayoutLine(NamedTuple):
 def _wrap_atoms(text: str) -> list[tuple[str, str]]:
     """(atom, separator) pairs over the tokenizer's atoms of the raw text.
 
-    CJK breaks per character and latin words are atomic. An atom that starts
-    the text or follows whitespace joins its line with " ", any other with "".
+    CJK breaks per character and latin words are atomic. The first atom of a
+    whitespace chunk joins its line with " ", any later one with "". A chunk
+    without CJK, such as any ASCII chunk, is one atom.
     """
-    return [
-        (m.group(), " " if m.start() == 0 or text[m.start() - 1].isspace() else "")
-        for m in _TOKEN_RE.finditer(text)
-    ]
+    atoms = []
+    for chunk in text.split():
+        if chunk.isascii():
+            atoms.append((chunk, " "))
+        else:
+            first, *rest = _token_re().findall(chunk)
+            atoms.append((first, " "))
+            atoms += [(atom, "") for atom in rest]
+    return atoms
 
 
 def _wrap(text: str, max_chars: int) -> list[str]:
+    """Greedy line fill over ``_wrap_atoms``, tracking each line's width."""
     lines: list[str] = []
-    line = ""
+    parts: list[str] = []
+    width = 0
     for atom, sep in _wrap_atoms(text):
         if len(atom) > max_chars:
             raise ToolkitError("unwrappable-token", f"token wider than canvas: {atom!r}")
-        candidate = atom if not line else line + sep + atom
-        if len(candidate) <= max_chars:
-            line = candidate
+        if parts and width + len(sep) + len(atom) <= max_chars:
+            parts += (sep, atom)
+            width += len(sep) + len(atom)
         else:
-            lines.append(line)
-            line = atom
-    if line:
-        lines.append(line)
+            if parts:
+                lines.append("".join(parts))
+            parts = [atom]
+            width = len(atom)
+    if parts:
+        lines.append("".join(parts))
     return lines
 
 
@@ -275,7 +287,13 @@ def slide_svg(layout: Sequence[LayoutLine]) -> bytes:
 
 def render_slide(slide: SlideText, out_path: str | Path) -> tuple[LayoutLine, ...]:
     layout = layout_slide(slide)
-    Path(out_path).write_bytes(slide_svg(layout))
+    data = memoryview(slide_svg(layout))
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:  # os.write may write less than it was given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     return layout
 
 
@@ -354,10 +372,10 @@ def build_dataset(
     else:
         (outdir / "errors.jsonl").unlink(missing_ok=True)
     kept = {s.slide_image_ref for s in entries}
-    with scandir(outdir / "slides") as slides:
+    with os.scandir(outdir / "slides") as slides:
         for entry in slides:
             if entry.name.endswith(".svg") and f"slides/{entry.name}" not in kept and entry.is_file():
-                unlink(entry.path)
+                os.unlink(entry.path)
     return stats
 
 

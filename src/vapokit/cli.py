@@ -144,8 +144,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose writes to stdout fail like any other output write.
+
+    argparse drops an OSError from its own writes, so ``--help`` into a closed
+    pipe would exit 0 when stdout is unbuffered. Usage errors on stderr keep
+    argparse's handling. Subparsers share the class.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vapokit")
+    parser = _Parser(prog="vapokit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="ASR metrics for hypotheses against a dataset")
@@ -202,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as e:
         print(json.dumps({"error": e.code, "detail": str(e)}), file=sys.stderr)
         return 1
-    except BrokenPipeError as e:
+    except OSError as e:  # a stdout write: every other command write raises ToolkitError
         # What is still buffered goes to devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(json.dumps({"error": "bad-out", "detail": f"cannot write stdout: {e}"}), file=sys.stderr)

@@ -13,8 +13,9 @@ Every edit distance comes from one bit-parallel kernel, ``_columns`` (Myers
 1999, in Hyyro's 2001 Levenshtein form): each hypothesis token advances the
 vertical-delta bit vectors (VP, VN) of one DP column, with the reference
 positions as bits of a Python int, so there is no length limit.
-``token_edit_distance`` keeps the last column only; ``align`` keeps them all
-and traces back, reading each DP cell from its column's popcounts.
+``token_edit_distance`` trims the common prefix and suffix and keeps the last
+column only; ``align`` trims the common suffix, keeps every column and traces
+back, reading each DP cell from its column's popcounts.
 """
 
 from __future__ import annotations
@@ -54,15 +55,26 @@ def _columns(reference: tuple[str, ...], hypothesis: tuple[str, ...]):
 
 
 def token_edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> int:
-    """Levenshtein distance between token sequences (unit costs)."""
+    """Levenshtein distance between token sequences (unit costs).
+
+    A common prefix or suffix leaves the distance unchanged, so both are
+    trimmed first; the kernel runs on what differs.
+    """
     a = tuple(reference)
     b = tuple(hypothesis)
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    n = min(len(a), len(b))
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    a = a[lo : len(a) - hi]
+    b = b[lo : len(b) - hi]
+    if not a or not b:
+        return len(a) + len(b)
     if len(a) < len(b):  # one kernel step per token of the shorter sequence
         a, b = b, a
     for vp, vn in _columns(a, b):
@@ -93,9 +105,22 @@ def align(reference, hypothesis) -> Alignment:
 
     Tie-break during traceback: hit/substitution (diagonal) first, then
     deletion (consumes the reference token), then insertion.
+
+    A common suffix is aligned as hits without running the kernel over it:
+    equal last tokens give d(i, j) = d(i-1, j-1), so the traceback takes them
+    as hits first. A common prefix is not trimmed, because the traceback may
+    pair a prefix token with a later equal one: ("a",) against ("a", "a")
+    is an insertion of hypothesis token 0, then a hit on token 1.
     """
     ref = tuple(reference)
     hyp = tuple(hypothesis)
+    n = min(len(ref), len(hyp))
+    suffix = 0
+    while suffix < n and ref[-1 - suffix] == hyp[-1 - suffix]:
+        suffix += 1
+    tail = [("hit", len(ref) - k, len(hyp) - k) for k in range(suffix, 0, -1)]
+    ref = ref[: len(ref) - suffix]
+    hyp = hyp[: len(hyp) - suffix]
     cols = list(_columns(ref, hyp))
 
     def d(i: int, j: int) -> int:
@@ -134,7 +159,7 @@ def align(reference, hypothesis) -> Alignment:
         j -= 1
         cost -= 1
     ops.reverse()
-    return Alignment(subs, dels, ins, hits, tuple(ops))
+    return Alignment(subs, dels, ins, hits + suffix, tuple(ops + tail))
 
 
 def wer(reference, hypothesis) -> float:
@@ -219,12 +244,19 @@ def fuzzy_find(entity: EntityRef, text) -> FuzzyMatch | None:
     return None
 
 
-def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int = 0) -> int:
+def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...]) -> int:
+    """Start of the leftmost occurrence of the nonempty ``needle`` in ``toks``, or -1."""
     k = len(needle)
-    for i in range(start, len(toks) - k + 1):
-        if toks[i : i + k] == needle:
-            return i
-    return -1
+    stop = len(toks) - k + 1  # past the last start with room for the needle
+    i = 0
+    try:
+        while True:
+            i = toks.index(needle[0], i, stop)
+            if toks[i : i + k] == needle:
+                return i
+            i += 1
+    except ValueError:  # no candidate start left
+        return -1
 
 
 # ---------------------------------------------------------------------------

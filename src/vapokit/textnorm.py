@@ -25,9 +25,22 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),
     (0x20000, 0x2A6DF),
 )
-_CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
-# One token per CJK codepoint, otherwise maximal runs of non-space characters.
-_TOKEN_RE = re.compile(f"[{_CJK_CLASS}]|[^\\s{_CJK_CLASS}]+")
+# For ASCII text, _PUNCT_RE as a translation table: every character that is
+# neither alphanumeric nor whitespace, "_" included, becomes a space. str.split
+# and re's \s share one whitespace predicate, so splitting afterwards cuts the
+# same tokens as the pattern below, which ASCII text never needs.
+_ASCII_PUNCT = bytes(c if chr(c).isalnum() or chr(c).isspace() else 0x20 for c in range(128))
+
+
+@lru_cache(maxsize=None)
+def _token_re() -> re.Pattern:
+    """One token per CJK codepoint, otherwise maximal runs of non-space characters.
+
+    Compiled on first use: the CJK class takes milliseconds to compile, and a
+    command that only ever sees ASCII text never needs it.
+    """
+    cjk = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+    return re.compile(f"[{cjk}]|[^\\s{cjk}]+")
 
 
 def is_cjk(ch: str) -> bool:
@@ -37,9 +50,11 @@ def is_cjk(ch: str) -> bool:
 
 @lru_cache(maxsize=8192)
 def _tokenize(text: str) -> tuple[str, ...]:
+    if text.isascii():  # already NFC, and without CJK
+        return tuple(text.translate(_ASCII_PUNCT).lower().split())
     text = unicodedata.normalize("NFC", text).lower()
     text = _PUNCT_RE.sub(" ", text)
-    return tuple(_TOKEN_RE.findall(text))
+    return tuple(_token_re().findall(text))
 
 
 def normalize_tokenize(text: str) -> tuple[str, ...]:

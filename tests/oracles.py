@@ -265,6 +265,18 @@ def reference_wrap(atoms: list[tuple[str, str]], max_chars: int) -> list[str] | 
     return lines
 
 
+# Every ASCII code point, with the ten whitespace characters (str.isspace:
+# \t, \n, \v, \f, \r, \x1c-\x1f and space) weighted up so that a string
+# splits into several chunks.
+_ASCII = [chr(c) for c in range(128)]
+_ASCII_WEIGHTS = [8 if ch.isspace() else 1 for ch in _ASCII]
+
+
+def ascii_text(rng: random.Random, max_len: int) -> str:
+    """A random all-ASCII string of 0 to ``max_len`` characters."""
+    return "".join(rng.choices(_ASCII, _ASCII_WEIGHTS, k=rng.randint(0, max_len)))
+
+
 # Reference recognizer for the rollout grammar: one think block, one answer
 # block, properly nested and ordered, nothing but whitespace outside, no tag
 # literal inside a block.

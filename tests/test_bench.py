@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import http.server
 import json
+import os
 import random
 import tempfile
 import threading
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import _REFERENCE_CJK, reference_word_count, reference_wrap, reference_wrap_atoms
+from oracles import _REFERENCE_CJK, ascii_text, reference_word_count, reference_wrap, reference_wrap_atoms
 from vapokit.bench import (
     MAX_BODY_WORDS,
     RemoteGenerator,
@@ -55,20 +56,30 @@ _ATOM_ALPHABET = (
 )
 
 
+def _assert_word_count_and_wrap_equal_references(text: str) -> None:
+    atoms = reference_wrap_atoms(text)
+    assert word_count(text) == reference_word_count(text), repr(text)
+    assert _wrap_atoms(text) == atoms, repr(text)
+    for width in (20, 4):  # 4 also makes lines break and atoms overflow
+        lines = reference_wrap(atoms, width)
+        if lines is None:
+            with pytest.raises(ToolkitError):
+                _wrap(text, width)
+        else:
+            assert _wrap(text, width) == lines, repr(text)
+
+
 def test_word_count_and_wrap_equal_per_character_references_random():
     rng = random.Random(23)
     for _ in range(20000):
-        text = "".join(rng.choices(_ATOM_ALPHABET, k=rng.randint(0, 8)))
-        atoms = reference_wrap_atoms(text)
-        assert word_count(text) == reference_word_count(text), repr(text)
-        assert _wrap_atoms(text) == atoms, repr(text)
-        for width in (20, 4):  # 4 also makes lines break and atoms overflow
-            lines = reference_wrap(atoms, width)
-            if lines is None:
-                with pytest.raises(ToolkitError):
-                    _wrap(text, width)
-            else:
-                assert _wrap(text, width) == lines, repr(text)
+        _assert_word_count_and_wrap_equal_references("".join(rng.choices(_ATOM_ALPHABET, k=rng.randint(0, 8))))
+
+
+def test_word_count_and_wrap_equal_per_character_references_ascii():
+    """All-ASCII text takes the ASCII paths: one atom per whitespace chunk."""
+    rng = random.Random(24)
+    for _ in range(20000):
+        _assert_word_count_and_wrap_equal_references(ascii_text(rng, 16))
 
 
 def test_template_generator_embeds_entities():
@@ -277,9 +288,14 @@ def test_svg_escapes_markup_characters(tmp_path):
     assert (tmp_path / "s.svg").read_bytes() == expected
 
 
-def test_render_slide_writes_file(tmp_path):
-    slide = SlideText(title="T", body="body words")
-    layout = render_slide(slide, tmp_path / "s.svg")
+def test_render_slide_writes_file(tmp_path, monkeypatch):
+    """Also when os.write takes fewer bytes than it was given, and over a
+    longer old slide."""
+    (tmp_path / "s.svg").write_bytes(b"x" * 10_000)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    layout = render_slide(SlideText(title="T", body="body words"), tmp_path / "s.svg")
+    monkeypatch.undo()
     assert (tmp_path / "s.svg").read_bytes() == slide_svg(layout)
 
 

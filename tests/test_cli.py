@@ -852,15 +852,41 @@ def test_closed_stdout_is_one_bad_out_record(tmp_path, argv, unbuffered):
     _assert_one_bad_out_record(_run_into_closed_pipe(argv, unbuffered))
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]], ids=["vapokit", "simulate"])
-def test_help_into_closed_stdout_is_one_bad_out_record(argv):
-    """argparse buffers the help text and exits; the flush then fails. With
-    unbuffered stdout argparse itself drops the failed write and exits 0."""
-    _assert_one_bad_out_record(_run_into_closed_pipe(argv, unbuffered=False))
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(["--help"], False), (["simulate", "--help"], False), (["--help"], True), (["simulate", "--help"], True)],
+    ids=["vapokit", "simulate", "vapokit-unbuffered", "simulate-unbuffered"],
+)
+def test_help_into_closed_stdout_is_one_bad_out_record(argv, unbuffered):
+    """Buffered, the help text's write succeeds and the flush fails;
+    unbuffered, the write itself fails, and argparse must not drop that."""
+    _assert_one_bad_out_record(_run_into_closed_pipe(argv, unbuffered))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["report", "--in", "{golden}/score.json"]], ids=["help", "report"]
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_is_one_bad_out_record(argv, unbuffered):
+    """A stdout write that fails with ENOSPC, not a broken pipe, ends the same way."""
+    argv = [a.format(golden=_GOLDEN) for a in argv]
+    with open("/dev/full", "wb") as full:
+        _assert_one_bad_out_record(_run_cli(argv, unbuffered, full.fileno()))
 
 
 def _run_into_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
-    """Run the CLI with stdout on a pipe whose read end is closed. The
+    """Run the CLI with stdout on a pipe whose read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_cli(argv, unbuffered, write_end)
+    finally:
+        os.close(write_end)
+
+
+def _run_cli(argv: list[str], unbuffered: bool, stdout: int) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout on the file descriptor ``stdout``. The
     inherited PYTHONUNBUFFERED is removed unless asked for: with it, a write
     fails at once instead of at the flush."""
     root = Path(__file__).resolve().parent.parent
@@ -868,15 +894,10 @@ def _run_into_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.Compl
     env["PYTHONPATH"] = str(root / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        return subprocess.run(
-            [sys.executable, "-m", "vapokit.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=120, env=env,
-        )
-    finally:
-        os.close(write_end)
+    return subprocess.run(
+        [sys.executable, "-m", "vapokit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=120, env=env,
+    )
 
 
 def _assert_one_bad_out_record(proc: subprocess.CompletedProcess) -> None:

@@ -1,6 +1,6 @@
 """Import boundary: the offline commands never load numpy, the network stack,
 ``dataclasses``, ``inspect`` or ``html``, ``simulate`` loads numpy with one
-BLAS thread, and import compiles the tokenizer's CJK class once.
+BLAS thread, and the tokenizer's CJK class is compiled once, when first needed.
 
 ``score``, ``reward``, ``detect``, ``build`` and ``report`` are short runs, and
 their wall time is mostly import. numpy belongs to ``simulate`` alone, and
@@ -15,9 +15,10 @@ characters itself. ``simulate`` may still load ``inspect`` through numpy,
 and it sets ``OPENBLAS_NUM_THREADS=1`` (unless already set) before numpy loads,
 because OpenBLAS's idle worker thread slows the import; the offline commands
 leave the variable alone.
-Import also compiles the module-level regexes, and the CJK class is the
-costly one, so it is compiled once. Each check runs in a fresh interpreter,
-because this test process has long since imported everything.
+Import also compiles the module-level regexes. The tokenizer's CJK class is
+the costly one, and ASCII text never needs it, so it is compiled once, on the
+first text that is not ASCII. Each check runs in a fresh interpreter, because
+this test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -113,32 +114,50 @@ def test_simulate_runs_blas_single_threaded_unless_told_otherwise(tmp_path, open
         assert result["threads"] == 1
 
 
-# Records every pattern compiled while vapokit.cli is imported, then prints
-# how many distinct ones contain the tokenizer's CJK class (its first range
-# starts at U+3040). Each such class costs milliseconds to compile.
+# Counts the regex compiles whose pattern contains the tokenizer's CJK class
+# (its first range starts at U+3040): after importing vapokit.cli, after
+# ASCII text has gone through every user of the class, after the first text
+# with CJK, and after more. Each such compile costs milliseconds.
 _CJK_PROBE = """
 import json, re
-seen = set()
-compile_ = re._compile
-def recording(pattern, flags):
-    seen.add(pattern)
+compiler = getattr(re, "_compiler", None) or __import__("sre_compile")
+compile_ = compiler.compile
+compiles = 0
+def recording(pattern, flags=0):
+    global compiles
+    compiles += isinstance(pattern, str) and "\\u3040" in pattern
     return compile_(pattern, flags)
-re._compile = recording
+compiler.compile = recording
+counts = []
 import vapokit.cli
-print(json.dumps(sum(1 for p in seen if isinstance(p, str) and "\\u3040" in p)))
+from vapokit.bench import SlideText, layout_slide, word_count
+from vapokit.textnorm import normalize_tokenize
+counts.append(compiles)
+normalize_tokenize("Plain ASCII: under_score, tabs\\tand digits 3.5!")
+word_count("ascii words only")
+layout_slide(SlideText("An ASCII title", "an ascii body"))
+counts.append(compiles)
+normalize_tokenize("\\u4f60\\u597d world")
+counts.append(compiles)
+normalize_tokenize("caf\\u00e9 \\uac00")
+word_count("\\u5b57\\u5b57 words")
+layout_slide(SlideText("\\u6807\\u9898", "\\u6b63\\u6587 text"))
+counts.append(compiles)
+print(json.dumps(counts))
 """
 
 
-def test_import_compiles_the_cjk_class_once():
+def test_cjk_class_compiles_once_on_first_non_ascii_text():
     """Every command pays import-time regex compiles in its setup time, so the
-    CJK class is compiled once, into the tokenizer's pattern, and reused."""
+    CJK class is compiled on the first text that is not ASCII, once, and
+    reused: a command that only sees ASCII text never compiles it."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _CJK_PROBE],
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == 1
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 1]
 
 
 # Per record: its class, every field in declaration order with a value (the

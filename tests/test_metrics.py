@@ -20,6 +20,7 @@ from vapokit.errors import ToolkitError
 from vapokit.metrics import (
     EntityRef,
     FuzzyMatch,
+    _find_exact_span,
     _keyword_spans,
     _recall_counts,
     aggregate_reports,
@@ -97,7 +98,10 @@ def test_align_deterministic_ops():
 def _kernel_pairs():
     """Seeded (ref, hyp) pairs: lengths 0-150 (across the 64- and 128-bit word
     edges) over 1-6 symbols, random or as edits of the reference, plus 200-token
-    pairs and short pairs (where deletion/insertion ties on the trace are common)."""
+    pairs, short pairs (where deletion/insertion ties on the trace are common),
+    and pairs over 2-3 symbols with a shared prefix and suffix forced on, whose
+    middles may be empty or extend them (token_edit_distance trims a common
+    prefix and suffix, align a common suffix)."""
     rng = random.Random(11)
     pairs = []
     for _ in range(1000):
@@ -119,6 +123,11 @@ def _kernel_pairs():
         hyp = tuple(t for t in ref if rng.random() > 0.05)
         hyp = tuple(rng.choice("abcdefghijk") if rng.random() < 0.2 else t for t in hyp)
         pairs.append((ref, hyp))
+    rng = random.Random(31)
+    for _ in range(3000):
+        alphabet = "abc"[: rng.randint(2, 3)]
+        prefix, suffix = (tuple(rng.choices(alphabet, k=rng.randint(0, 4))) for _ in range(2))
+        pairs.append(tuple(prefix + tuple(rng.choices(alphabet, k=rng.randint(0, 4))) + suffix for _ in range(2)))
     return pairs
 
 
@@ -134,6 +143,17 @@ def test_align_and_distance_equal_oracles_random():
         expected = levenshtein_recursive(ref, hyp)
         assert token_edit_distance(ref, hyp) == expected
         assert token_edit_distance(hyp, ref) == expected
+
+
+def test_find_exact_span_equals_naive_scan():
+    """Leftmost start of a nonempty needle, or -1; the needle may be longer
+    than the text, sit at its very end, or start with a token that recurs."""
+    rng = random.Random(32)
+    for _ in range(5000):
+        toks = tuple(rng.choices("ab", k=rng.randint(0, 8)))
+        needle = tuple(rng.choices("ab", k=rng.randint(1, 4)))
+        naive = next((i for i in range(len(toks)) if toks[i : i + len(needle)] == needle), -1)
+        assert _find_exact_span(needle, toks) == naive, (needle, toks)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +234,9 @@ def test_partitioned_insertion_attribution():
     hyp2 = ("xx", "aspirin", "works")
     b2, u2 = partitioned_wer(ref, hyp2, [ent("aspirin")])
     assert b2 == 0.0 and u2 == 1.0
+    # a repeated keyword token: the trace pairs the reference's keyword with
+    # the later copy, so the earlier copy is a sentence-initial insertion
+    assert partitioned_wer(("a", "b"), ("a", "a", "b"), [ent("a")]) == (0.0, 1.0)
 
 
 def test_partition_is_exhaustive_random():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import unicodedata
 
-from oracles import reference_tokenize
+from oracles import ascii_text, reference_tokenize
 from vapokit.textnorm import _CJK_RANGES, is_cjk, normalize_tokenize
 
 
@@ -64,4 +64,12 @@ def test_tokenize_equals_reference_tokenizer_fuzz():
     rng = random.Random(8)
     for _ in range(20_000):
         text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+        assert normalize_tokenize(text) == reference_tokenize(text), repr(text)
+
+
+def test_tokenize_equals_reference_tokenizer_ascii_fuzz():
+    """20k seeded all-ASCII strings, which take the tokenizer's ASCII path."""
+    rng = random.Random(9)
+    for _ in range(20_000):
+        text = ascii_text(rng, 24)
         assert normalize_tokenize(text) == reference_tokenize(text), repr(text)
