@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench, grpo, ocr_behavior
 from .data import load_json, pair_by_id, read_hypotheses, read_samples
 from .errors import ToolkitError
-from .metrics import ALL_METRICS, aggregate_reports, sample_report
+from .metrics import ALL_METRICS, aggregate_reports, check_metrics, sample_report
 from .rewards import RewardWeights, total_reward
 from .tables import render_table
 
@@ -50,11 +50,7 @@ def cmd_score(args) -> int:
     samples = read_samples(args.dataset)
     hyps = read_hypotheses(args.hyp)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    if not metrics:
-        raise ToolkitError("unknown-metric", "no metrics requested")
-    unknown = set(metrics) - set(ALL_METRICS)
-    if unknown:
-        raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
+    check_metrics(metrics)  # before pairing, so a bad name is the error reported
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
     reports = [sample_report(s, h.text, metrics=metrics) for s, h in pairs]
     rows = [{"id": s.id, **rep.as_dict()} for (s, _), rep in zip(pairs, reports)]
@@ -144,19 +140,33 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _to_stderr(message: str) -> None:
+    """Write and flush ``message`` on stderr; if its reader has gone, the rest goes to devnull.
+
+    The exit code then stays the command's own, buffered or not: a failed
+    flush at interpreter exit would turn it into 120.
+    """
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose writes to stdout fail like any other output write.
 
     argparse drops an OSError from its own writes, so ``--help`` into a closed
-    pipe would exit 0 when stdout is unbuffered. Usage errors on stderr keep
-    argparse's handling. Subparsers share the class.
+    pipe would exit 0 when stdout is unbuffered. Usage errors go to stderr
+    through ``_to_stderr``, so they exit 2 whatever stderr's reader does.
+    Subparsers share the class.
     """
 
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout:
             file.write(message)
-        else:
-            super()._print_message(message, file)
+        elif message:
+            _to_stderr(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,12 +225,12 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # a reader that closed stdout early shows here, not at interpreter exit
     except ToolkitError as e:
-        print(json.dumps({"error": e.code, "detail": str(e)}), file=sys.stderr)
+        _to_stderr(json.dumps({"error": e.code, "detail": str(e)}) + "\n")
         return 1
     except OSError as e:  # a stdout write: every other command write raises ToolkitError
         # What is still buffered goes to devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(json.dumps({"error": "bad-out", "detail": f"cannot write stdout: {e}"}), file=sys.stderr)
+        _to_stderr(json.dumps({"error": "bad-out", "detail": f"cannot write stdout: {e}"}) + "\n")
         return 1
 
 

@@ -6,8 +6,9 @@ matching. All functions are pure; metrics whose reference set is empty are
 reported as absent (None), never as zero.
 
 Each metric is a ratio of raw tallies: ``_tally`` counts one sample (one
-alignment, one fuzzy match per entity) and ``_ratios`` divides. Reports,
-corpus aggregates and every standalone metric but ``wer`` share both.
+alignment, one fuzzy match per entity) as a (numerator, denominator) pair per
+metric, and ``_ratios`` divides. Reports, corpus aggregates and every
+standalone metric but ``wer`` share both.
 
 Every edit distance comes from one bit-parallel kernel, ``_columns`` (Myers
 1999, in Hyyro's 2001 Levenshtein form): each hypothesis token advances the
@@ -411,15 +412,36 @@ def ne_fnr(entities: Iterable[EntityRef], hypothesis) -> float:
 # ---------------------------------------------------------------------------
 # tallies, ratios, per-sample reports and corpus aggregation
 
-ALL_METRICS = ("wer", "bwer", "uwer", "recall", "newer", "nefnr")
+# Each ``--metrics`` name and the MetricReport field that holds its value.
+_FIELDS = {
+    "wer": "wer",
+    "bwer": "b_wer",
+    "uwer": "u_wer",
+    "recall": "recall",
+    "newer": "ne_wer",
+    "nefnr": "ne_fnr",
+}
+ALL_METRICS = tuple(_FIELDS)
+
+
+def check_metrics(metrics: Sequence[str]) -> None:
+    """Raise "unknown-metric" for an empty request or a name outside ``ALL_METRICS``."""
+    if not metrics:
+        raise ToolkitError("unknown-metric", "no metrics requested")
+    unknown = set(metrics) - set(_FIELDS)
+    if unknown:
+        raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
 
 
 class MetricReport(Record):
     """Metric values plus the raw tallies they were derived from.
 
-    Values are ``_ratios(counts)``, for one sample and for a corpus aggregate
-    alike (tallies summed, then divided: a micro-average). Absent metrics
-    (empty reference partition, no entities) are None.
+    ``counts`` maps each requested metric name to its (numerator,
+    denominator) pair, and the values are ``_ratios(counts)``, for one sample
+    and for a corpus aggregate alike (pairs summed, then divided: a
+    micro-average). NE-FNR's numerator counts the entities found, and its
+    value is one minus the ratio. Absent metrics (not requested, empty
+    reference partition, no entities) are None.
     """
 
     def __init__(
@@ -430,7 +452,7 @@ class MetricReport(Record):
         recall: float | None = None,
         ne_wer: float | None = None,
         ne_fnr: float | None = None,
-        counts: dict[str, dict[str, int]] | None = None,
+        counts: dict[str, tuple[int, int]] | None = None,
     ):
         self.wer = wer
         self.b_wer = b_wer
@@ -441,77 +463,44 @@ class MetricReport(Record):
         self.counts = {} if counts is None else counts
 
     def as_dict(self) -> dict:
-        return {
-            "wer": self.wer,
-            "b_wer": self.b_wer,
-            "u_wer": self.u_wer,
-            "recall": self.recall,
-            "ne_wer": self.ne_wer,
-            "ne_fnr": self.ne_fnr,
-        }
+        return {field: getattr(self, field) for field in _FIELDS.values()}
 
 
 def _tally(
     ref: tuple[str, ...], hyp: tuple[str, ...], ents: Sequence[EntityRef], metrics: Sequence[str]
-) -> dict[str, dict[str, int]]:
-    """Raw counts for the requested metrics, computing only what they need.
+) -> dict[str, tuple[int, int]]:
+    """One (numerator, denominator) pair per requested metric, computing only what they need.
 
     One alignment serves WER and the B/U partition; one keyword-span pass
     serves the B/U partition and recall; one fuzzy match per entity serves
     NE-WER and NE-FNR. The entity list doubles as the keyword list.
     """
-    counts: dict[str, dict[str, int]] = {}
+    pairs: dict[str, tuple[int, int]] = {}
     if "wer" in metrics or "bwer" in metrics or "uwer" in metrics:
         alignment = align(ref, hyp)
-    if "wer" in metrics:
-        counts["wer"] = {
-            "sub": alignment.substitutions,
-            "del": alignment.deletions,
-            "ins": alignment.insertions,
-            "hits": alignment.hits,
-            "ref": len(ref),
-        }
+        pairs["wer"] = (alignment.errors, len(ref))
     if "bwer" in metrics or "uwer" in metrics or "recall" in metrics:
         spans = _keyword_spans(ref, ents)
     if "bwer" in metrics or "uwer" in metrics:
         kw_err, kw_tok, other_err, other_tok = _partition_counts(ref, spans, alignment)
-        if "bwer" in metrics:
-            counts["bwer"] = {"errors": kw_err, "ref": kw_tok}
-        if "uwer" in metrics:
-            counts["uwer"] = {"errors": other_err, "ref": other_tok}
+        pairs["bwer"] = (kw_err, kw_tok)
+        pairs["uwer"] = (other_err, other_tok)
     if "recall" in metrics:
-        recalled, total = _recall_counts(hyp, spans)
-        counts["recall"] = {"recalled": recalled, "occurrences": total}
+        pairs["recall"] = _recall_counts(hyp, spans)
     if "newer" in metrics or "nefnr" in metrics:
         errors, tokens, found = _entity_counts(ents, hyp)
-        if "newer" in metrics:
-            counts["newer"] = {"errors": errors, "tokens": tokens}
-        if "nefnr" in metrics:
-            counts["nefnr"] = {"found": found, "total": len(ents)}
-    return counts
+        pairs["newer"] = (errors, tokens)
+        pairs["nefnr"] = (found, len(ents))
+    return {name: pairs[name] for name in metrics}
 
 
-def _ratios(counts: dict[str, dict[str, int]]) -> MetricReport:
-    """Metric values for the tallies present; None where a denominator is 0."""
+def _ratios(counts: dict[str, tuple[int, int]]) -> MetricReport:
+    """Metric values for the pairs present; None where a denominator is 0."""
     report = MetricReport(counts=counts)
-    if "wer" in counts:
-        c = counts["wer"]
-        report.wer = (c["sub"] + c["del"] + c["ins"]) / c["ref"] if c["ref"] else None
-    if "bwer" in counts:
-        c = counts["bwer"]
-        report.b_wer = c["errors"] / c["ref"] if c["ref"] else None
-    if "uwer" in counts:
-        c = counts["uwer"]
-        report.u_wer = c["errors"] / c["ref"] if c["ref"] else None
-    if "recall" in counts:
-        c = counts["recall"]
-        report.recall = c["recalled"] / c["occurrences"] if c["occurrences"] else None
-    if "newer" in counts:
-        c = counts["newer"]
-        report.ne_wer = c["errors"] / c["tokens"] if c["tokens"] else None
-    if "nefnr" in counts:
-        c = counts["nefnr"]
-        report.ne_fnr = 1.0 - c["found"] / c["total"] if c["total"] else None
+    for name, (numerator, denominator) in counts.items():
+        if denominator:
+            value = numerator / denominator
+            setattr(report, _FIELDS[name], 1.0 - value if name == "nefnr" else value)
     return report
 
 
@@ -526,9 +515,7 @@ def sample_report(
     The sample's entity list doubles as the keyword list for the partitioned
     metrics.
     """
-    unknown = set(metrics) - set(ALL_METRICS)
-    if unknown:
-        raise ToolkitError("unknown-metric", f"unknown metrics: {sorted(unknown)}")
+    check_metrics(metrics)
     ref = normalize_tokenize(sample.transcript_gt)
     hyp = normalize_tokenize(hypothesis_text)
     if not ref:
@@ -538,11 +525,10 @@ def sample_report(
 
 
 def aggregate_reports(reports: Sequence[MetricReport]) -> MetricReport:
-    """Micro-average: pool raw tallies across samples, then ``_ratios``."""
-    sums: dict[str, dict[str, int]] = {}
+    """Micro-average: sum each metric's pairs across samples, then ``_ratios``."""
+    sums: dict[str, tuple[int, int]] = {}
     for rep in reports:
-        for key, tallies in rep.counts.items():
-            bucket = sums.setdefault(key, {})
-            for name, value in tallies.items():
-                bucket[name] = bucket.get(name, 0) + value
+        for name, (numerator, denominator) in rep.counts.items():
+            total = sums.get(name, (0, 0))
+            sums[name] = (total[0] + numerator, total[1] + denominator)
     return _ratios(sums)

@@ -125,36 +125,40 @@ def format_reward(parsed: StructuredOutput) -> int:
     return 1 if parsed.well_formed else 0
 
 
-def _clipped_accuracy(hypothesis: str, reference: str) -> float:
-    ref = normalize_tokenize(reference)
+def _accuracy(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
+    """max(1 - WER(hyp, ref), 0) over tokens; 0 when ``ref`` has none."""
     if not ref:
         return 0.0
-    hyp = normalize_tokenize(hypothesis)
     return max(1.0 - token_edit_distance(ref, hyp) / len(ref), 0.0)
 
 
 def ocr_reward(think: str, slide_text: str) -> float:
     """max(1 - WER(think, slide_text), 0); 0 when the slide normalizes to nothing."""
-    return _clipped_accuracy(think, slide_text)
+    return _accuracy(normalize_tokenize(think), normalize_tokenize(slide_text))
 
 
 def asr_reward(answer: str, transcript_gt: str) -> float:
     """max(1 - WER(answer, transcript_gt), 0); 0 when the transcript is empty."""
-    return _clipped_accuracy(answer, transcript_gt)
+    return _accuracy(normalize_tokenize(answer), normalize_tokenize(transcript_gt))
 
 
-def _entity_keys_found(text: str, entities: list[str]) -> dict[tuple[str, ...], str]:
-    """Entities ``fuzzy_find`` locates in ``text``, keyed by normalized token tuple (dedup).
-
-    An entity that normalizes to nothing raises ``empty-entity``, as in ``score``.
-    """
-    toks = normalize_tokenize(text)
+def _found_keys(refs: list[EntityRef], toks: tuple[str, ...]) -> dict[tuple[str, ...], str]:
+    """Entities ``fuzzy_find`` locates in ``toks``: token tuple -> first surface, in list order (dedup)."""
     found: dict[tuple[str, ...], str] = {}
-    for surface in entities:
-        needle = normalize_tokenize(surface)
-        if needle not in found and fuzzy_find(EntityRef(surface, needle), toks) is not None:
-            found[needle] = surface
+    for ent in refs:
+        if ent.tokens not in found and fuzzy_find(ent, toks) is not None:
+            found[ent.tokens] = ent.surface
     return found
+
+
+def _anchoring_f1(think_keys, answer_keys) -> float:
+    """F1 of the entity keys anchored in the think block against those found in the answer."""
+    inter = len(think_keys & answer_keys)
+    if inter == 0:
+        return 0.0
+    precision = inter / len(answer_keys)
+    recall = inter / len(think_keys)
+    return 2 * precision * recall / (precision + recall)
 
 
 def extract_anchored(think: str, entities: list[str]) -> list[str]:
@@ -163,7 +167,8 @@ def extract_anchored(think: str, entities: list[str]) -> list[str]:
     Matching is the evaluation's entity rule (``fuzzy_find``). The result is
     deduplicated and keeps the input list order.
     """
-    return list(_entity_keys_found(think, entities).values())
+    refs = [EntityRef.from_surface(e) for e in entities]  # "!!!" raises empty-entity, as in score
+    return list(_found_keys(refs, normalize_tokenize(think)).values())
 
 
 def visual_anchoring_reward(e_think: list[str], answer: str, entities: list[str]) -> float:
@@ -173,22 +178,9 @@ def visual_anchoring_reward(e_think: list[str], answer: str, entities: list[str]
     is over all entities found in the answer, so unanchored entity stuffing
     is punished. Empty anchored set, or no entities in the answer, scores 0.
     """
-    think_keys = set()
-    for surface in e_think:
-        needle = normalize_tokenize(surface)
-        if needle:
-            think_keys.add(needle)
-    if not think_keys:
-        return 0.0
-    answer_keys = set(_entity_keys_found(answer, entities))
-    if not answer_keys:
-        return 0.0
-    inter = len(think_keys & answer_keys)
-    precision = inter / len(answer_keys)
-    recall = inter / len(think_keys)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    think_keys = {normalize_tokenize(surface) for surface in e_think} - {()}
+    refs = [EntityRef.from_surface(e) for e in entities]
+    return _anchoring_f1(think_keys, _found_keys(refs, normalize_tokenize(answer)).keys())
 
 
 def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) -> RewardBreakdown:
@@ -197,33 +189,38 @@ def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) 
     Never raises on model text: malformed structure zeroes the format reward
     and the content rewards are computed on empty think/answer (all 0), so
     the gradient toward format compliance is preserved without extra
-    penalties.
+    penalties. Each text and entity is tokenized once; the answer is searched
+    for entities only when the think block anchors one.
     """
     if weights is None:
         weights = RewardWeights()
-    parsed = parse_structured(raw_output)
+    parsed = parse_structured(raw_output)  # empty blocks when malformed
     r_fmt = format_reward(parsed)
-    think = parsed.think if parsed.well_formed else ""
-    answer = parsed.answer if parsed.well_formed else ""
+    slide = normalize_tokenize(sample.slide_text)
+    transcript = normalize_tokenize(sample.transcript_gt)
+    think = normalize_tokenize(parsed.think)
+    answer = normalize_tokenize(parsed.answer)
 
     diagnostics = []
     if not parsed.well_formed:
         diagnostics.append("malformed-format")
-    if not normalize_tokenize(sample.slide_text):
+    if not slide:
         diagnostics.append("empty-slide-text")
-    if not normalize_tokenize(sample.transcript_gt):
+    if not transcript:
         diagnostics.append("empty-transcript")
 
-    r_ocr = ocr_reward(think, sample.slide_text)
-    r_asr = asr_reward(answer, sample.transcript_gt)
-    e_think = extract_anchored(think, sample.entities)
-    r_va = visual_anchoring_reward(e_think, answer, sample.entities)
+    r_ocr = _accuracy(think, slide)
+    r_asr = _accuracy(answer, transcript)
+    refs = [EntityRef.from_surface(e) for e in sample.entities]
+    anchored = _found_keys(refs, think)
+    answered = _found_keys(refs, answer) if anchored else {}
+    r_va = _anchoring_f1(anchored.keys(), answered.keys())
     return RewardBreakdown(
         r_format=r_fmt,
         r_ocr=r_ocr,
         r_asr=r_asr,
         r_va=r_va,
         total=weights.weigh(r_fmt, r_ocr, r_asr, r_va),
-        anchored_entities=e_think,
+        anchored_entities=list(anchored.values()),
         diagnostics=diagnostics,
     )

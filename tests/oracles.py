@@ -7,8 +7,8 @@ every alignment path for small inputs, a general windowed entity search,
 keyword spans that try every keyword at every position, keyword recall as a
 count of disjoint occurrences, a per-character tokenizer, per-character slide
 word counting and wrap atoms, a greedy line fill, a regex-based recognizer
-for the rollout grammar, and the policy sandbox's training loop run one step
-at a time.
+for the rollout grammar, the four rollout rewards from their definitions,
+and the policy sandbox's training loop run one step at a time.
 """
 
 from __future__ import annotations
@@ -289,6 +289,54 @@ _REFERENCE_RE = re.compile(
 
 def reference_well_formed(raw: str) -> bool:
     return _REFERENCE_RE.match(raw) is not None
+
+
+def reference_total_reward(sample, raw: str) -> dict:
+    """The four rollout rewards of ``raw`` against ``sample``, from the paper's definitions.
+
+    - r_format: 1 when the rollout is one think block then one answer block.
+    - r_ocr: max(0, 1 - WER) of the think block against the slide text, and
+      r_asr the same of the answer against the transcript; 0 when the
+      reference has no tokens. A malformed rollout has empty blocks.
+    - r_va: F1 between the entities anchored in the think block and the
+      entities found in the answer, precision over the answer's, recall over
+      the anchored; 0 when the two share none. An entity is found when
+      ``reference_fuzzy_find`` places it, and entities with equal tokens
+      count once, under their first surface.
+
+    The sample's entities must each have a token.
+    """
+    well_formed = reference_well_formed(raw)
+    think, answer = _REFERENCE_RE.match(raw).groups() if well_formed else ("", "")
+
+    def accuracy(hyp: str, ref: str) -> float:
+        ref_toks = reference_tokenize(ref)
+        if not ref_toks:
+            return 0.0
+        return max(1.0 - levenshtein_recursive(ref_toks, reference_tokenize(hyp)) / len(ref_toks), 0.0)
+
+    def found(text: str) -> dict[tuple[str, ...], str]:
+        toks = reference_tokenize(text)
+        keys: dict[tuple[str, ...], str] = {}
+        for surface in sample.entities:
+            key = reference_tokenize(surface)
+            if reference_fuzzy_find(key, toks) is not None:
+                keys.setdefault(key, surface)
+        return keys
+
+    anchored, answered = found(think), found(answer)
+    shared = len(set(anchored) & set(answered))
+    r_va = 0.0
+    if shared:
+        precision, recall = shared / len(answered), shared / len(anchored)
+        r_va = 2 * precision * recall / (precision + recall)
+    return {
+        "r_format": int(well_formed),
+        "r_ocr": accuracy(think, sample.slide_text),
+        "r_asr": accuracy(answer, sample.transcript_gt),
+        "r_va": r_va,
+        "anchored_entities": list(anchored.values()),
+    }
 
 
 _TAG_PIECES = [

@@ -885,19 +885,43 @@ def _run_into_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.Compl
         os.close(write_end)
 
 
-def _run_cli(argv: list[str], unbuffered: bool, stdout: int) -> subprocess.CompletedProcess:
-    """Run the CLI with stdout on the file descriptor ``stdout``. The
-    inherited PYTHONUNBUFFERED is removed unless asked for: with it, a write
-    fails at once instead of at the flush."""
+def _run_cli(
+    argv: list[str], unbuffered: bool, stdout: int, stderr: int = subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout on the file descriptor ``stdout`` (and stderr
+    on ``stderr``). The inherited PYTHONUNBUFFERED is removed unless asked
+    for: with it, a write fails at once instead of at the flush."""
     root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(root / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "vapokit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "vapokit.cli", *argv], stdout=stdout, stderr=stderr, text=True,
         timeout=120, env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["score", "--dataset", "{tmp}/missing.jsonl", "--hyp", "{tmp}/missing.jsonl", "--out", "{tmp}/o.json"], 1),
+        (["nope"], 2),
+    ],
+    ids=["missing-dataset", "unknown-command"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, code, unbuffered):
+    """An error record or usage message that stderr's reader never takes
+    still ends in exit 1 or 2, not in the 120 of a failed flush at exit."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(argv, unbuffered, subprocess.PIPE, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 def _assert_one_bad_out_record(proc: subprocess.CompletedProcess) -> None:

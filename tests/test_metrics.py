@@ -18,6 +18,7 @@ from oracles import (
 from vapokit.data import Sample
 from vapokit.errors import ToolkitError
 from vapokit.metrics import (
+    ALL_METRICS,
     EntityRef,
     FuzzyMatch,
     _find_exact_span,
@@ -25,6 +26,7 @@ from vapokit.metrics import (
     _recall_counts,
     aggregate_reports,
     align,
+    check_metrics,
     fuzzy_find,
     keyword_recall,
     ne_fnr,
@@ -516,9 +518,15 @@ def test_aggregate_is_micro_average():
 
 
 def test_sample_report_unknown_metric():
+    """The library rejects what ``score --metrics`` rejects, with the same record."""
     sample = _mini_sample(4, "a b c d", [])
-    with pytest.raises(ToolkitError):
-        sample_report(sample, "a b c d", metrics=("wer", "nope"))
+    for metrics in ((), ("wer", "nope")):
+        with pytest.raises(ToolkitError) as lib:
+            sample_report(sample, "a b c d", metrics=metrics)
+        with pytest.raises(ToolkitError) as cli:
+            check_metrics(metrics)
+        assert lib.value.code == "unknown-metric"
+        assert (lib.value.code, str(lib.value)) == (cli.value.code, str(cli.value))
 
 
 def test_sample_report_chinese_per_character():
@@ -587,3 +595,91 @@ def test_sample_report_equals_standalone_metrics_random():
         else:
             assert report.recall is None and report.ne_wer is None and report.ne_fnr is None
         assert aggregate_reports([report]).as_dict() == report.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# (numerator, denominator) pairs
+
+
+_FIELDS = {"wer": "wer", "bwer": "b_wer", "uwer": "u_wer", "recall": "recall", "newer": "ne_wer", "nefnr": "ne_fnr"}
+_SUBSETS = [
+    ALL_METRICS,
+    ("wer",),
+    ("bwer",),
+    ("uwer", "recall"),
+    ("recall",),
+    ("newer",),
+    ("nefnr", "wer"),
+    ("newer", "nefnr"),
+    ("bwer", "uwer", "nefnr"),
+]
+
+
+def _seeded_reports(n: int, metrics) -> list:
+    rng = random.Random(11)
+    vocab = ["aspirin", "warfarin", "new", "york", "the", "dose", "warfaring", "a"]
+    surfaces = ["aspirin", "warfarin", "new york", "the dose"]
+    reports = []
+    for i in range(n):
+        ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+        hyp = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
+        sample = _mini_sample(i, ref, rng.sample(surfaces, rng.randint(0, 3)))
+        reports.append(sample_report(sample, hyp, metrics=metrics))
+    return reports
+
+
+def _value_of(name: str, pair: tuple[int, int]):
+    numerator, denominator = pair
+    if not denominator:
+        return None
+    return 1.0 - numerator / denominator if name == "nefnr" else numerator / denominator
+
+
+@pytest.mark.parametrize("metrics", _SUBSETS, ids=[",".join(m) for m in _SUBSETS])
+def test_counts_are_one_pair_per_requested_metric(metrics):
+    """``counts`` names exactly the requested metrics, each value is its pair's
+    ratio (NE-FNR's complement; None on a zero denominator), the other fields
+    stay None, and a subset's pairs are the full report's."""
+    full = _seeded_reports(300, ALL_METRICS)
+    for report, whole in zip(_seeded_reports(300, metrics), full):
+        assert set(report.counts) == set(metrics)
+        for name, field in _FIELDS.items():
+            if name in metrics:
+                pair = report.counts[name]
+                assert pair == whole.counts[name]
+                assert getattr(report, field) == _value_of(name, pair)
+            else:
+                assert getattr(report, field) is None
+
+
+def test_counts_pairs_match_the_oracles():
+    for report in _seeded_reports(300, ALL_METRICS):
+        assert all(len(pair) == 2 and 0 <= pair[0] for pair in report.counts.values())
+        assert report.counts["wer"][1] == report.counts["bwer"][1] + report.counts["uwer"][1]
+    sample = _mini_sample(0, "we take aspirin and new york water", ["aspirin", "new york", "the dose"])
+    report = sample_report(sample, "we take asprin and york water")
+    ref, hyp = normalize_tokenize(sample.transcript_gt), normalize_tokenize("we take asprin and york water")
+    assert report.counts["wer"] == (levenshtein_recursive(ref, hyp), 7)
+    assert report.counts["recall"] == reference_recall(hyp, [("aspirin",), ("new", "york")])
+    assert report.counts["newer"] == (1 + 2 + 2, 5)  # aspirin one edit off, new york and the dose missing
+    assert report.counts["nefnr"] == (1, 3)
+
+
+@pytest.mark.parametrize("metrics", [ALL_METRICS, ("wer", "recall"), ("nefnr",)], ids=["all", "wer,recall", "nefnr"])
+def test_aggregate_of_a_split_equals_the_whole(metrics):
+    """Pooling is a sum of pairs, so aggregating per part and then across parts
+    gives the corpus aggregate: a macro-average would not."""
+    reports = _seeded_reports(300, metrics)
+    whole = aggregate_reports(reports)
+    expected = {name: tuple(map(sum, zip(*(r.counts[name] for r in reports)))) for name in metrics}
+    assert whole.counts == expected
+    assert whole.as_dict() == {field: _value_of(name, expected[name]) if name in metrics else None
+                               for name, field in _FIELDS.items()}
+    rng = random.Random(13)
+    for _ in range(20):
+        shuffled = rng.sample(reports, len(reports))
+        cuts = sorted(rng.sample(range(1, len(reports)), rng.randint(1, 5)))
+        parts = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(reports)])]
+        merged = aggregate_reports([aggregate_reports(part) for part in parts])
+        assert merged.counts == whole.counts
+        assert merged.as_dict() == whole.as_dict()

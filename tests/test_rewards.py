@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import levenshtein_recursive, rollout_soup
-from vapokit.data import Sample
+from oracles import levenshtein_recursive, reference_total_reward, rollout_soup
+from vapokit import grpo
+from vapokit.data import Sample, read_samples
 from vapokit.errors import ToolkitError
+from vapokit.metrics import EntityRef
 from vapokit.rewards import (
     RewardWeights,
     asr_reward,
@@ -209,6 +214,66 @@ def test_total_reward_bounded_fuzz(sample):
             + weights.lambda_va * b.r_va
         )
         assert 0.0 <= b.total <= weights.total
+
+
+# The builtin samples plus the golden manifest, whose last record is Chinese.
+_SAMPLES = grpo.default_samples() + read_samples(Path(__file__).resolve().parent / "golden" / "manifest.jsonl")
+
+
+def _oracle_fields(b) -> dict:
+    """The fields of a RewardBreakdown that ``reference_total_reward`` computes."""
+    return {
+        "r_format": b.r_format,
+        "r_ocr": b.r_ocr,
+        "r_asr": b.r_asr,
+        "r_va": b.r_va,
+        "anchored_entities": b.anchored_entities,
+    }
+
+
+def _word_rollout(rng: random.Random, sample: Sample) -> str:
+    """A well-formed rollout whose blocks draw from the sample's own words and
+    entities, some with the last character changed, so that anchoring,
+    one-edit matches and partial F1s are common."""
+    words = f"{sample.slide_text} {sample.transcript_gt}".split() + list(sample.entities) + ["qq", "zz"]
+
+    def block() -> str:
+        picked = rng.choices(words, k=rng.randint(0, 12))
+        return " ".join(w[:-1] + "q" if rng.random() < 0.15 else w for w in picked)
+
+    return serialize_structured(block(), block())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(sample=st.sampled_from(_SAMPLES), seed=st.integers(0, 2**32 - 1), words=st.booleans())
+def test_total_reward_equals_the_reference(sample, seed, words):
+    rng = random.Random(seed)
+    raw = _word_rollout(rng, sample) if words else rollout_soup(rng)
+    assert _oracle_fields(total_reward(sample, raw)) == reference_total_reward(sample, raw), raw
+
+
+def test_total_reward_equals_the_reference_on_every_rendered_rollout():
+    for sample in grpo.default_samples():
+        for tup in grpo.ALL_TUPLES:
+            raw = grpo.render(tup, sample)
+            assert _oracle_fields(total_reward(sample, raw)) == reference_total_reward(sample, raw), (sample.id, tup)
+
+
+def test_total_reward_tokenizes_each_entity_once(monkeypatch):
+    """One EntityRef per entity per call serves both the think and the answer search."""
+    built = []
+    from_surface = EntityRef.from_surface
+
+    def counting(surface):
+        built.append(surface)
+        return from_surface(surface)
+
+    monkeypatch.setattr(EntityRef, "from_surface", staticmethod(counting))
+    sample = grpo.default_samples()[0]
+    for tup in grpo.ALL_TUPLES:
+        built.clear()
+        total_reward(sample, grpo.render(tup, sample))
+        assert built == sample.entities, tup
 
 
 def test_ocr_behavior_scores_worse_than_truth():
