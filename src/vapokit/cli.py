@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import load_json, pair_by_id, read_hypotheses, read_samples
+from .data import load_json, pair_by_id, read_hypotheses, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, check_metrics, sample_report
 from .rewards import RewardWeights, total_reward
@@ -111,16 +111,20 @@ def cmd_simulate(args) -> int:
         raise ToolkitError("bad-out", f"--out {args.out!r} must name a file without the CSV trace's suffix .csv")
     if not out.parent.is_dir():
         raise ToolkitError("bad-out", f"--out {args.out!r}: {str(out.parent)!r} is not an existing directory")
-    for path in (out, out.with_suffix(".csv")):
+    traces = (out, out.with_suffix(".csv"))
+    for path in traces:
         if path.is_dir():
             raise ToolkitError("bad-out", f"--out {args.out!r}: the trace {str(path)!r} is a directory")
         _reject_input_as_out(path, args.config)
     config = grpo.SimConfig.from_file(args.config)
+    samples = str(resolve_data_path(config.samples_ref))  # read by from_file; training reads no file
+    for path in traces:
+        _reject_input_as_out(path, samples)
     if args.seed is not None:
         config.seed = args.seed
     trace = grpo.train(config)
     with _writing(out):
-        trace.write(out, out.with_suffix(".csv"))
+        trace.write(*traces)
     print(json.dumps({"steps": len(trace.steps), "p_optimal": trace.final.p_optimal}))
     return 0
 

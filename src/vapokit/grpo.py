@@ -12,21 +12,22 @@ a sample and a group of tuples, reads their rewards from the table, and
 normalizes them within the group into advantages. Random numbers are drawn
 only in ``train``.
 
-``train`` applies the likelihood-ratio gradient of ``surrogate_objective``
-without its zero-sum term. A group's normalized advantages sum to zero, so
-the term ``-softmax(logits) * sum(advantages)`` of ``surrogate_gradient`` is
-zero up to rounding, and each step adds ``lr`` times the advantages summed per
-arm: the logits after step t are ``lr * sum_{s <= t} bincount(indices_s,
-advantages_s)``. The policy never feeds back into its own updates, so the
-sandbox is a bandit ranked by each arm's summed advantage, and the policy is
-the softmax of that running sum.
+``train`` ascends the likelihood-ratio gradient of the surrogate
+``sum_i a_i * log softmax(logits)[k_i]`` without its zero-sum term. A group's
+normalized advantages sum to zero, so the term ``-softmax(logits) *
+sum(advantages)`` is zero up to rounding, and each step adds ``lr`` times the
+advantages summed per arm: the logits after step t are ``lr * sum_{s <= t}
+bincount(indices_s, advantages_s)``. The policy never feeds back into its own
+updates, so the sandbox is a bandit ranked by each arm's summed advantage,
+and the policy is the softmax of that running sum.
 
 The dealer never reads the policy either, so ``train`` deals the steps in
 blocks of ``DEAL_BLOCK_ROLLOUTS`` rollouts: each block's draws (in the
 per-step order), group advantages, component means, logits (``policy_step``,
-one cumulative sum), probabilities and expected rewards are computed at once,
-and only the trace records are built per step. ``TrainTrace.write`` writes
-the JSONL and CSV traces in one pass, formatting each value once.
+one cumulative sum), probabilities and expected rewards are computed with one
+array operation each, and its trace rows with one ``map``.
+``TrainTrace.write`` writes the JSONL and CSV traces in one pass, formatting
+each value once.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
@@ -57,6 +58,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .data import Record, Sample, _as_number, load_json, read_samples, resolve_data_path
 from .errors import ToolkitError
+from .metrics import _find_exact_span
 from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
 
@@ -84,11 +86,6 @@ NUM_TUPLES = len(ALL_TUPLES)  # 54
 OPTIMAL_TUPLE = BehaviorTuple(True, 1.0, 1.0, 1.0)
 OPTIMAL_INDEX = ALL_TUPLES.index(OPTIMAL_TUPLE)
 
-_OCR_GRADE = tuple(t.ocr_level for t in ALL_TUPLES)
-_ASR_GRADE = tuple(t.asr_level for t in ALL_TUPLES)
-_ANCHOR_GRADE = tuple(t.anchor_level for t in ALL_TUPLES)
-_FORMAT_GRADE = tuple(float(t.format_ok) for t in ALL_TUPLES)
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis: of one logits row, or of each row of a 2-D array."""
@@ -114,14 +111,11 @@ def _entity_spans(tokens: tuple[str, ...], entity_token_lists: list[tuple[str, .
     for needle in entity_token_lists:
         k = len(needle)
         mine = []
-        i = 0
-        while k and i <= len(tokens) - k:
-            if tokens[i : i + k] == needle:
-                mine.append((i, i + k))
-                covered.update(range(i, i + k))
-                i += k
-            else:
-                i += 1
+        i = _find_exact_span(needle, tokens)
+        while i >= 0:
+            mine.append((i, i + k))
+            covered.update(range(i, i + k))
+            i = _find_exact_span(needle, tokens, i + k)
         spans.append(mine)
     return covered, spans
 
@@ -216,31 +210,13 @@ def group_advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (r - r.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
 
 
-def surrogate_objective(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> float:
-    """Sum_i a_i * log pi(k_i) with advantages treated as constants."""
-    import numpy as np
-
-    z = logits - logits.max()
-    logp = z - math.log(np.exp(z).sum())
-    return float(sum(a * logp[k] for k, a in zip(indices, advantages)))
-
-
-def surrogate_gradient(logits: np.ndarray, indices: Sequence[int], advantages: Sequence[float]) -> np.ndarray:
-    """Gradient of ``surrogate_objective`` with respect to the logits."""
-    import numpy as np
-
-    adv = np.asarray(advantages, dtype=float)
-    grad = np.bincount(np.asarray(indices, dtype=int), weights=adv, minlength=NUM_TUPLES)
-    return grad - _softmax(logits) * adv.sum()
-
-
 def policy_step(logits: np.ndarray, indices: np.ndarray, advantages: np.ndarray, lr: float) -> np.ndarray:
     """The logits after each step of a block, one row per step.
 
     Row t of ``indices`` and ``advantages`` is step t's group, and row t of the
     result is ``logits + lr * sum_{s <= t} bincount(indices[s], advantages[s])``:
-    ``surrogate_gradient``'s ascent step without its zero-sum term. A one-row
-    block is one step.
+    the surrogate's gradient ascent step without its zero-sum term (see the
+    module docstring). A one-row block is one step.
     """
     import numpy as np
 
@@ -324,30 +300,17 @@ class SimConfig(Record):
         }
 
 
-class TraceStep(Record):
-    # The trace columns, in the order ``__init__`` assigns them.
-    _fields = ("step", "mean_reward", "expected_reward", "mean_format", "mean_ocr", "mean_asr", "mean_va",
-               "p_optimal")
+class TraceStep(NamedTuple):
+    """One step's trace row; the fields are the trace columns, in order."""
 
-    def __init__(
-        self,
-        step: int,
-        mean_reward: float,  # mean over the sampled group
-        expected_reward: float,  # exact expectation under the current policy
-        mean_format: float,
-        mean_ocr: float,
-        mean_asr: float,
-        mean_va: float,
-        p_optimal: float,
-    ):
-        self.step = step
-        self.mean_reward = mean_reward
-        self.expected_reward = expected_reward
-        self.mean_format = mean_format
-        self.mean_ocr = mean_ocr
-        self.mean_asr = mean_asr
-        self.mean_va = mean_va
-        self.p_optimal = p_optimal
+    step: int
+    mean_reward: float  # mean over the sampled group
+    expected_reward: float  # exact expectation under the current policy
+    mean_format: float
+    mean_ocr: float
+    mean_asr: float
+    mean_va: float
+    p_optimal: float
 
 
 class TrainTrace(Record):
@@ -378,19 +341,19 @@ class TrainTrace(Record):
             jsonl_file.write(json.dumps({"record": "config", "seed": self.seed, "config": self.config}) + "\n")
             csv_file.write(",".join(names) + "\r\n")
             for step in self.steps:
-                values = tuple(map(repr, vars(step).values()))
+                values = tuple(map(repr, step))
                 jsonl_file.write(jsonl_step % values)
                 csv_file.write(csv_step % values)
 
 
 def expected_grades(logits: np.ndarray) -> dict[str, float]:
     """Expected grade per behavior axis under the policy ``softmax(logits)``, plus its mass on the optimum."""
+    import numpy as np
+
     p = _softmax(logits)
+    grades = p @ np.array(ALL_TUPLES, dtype=float)  # one column per BehaviorTuple field
     return {
-        "format_rate": float(p @ _FORMAT_GRADE),
-        "ocr_level": float(p @ _OCR_GRADE),
-        "asr_level": float(p @ _ASR_GRADE),
-        "anchor_level": float(p @ _ANCHOR_GRADE),
+        **dict(zip(("format_rate", "ocr_level", "asr_level", "anchor_level"), grades.tolist())),
         "p_optimal": float(p[OPTIMAL_INDEX]),
     }
 
@@ -470,24 +433,11 @@ def train(config: SimConfig) -> TrainTrace:
         advantages = group_advantages(groups[..., -1])
         # Summed over a middle axis, each mean adds the group's rows in order,
         # as a per-step ``group.mean(axis=0)`` does (a last-axis sum is pairwise).
-        means = groups.mean(axis=1).tolist()
+        r_format, r_ocr, r_asr, r_va, total = groups.mean(axis=1).T.tolist()
         block_logits = policy_step(logits, indices, advantages, config.lr)
         probs = _softmax(block_logits)
         expected = (probs * table[si, :, -1]).sum(axis=1).tolist()
         p_optimal = probs[:, OPTIMAL_INDEX].tolist()
         logits = block_logits[-1]
-        for step, expected_reward, p_opt, mean in zip(block, expected, p_optimal, means):
-            r_format, r_ocr, r_asr, r_va, total = mean
-            trace.append(
-                TraceStep(
-                    step=step,
-                    mean_reward=total,
-                    expected_reward=expected_reward,
-                    mean_format=r_format,
-                    mean_ocr=r_ocr,
-                    mean_asr=r_asr,
-                    mean_va=r_va,
-                    p_optimal=p_opt,
-                )
-            )
+        trace.extend(map(TraceStep, block, total, expected, r_format, r_ocr, r_asr, r_va, p_optimal))
     return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_logits=logits)

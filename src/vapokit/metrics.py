@@ -245,11 +245,12 @@ def fuzzy_find(entity: EntityRef, text) -> FuzzyMatch | None:
     return None
 
 
-def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...]) -> int:
-    """Start of the leftmost occurrence of the nonempty ``needle`` in ``toks``, or -1."""
+def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int = 0) -> int:
+    """Start of the leftmost occurrence of the nonempty ``needle`` in ``toks``
+    at or after ``start``, or -1."""
     k = len(needle)
     stop = len(toks) - k + 1  # past the last start with room for the needle
-    i = 0
+    i = start
     try:
         while True:
             i = toks.index(needle[0], i, stop)

@@ -8,6 +8,12 @@ from typing import Sequence
 LOWER_BETTER = {"wer", "b_wer", "u_wer", "ne_wer", "ne_fnr", "rate_percent"}
 HIGHER_BETTER = {"recall", "total", "p_optimal", "mean_reward"}
 
+# A tab or line break in a name or value would start a new TSV column or row,
+# and a pipe a new markdown cell: they are written as escapes instead, and a
+# backslash is doubled so that an escape reads back one way.
+_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPES = {"tsv": str.maketrans(_TSV_ESCAPES), "md": str.maketrans({**_TSV_ESCAPES, "|": "\\|"})}
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -43,21 +49,23 @@ def render_table(rows: Sequence[dict], fmt: str = "md") -> str:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    if fmt == "tsv":
-        lines = ["\t".join(columns)]
-        for row in rows:
-            lines.append("\t".join(_fmt(row.get(c)) for c in columns))
-        return "\n".join(lines) + "\n"
-    if fmt != "md":
+    if fmt not in _ESCAPES:
         raise ValueError(f"unknown table format: {fmt!r}")
+    escapes = _ESCAPES[fmt]
+    names = [c.translate(escapes) for c in columns]
+    if fmt == "tsv":
+        lines = ["\t".join(names)]
+        for row in rows:
+            lines.append("\t".join(_fmt(row.get(c)).translate(escapes) for c in columns))
+        return "\n".join(lines) + "\n"
     marks = {
         c: _rank_marks(rows, c) for c in columns if c in LOWER_BETTER or c in HIGHER_BETTER
     }
-    lines = ["| " + " | ".join(columns) + " |", "| " + " | ".join("---" for _ in columns) + " |"]
+    lines = ["| " + " | ".join(names) + " |", "| " + " | ".join("---" for _ in columns) + " |"]
     for i, row in enumerate(rows):
         cells = []
         for c in columns:
-            cell = _fmt(row.get(c))
+            cell = _fmt(row.get(c)).translate(escapes)
             mark = marks.get(c, {}).get(i)
             if mark == "best":
                 cell = f"**{cell}**"

@@ -8,7 +8,8 @@ keyword spans that try every keyword at every position, keyword recall as a
 count of disjoint occurrences, a per-character tokenizer, per-character slide
 word counting and wrap atoms, a greedy line fill, a regex-based recognizer
 for the rollout grammar, the four rollout rewards from their definitions,
-and the policy sandbox's training loop run one step at a time.
+the policy sandbox's surrogate objective, and its training loop run one step
+at a time.
 """
 
 from __future__ import annotations
@@ -391,6 +392,15 @@ def rollout_soup(rng: random.Random) -> str:
     think = " ".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
     answer = " ".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
     return f"<think>{think}</think><answer>{answer}</answer>"
+
+
+def surrogate_objective(logits, indices, advantages) -> float:
+    """The sandbox's surrogate ``sum_i a_i * log softmax(logits)[k_i]``, with
+    the advantages held constant; its gradient is what ``grpo.policy_step``
+    ascends, up to the zero-sum term."""
+    top = max(logits)
+    log_norm = top + math.log(sum(math.exp(z - top) for z in logits))
+    return float(sum(a * (logits[k] - log_norm) for k, a in zip(indices, advantages)))
 
 
 def train_reference(config) -> tuple[list[dict], "np.ndarray"]:

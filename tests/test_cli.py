@@ -293,6 +293,7 @@ def test_report_command(tmp_path, capsys):
         {"id": "a", "wer": 0.5, "recall": 0.9},
         {"id": "b", "wer": 0.25, "recall": 0.7},
         {"id": "c", "wer": 0.3, "recall": 0.95},
+        {"id": "t\tn\nr\rp|\\t"},  # escaped, so it adds no column, row or cell
     ]}))
     code = main(["report", "--in", str(metrics), "--format", "md"])
     assert code == 0
@@ -301,11 +302,15 @@ def test_report_command(tmp_path, capsys):
     assert "**0.2500**" in table  # best wer bold
     assert "_0.3000_" in table  # second-best wer underlined
     assert "**0.9500**" in table  # best recall bold
+    assert table.splitlines()[-1] == "| t\\tn\\nr\\rp\\|\\\\t | - | - |"
+    assert len(table.splitlines()) == 6
 
     code = main(["report", "--in", str(metrics), "--format", "tsv"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0] == "id\twer\trecall"
+    assert out.splitlines()[-1] == "t\\tn\\nr\\rp|\\\\t\t-\t-"
+    assert [len(line.split("\t")) for line in out.splitlines()] == [3] * 5
 
 
 def test_report_no_rows(tmp_path, capsys):
@@ -775,18 +780,25 @@ def test_unwritable_output_is_one_bad_out_record(tmp_path, argv):
         (["detect", "--dataset", "d.jsonl", "--hyp", "h.jsonl", "--out", "h.jsonl"], "h.jsonl"),
         (["simulate", "--config", "cfg.json", "--out", "cfg.json"], "cfg.json"),
         (["simulate", "--config", "cfg.csv", "--out", "cfg.jsonl"], "cfg.csv"),
+        (["simulate", "--config", "sim.json", "--out", "d.jsonl"], "d.jsonl"),
+        (["simulate", "--config", "sim_csv.json", "--out", "t.jsonl"], "t.csv"),
     ],
     ids=["score-dataset", "score-hyp", "reward-dataset", "reward-rollouts", "reward-weights",
-         "detect-dataset", "detect-hyp", "simulate-config", "simulate-config-as-csv-trace"],
+         "detect-dataset", "detect-hyp", "simulate-config", "simulate-config-as-csv-trace",
+         "simulate-samples", "simulate-samples-as-csv-trace"],
 )
 def test_out_naming_an_input_is_bad_out(tmp_path, capsys, monkeypatch, argv, target):
     """An --out (or the simulate CSV trace beside it) that is one of the
-    command's inputs is rejected before anything is read or written."""
-    for name, golden in (("d.jsonl", "manifest.jsonl"), ("h.jsonl", "hyp.jsonl"), ("r.jsonl", "rollouts.jsonl")):
+    command's inputs, or the samples file a simulate config names, is rejected
+    before anything is written."""
+    for name, golden in (("d.jsonl", "manifest.jsonl"), ("h.jsonl", "hyp.jsonl"), ("r.jsonl", "rollouts.jsonl"),
+                         ("t.csv", "manifest.jsonl")):
         (tmp_path / name).write_bytes((_GOLDEN / golden).read_bytes())
     (tmp_path / "w.json").write_text('{"lambda_va": 2.0}')
     (tmp_path / "cfg.json").write_text('{"steps": 3}')
     (tmp_path / "cfg.csv").write_text('{"steps": 3}')
+    (tmp_path / "sim.json").write_text('{"steps": 5, "samples": "d.jsonl"}')
+    (tmp_path / "sim_csv.json").write_text('{"steps": 5, "samples": "t.csv"}')
     before = (tmp_path / target).read_bytes()
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1

@@ -28,8 +28,6 @@ from vapokit.grpo import (
     policy_step,
     render,
     reward_matrix,
-    surrogate_gradient,
-    surrogate_objective,
     train,
 )
 from vapokit.rewards import RewardWeights, total_reward
@@ -99,6 +97,23 @@ def test_render_corrupts_entities_then_plain_positions_ascending():
     # with the remaining entity position 4, then plain positions 0, 1, 2
     assert render(BehaviorTuple(False, 1.0, 0.5, 0.5), sample) == (
         f"<think>{slide}</think><answer>xq0z xq1z xq2z u4 xq4z u6 u7 xq7z u9 u10"
+    )
+
+
+def test_render_overlapping_and_repeated_entities():
+    # "a b" occurs twice and overlaps "b c"; each entity's occurrences are
+    # found on their own, so a dropped "b c" also breaks the first "a b"
+    sample = Sample(id="ov", domain="d", lang="en", slide_text="p a b c q a b r s",
+                    transcript_gt="t0 a b c t4 a b t7 t8 t9", entities=["a b", "b c"], audio_ref="a.wav")
+    slide = "p a b c q a b r s"
+    assert render(BehaviorTuple(True, 0.5, 1.0, 0.5), sample) == (
+        "<think>p xq1z xq2z xq3z q xq5z xq6z r s</think><answer>t0 a xq2z xq3z t4 a b t7 t8 t9</answer>"
+    )
+    assert render(BehaviorTuple(True, 1.0, 1.0, 0.0), sample) == (
+        f"<think>{slide}</think><answer>t0 xq1z xq2z xq3z t4 xq5z xq6z t7 t8 t9</answer>"
+    )
+    assert render(BehaviorTuple(True, 1.0, 0.5, 1.0), sample) == (
+        f"<think>{slide}</think><answer>t0 xq1z xq2z xq3z t4 xq5z xq6z t7 t8 t9</answer>"
     )
 
 
@@ -334,26 +349,6 @@ def test_policy_step_rejects_an_overflowing_or_non_positive_lr(lr, code, recwarn
     assert not recwarn.list
 
 
-def test_surrogate_gradient_matches_central_differences():
-    rng = np.random.default_rng(7)
-    logits = rng.normal(0, 0.5, NUM_TUPLES)
-    indices = [int(k) for k in rng.integers(NUM_TUPLES, size=8)]
-    advantages = group_advantages(rng.uniform(0, 4, size=8))
-    analytic = surrogate_gradient(logits, indices, advantages)
-    h = 1e-3
-    for j in range(NUM_TUPLES):
-        lp = logits.copy()
-        lp[j] += h
-        lm = logits.copy()
-        lm[j] -= h
-        numeric = (
-            surrogate_objective(lp, indices, advantages)
-            - surrogate_objective(lm, indices, advantages)
-        ) / (2 * h)
-        rel = abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-6)
-        assert rel < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -363,7 +358,7 @@ def test_train_trace_shape_and_determinism(fixture_samples):
     t1 = train(config)
     t2 = train(SimConfig(steps=120, seed=9, samples=fixture_samples))
     assert len(t1.steps) == 120
-    assert [vars(s) for s in t1.steps] == [vars(s) for s in t2.steps]
+    assert t1.steps == t2.steps
     assert t1.final_logits.tobytes() == t2.final_logits.tobytes()
 
 

@@ -190,7 +190,7 @@ _RECORDS = [
                  "samples_ref": "builtin:grpo_samples.jsonl"},
      ("steps", "group_size", "lr", "seed", "weights", "samples", "samples_ref"), ("seed", 3), False),
     (TraceStep, {"step": 0, "mean_reward": 1.0, "expected_reward": 0.5, "mean_format": 1.0, "mean_ocr": 0.5,
-                 "mean_asr": 0.5, "mean_va": 0.0, "p_optimal": 0.1}, (), ("p_optimal", 0.2), False),
+                 "mean_asr": 0.5, "mean_va": 0.0, "p_optimal": 0.1}, (), ("p_optimal", 0.2), True),
     (TrainTrace, {"steps": [], "seed": 0, "config": {}, "final_logits": None}, (), ("seed", 1), False),
     (ValidationReport, {"samples": 1, "entities": 2, "violations": []}, ("violations",), ("entities", 3), False),
 ]
@@ -211,7 +211,6 @@ def test_records_keep_their_contract(cls, fields, defaults, change, frozen):
             setattr(record, *change)
         return
     assert list(vars(record)) == list(fields)  # declaration order, which the outputs follow
-    assert getattr(cls, "_fields", tuple(fields)) == tuple(fields)  # TraceStep's trace columns
     for name in defaults:
         if isinstance(fields[name], (list, dict)):  # a fresh container per record
             assert getattr(cls(**required), name) is not getattr(cls(**required), name)

@@ -148,14 +148,18 @@ def test_align_and_distance_equal_oracles_random():
 
 
 def test_find_exact_span_equals_naive_scan():
-    """Leftmost start of a nonempty needle, or -1; the needle may be longer
-    than the text, sit at its very end, or start with a token that recurs."""
+    """Leftmost start at or after ``start`` of a nonempty needle, or -1; the
+    needle may be longer than the text, sit at its very end, or start with a
+    token that recurs, and ``start`` may pass the last room for it."""
     rng = random.Random(32)
     for _ in range(5000):
         toks = tuple(rng.choices("ab", k=rng.randint(0, 8)))
         needle = tuple(rng.choices("ab", k=rng.randint(1, 4)))
         naive = next((i for i in range(len(toks)) if toks[i : i + len(needle)] == needle), -1)
         assert _find_exact_span(needle, toks) == naive, (needle, toks)
+        start = rng.randint(0, len(toks) + 1)
+        naive = next((i for i in range(start, len(toks)) if toks[i : i + len(needle)] == needle), -1)
+        assert _find_exact_span(needle, toks, start) == naive, (needle, toks, start)
 
 
 # ---------------------------------------------------------------------------
