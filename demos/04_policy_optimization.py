@@ -9,9 +9,9 @@ gradient. Under equal weights the all-good tuple is the unique optimum, and
 the probability mass piles onto it.
 """
 
-from vapokit.grpo import OPTIMAL_TUPLE, SimConfig, default_samples, expected_grades, train
+from vapokit.grpo import OPTIMAL_TUPLE, SimConfig, expected_grades, train
 
-config = SimConfig(steps=800, group_size=8, lr=0.1, seed=0, samples=default_samples())
+config = SimConfig(steps=800, group_size=8, lr=0.1, seed=0, samples="builtin:grpo_samples.jsonl")
 trace = train(config)
 
 print(f"optimal tuple: {OPTIMAL_TUPLE}")

@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .data import Record, Sample, _as_number, load_json, read_jsonl, reject_repeated_ids, write_jsonl
+from .data import Record, Sample, _as_number, read_json, read_jsonl, reject_repeated_ids, write_jsonl
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -88,7 +88,7 @@ def _slide_violations(slide: SlideText, entities: Sequence[str]) -> list[tuple[s
     shown = normalize_tokenize(slide.full_text())
     for surface in entities:
         needle = normalize_tokenize(surface)
-        if not needle or _find_exact_span(needle, shown) < 0:
+        if needle and _find_exact_span(needle, shown) < 0:  # an empty one is a seed violation
             problems.append(("entity-not-in-slide", surface))
     return problems
 
@@ -419,10 +419,7 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
         violations.extend({"id": sample.id, "code": code, "detail": detail} for code, detail in problems)
     stats_path = manifest_path.parent / "stats.json"
     if stats_path.exists():
-        try:
-            stats = load_json(stats_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            raise ToolkitError("manifest-parse", f"{stats_path}: {e}") from e
+        stats = read_json(stats_path, "manifest-parse")
         if not isinstance(stats, dict):
             raise ToolkitError("manifest-parse", f"{stats_path}: not a JSON object: {stats!r:.80}")
         if stats.get("samples") != len(rows):

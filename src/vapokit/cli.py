@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import load_json, pair_by_id, read_hypotheses, read_samples, resolve_data_path
+from .data import pair_by_id, read_hypotheses, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, check_metrics, sample_report
 from .rewards import RewardWeights, total_reward
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
             raise ToolkitError("bad-out", f"--out {args.out!r}: the trace {str(path)!r} is a directory")
         _reject_input_as_out(path, args.config)
     config = grpo.SimConfig.from_file(args.config)
-    samples = str(resolve_data_path(config.samples_ref))  # read by from_file; training reads no file
+    samples = str(resolve_data_path(config.samples))  # read by train, after these checks
     for path in traces:
         _reject_input_as_out(path, samples)
     if args.seed is not None:
@@ -130,10 +130,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        payload = load_json(Path(args.infile).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
-        raise ToolkitError("no-rows", f"cannot load {args.infile}: {e}") from e
+    payload = read_json(args.infile, "no-rows")
     rows = payload.get("rows") if isinstance(payload, dict) else payload
     if not rows or not isinstance(rows, list):
         raise ToolkitError("no-rows", f"{args.infile} has no rows to report")

@@ -185,6 +185,17 @@ def load_json(text: str):
     return value
 
 
+def read_json(path: str | Path, code: str):
+    """The one JSON value in a file; a leading UTF-8 byte-order mark is skipped.
+
+    A file that cannot be read or parsed raises ``code``.
+    """
+    try:
+        return load_json(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or a bad path
+        raise ToolkitError(code, f"cannot load {path}: {e}") from e
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """One JSON value per nonblank line; a leading UTF-8 byte-order mark is skipped."""
     rows = []

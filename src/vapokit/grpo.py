@@ -1,16 +1,19 @@
 """Desk-scale group-relative policy optimization over a finite behavior grid.
 
-Instead of a language model, the policy is a 54-way categorical over
-behavior tuples (format ok? x OCR grade x ASR grade x anchoring grade, grades
-in {0, 0.5, 1}). Before training, every (sample, behavior tuple) pair is
-rendered once into a concrete <think>/<answer> string by deterministic
-corruption operators and scored once with the real reward engine. The
-resulting table, one float array from ``reward_matrix``, holds the four
-weight-free reward components, so one table serves every weight setting;
-``train`` forms the totals once with ``RewardWeights.weigh``. Each step draws
-a sample and a group of tuples, reads their rewards from the table, and
-normalizes them within the group into advantages. Random numbers are drawn
-only in ``train``.
+Instead of a language model, the policy is a categorical over the behavior
+grid ``ALL_TUPLES`` (format ok? x OCR grade x ASR grade x anchoring grade,
+grades in {0, 0.5, 1}: 54 arms). ``SimConfig`` holds the keys of a simulate
+config file, the samples file by its reference; ``train`` reads that file.
+Before training, every (sample, behavior tuple) pair is rendered once into a
+concrete <think>/<answer> string by deterministic corruption operators and
+scored once with the real reward engine. The resulting table, one float
+array from ``reward_matrix``, holds the four weight-free reward components,
+so one table serves every weight setting; ``train`` forms the totals once
+with ``RewardWeights.weigh``. The table's second axis is the arm count that
+the dealer, ``policy_step`` and the logits use. Each step draws a sample and
+a group of tuples, reads their rewards from the table, and normalizes them
+within the group into advantages. Random numbers are drawn only in
+``train``.
 
 ``train`` ascends the likelihood-ratio gradient of the surrogate
 ``sum_i a_i * log softmax(logits)[k_i]`` without its zero-sum term. A group's
@@ -56,9 +59,9 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .data import Record, Sample, _as_number, load_json, read_samples, resolve_data_path
+from .data import Record, Sample, _as_number, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
-from .metrics import _find_exact_span
+from .metrics import EntityRef, _find_exact_span
 from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
 
@@ -82,9 +85,7 @@ ALL_TUPLES: tuple[BehaviorTuple, ...] = tuple(
     BehaviorTuple(f, o, a, v)
     for f, o, a, v in itertools.product((False, True), GRADES, GRADES, GRADES)
 )
-NUM_TUPLES = len(ALL_TUPLES)  # 54
 OPTIMAL_TUPLE = BehaviorTuple(True, 1.0, 1.0, 1.0)
-OPTIMAL_INDEX = ALL_TUPLES.index(OPTIMAL_TUPLE)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -144,8 +145,8 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
     """
     slide = list(normalize_tokenize(sample.slide_text))
     transcript = list(normalize_tokenize(sample.transcript_gt))
-    entity_tokens = [normalize_tokenize(e) for e in sample.entities]
-    entity_tokens = [e for e in entity_tokens if e]
+    # an entity that normalizes to nothing raises "empty-entity", as in scoring
+    entity_tokens = [EntityRef.from_surface(e).tokens for e in sample.entities]
     if len(entity_tokens) < 2 or len(transcript) < 8:
         raise ToolkitError(
             "sample-too-small",
@@ -223,7 +224,7 @@ def policy_step(logits: np.ndarray, indices: np.ndarray, advantages: np.ndarray,
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
     indices = np.asarray(indices, dtype=int)
-    rows = np.zeros((1 + len(indices), NUM_TUPLES))
+    rows = np.zeros((1 + len(indices), len(logits)))
     # A non-finite advantage, or a step that overflows (a huge lr), leaves
     # non-finite logits: one error record instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,63 +242,48 @@ def policy_step(logits: np.ndarray, indices: np.ndarray, advantages: np.ndarray,
 
 
 class SimConfig(Record):
+    """A simulate config: one field per key of the config file.
+
+    ``samples`` names the samples file (a path or a ``builtin:`` reference);
+    ``train`` reads it, so a trace's config record replays its run.
+    """
+
     def __init__(
         self,
         steps: int = 2000,
         group_size: int = 8,
         lr: float = 0.1,
         seed: int = 0,
-        weights: RewardWeights | None = None,
-        samples: list[Sample] | None = None,
-        samples_ref: str = "builtin:grpo_samples.jsonl",
+        weights: RewardWeights = RewardWeights(),
+        samples: str = "builtin:grpo_samples.jsonl",
     ):
         self.steps = steps
         self.group_size = group_size
         self.lr = lr
         self.seed = seed
-        self.weights = RewardWeights() if weights is None else weights
-        self.samples = [] if samples is None else samples
-        self.samples_ref = samples_ref
+        self.weights = weights
+        self.samples = samples
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimConfig":
-        """Load a JSON config object; it accepts exactly the keys of ``snapshot()``."""
-        try:
-            raw = load_json(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            raise ToolkitError("bad-config", f"cannot load config {path}: {e}") from e
+        """Load a JSON config object; it accepts exactly the keys of ``snapshot()``, each optional."""
+        raw = read_json(path, "bad-config")
         if not isinstance(raw, dict):
             raise ToolkitError("bad-config", f"config {path} is not a JSON object")
-        default = cls()
-        unknown = set(raw) - set(default.snapshot())
+        default = vars(cls())
+        unknown = set(raw) - set(default)
         if unknown:
             raise ToolkitError("bad-config", f"unknown config keys: {sorted(unknown)}")
-        weights = RewardWeights.from_mapping(raw.get("weights", {}))
-        samples_ref = raw.get("samples", default.samples_ref)
-        if not isinstance(samples_ref, str):
-            raise ToolkitError("bad-config", f"samples must be a path string, got {samples_ref!r:.80}")
-        samples = read_samples(resolve_data_path(samples_ref))
-        if not samples:
-            raise ToolkitError("bad-config", f"no samples in {samples_ref}")
-        return cls(
-            steps=_as_number(raw.get("steps", default.steps), int, "bad-config", "steps"),
-            group_size=_as_number(raw.get("group_size", default.group_size), int, "bad-config", "group_size"),
-            lr=_as_number(raw.get("lr", default.lr), float, "bad-config", "lr"),
-            seed=_as_number(raw.get("seed", default.seed), int, "bad-config", "seed"),
-            weights=weights,
-            samples=samples,
-            samples_ref=samples_ref,
-        )
+        fields = {**default, **raw, "weights": RewardWeights.from_mapping(raw.get("weights", {}))}
+        if not isinstance(fields["samples"], str):
+            raise ToolkitError("bad-config", f"samples must be a path string, got {fields['samples']!r:.80}")
+        for name, value in default.items():
+            if type(value) in (int, float):  # the numbers take their default's type
+                fields[name] = _as_number(fields[name], type(value), "bad-config", name)
+        return cls(**fields)
 
     def snapshot(self) -> dict:
-        return {
-            "steps": self.steps,
-            "group_size": self.group_size,
-            "lr": self.lr,
-            "seed": self.seed,
-            "weights": self.weights.as_dict(),
-            "samples": self.samples_ref,
-        }
+        return {**vars(self), "weights": self.weights.as_dict()}
 
 
 class TraceStep(NamedTuple):
@@ -354,22 +340,18 @@ def expected_grades(logits: np.ndarray) -> dict[str, float]:
     grades = p @ np.array(ALL_TUPLES, dtype=float)  # one column per BehaviorTuple field
     return {
         **dict(zip(("format_rate", "ocr_level", "asr_level", "anchor_level"), grades.tolist())),
-        "p_optimal": float(p[OPTIMAL_INDEX]),
+        "p_optimal": float(p[ALL_TUPLES.index(OPTIMAL_TUPLE)]),
     }
 
 
-def default_samples() -> list[Sample]:
-    return read_samples(resolve_data_path("builtin:grpo_samples.jsonl"))
-
-
-def _balanced_deals(rng: np.random.Generator) -> Iterator[int]:
-    """Tuple indices from rng-shuffled without-replacement cycles over the grid.
+def _balanced_deals(rng: np.random.Generator, arms: int) -> Iterator[int]:
+    """Arm indices from rng-shuffled without-replacement cycles over ``range(arms)``.
 
     The next cycle is shuffled only when its first index is requested;
     shuffling earlier would reorder the draws ``train`` shares this rng with.
     """
     while True:
-        yield from rng.permutation(NUM_TUPLES).tolist()
+        yield from rng.permutation(arms).tolist()
 
 
 # The last axis of the reward_matrix array, in order.
@@ -379,7 +361,7 @@ REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va")
 def reward_matrix(samples: Sequence[Sample]) -> np.ndarray:
     """Render and score every (sample, behavior tuple) pair exactly once.
 
-    Returns a ``(len(samples), NUM_TUPLES, len(REWARD_COLUMNS))`` float array
+    Returns a ``(len(samples), len(ALL_TUPLES), len(REWARD_COLUMNS))`` float array
     whose entry ``[si, k]`` holds the weight-free reward components of sample
     ``si`` rendered under ``ALL_TUPLES[k]``.
     """
@@ -399,7 +381,8 @@ DEAL_BLOCK_ROLLOUTS = 256
 
 
 def train(config: SimConfig) -> TrainTrace:
-    """Build the reward table once, then run the sample -> look up -> update loop.
+    """Read the samples, build the reward table once, then run the sample ->
+    look up -> update loop over the table's arms.
 
     Every step reads its group's rewards, the trace's mean components and the
     policy's expected reward from the same table. The draws for a block of
@@ -409,17 +392,21 @@ def train(config: SimConfig) -> TrainTrace:
     """
     import numpy as np
 
+    samples = read_samples(resolve_data_path(config.samples))
+    if not samples:
+        raise ToolkitError("bad-config", f"no samples in {config.samples}")
     if config.steps < 1 or config.group_size < 2 or config.seed < 0:
         raise ToolkitError("bad-config", "need steps >= 1, group_size >= 2 and seed >= 0")
     if not 0 < config.lr < math.inf:
         raise ToolkitError("bad-config", "lr must be finite and > 0")
-    samples = config.samples or default_samples()
     components = reward_matrix(samples)
     weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
     table = np.concatenate([components, weighted[..., None]], axis=-1)
     rng = np.random.default_rng(config.seed)
-    deals = _balanced_deals(rng)
-    logits = np.zeros(NUM_TUPLES)
+    arms = table.shape[1]
+    optimum = ALL_TUPLES.index(OPTIMAL_TUPLE)
+    deals = _balanced_deals(rng, arms)
+    logits = np.zeros(arms)
     trace: list[TraceStep] = []
     block_steps = max(1, DEAL_BLOCK_ROLLOUTS // config.group_size)
     for start in range(0, config.steps, block_steps):
@@ -437,7 +424,7 @@ def train(config: SimConfig) -> TrainTrace:
         block_logits = policy_step(logits, indices, advantages, config.lr)
         probs = _softmax(block_logits)
         expected = (probs * table[si, :, -1]).sum(axis=1).tolist()
-        p_optimal = probs[:, OPTIMAL_INDEX].tolist()
+        p_optimal = probs[:, optimum].tolist()
         logits = block_logits[-1]
         trace.extend(map(TraceStep, block, total, expected, r_format, r_ocr, r_asr, r_va, p_optimal))
     return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_logits=logits)

@@ -66,7 +66,7 @@ class RewardWeights(NamedTuple):
     def from_file(cls, path: str | Path) -> "RewardWeights":
         """Load weights from a JSON object or `key=value` lines; missing keys default to 1."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, ValueError) as e:
             raise ToolkitError("bad-weights", f"cannot read {path}: {e}") from e
         text = text.strip()

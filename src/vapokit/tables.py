@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 # Columns where lower/higher is better get best / second-best annotations.
@@ -22,6 +23,8 @@ def _fmt(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return f"{value:.4f}"
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, ensure_ascii=False)
     return str(value)
 
 

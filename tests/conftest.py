@@ -8,39 +8,39 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from vapokit.data import Sample
-from vapokit.grpo import SimConfig, default_samples, train
+from vapokit.data import Sample, builtin_path, read_samples
+from vapokit.grpo import SimConfig, train
 from vapokit.rewards import RewardWeights
 
 
 @pytest.fixture(scope="session")
 def fixture_samples() -> list[Sample]:
-    return default_samples()
+    return read_samples(builtin_path("grpo_samples.jsonl"))
 
 
-def _sweep(samples, weights):
+def _sweep(weights):
     runs = []
     for seed in range(5):
         start = time.perf_counter()
-        trace = train(SimConfig(seed=seed, samples=samples, weights=weights))
+        trace = train(SimConfig(seed=seed, weights=weights))
         runs.append((trace, time.perf_counter() - start))
     return runs
 
 
 @pytest.fixture(scope="session")
-def balanced_runs(fixture_samples):
+def balanced_runs():
     """(trace, elapsed_s) for seeds 0..4 with weights 1:1:1:1."""
-    return _sweep(fixture_samples, RewardWeights())
+    return _sweep(RewardWeights())
 
 
 @pytest.fixture(scope="session")
-def va_doubled_runs(fixture_samples):
-    return _sweep(fixture_samples, RewardWeights(lambda_va=2.0))
+def va_doubled_runs():
+    return _sweep(RewardWeights(lambda_va=2.0))
 
 
 @pytest.fixture(scope="session")
-def asr_doubled_runs(fixture_samples):
-    return _sweep(fixture_samples, RewardWeights(lambda_asr=2.0))
+def asr_doubled_runs():
+    return _sweep(RewardWeights(lambda_asr=2.0))
 
 
 @pytest.fixture

@@ -410,15 +410,16 @@ def train_reference(config) -> tuple[list[dict], "np.ndarray"]:
     grid (a cycle is shuffled when its first index is needed), normalizes the
     group's totals, takes one gradient step on the logits and records the
     trace fields. The reward table is the input, not what is checked: it comes
-    from ``grpo.reward_matrix``, looked up on the module so a test can cache it,
-    weighed with the config's weights. Returns the step records and the final
-    logits.
+    from ``grpo.reward_matrix`` of the samples file the config names, looked
+    up on the module so a test can cache it, weighed with the config's
+    weights. Returns the step records and the final logits.
     """
     import numpy as np
 
     from vapokit import grpo
+    from vapokit.data import read_samples, resolve_data_path
 
-    samples = config.samples or grpo.default_samples()
+    samples = read_samples(resolve_data_path(config.samples))
     components = grpo.reward_matrix(samples)
     weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
     table = np.concatenate([components, weighted[..., None]], axis=-1)

@@ -18,7 +18,7 @@ from oracles import levenshtein_recursive, reference_well_formed, rollout_soup, 
 from vapokit.bench import build_dataset, read_seed_records, validate_manifest
 from vapokit.cli import main
 from vapokit.data import Hypothesis, Sample, builtin_path, write_jsonl
-from vapokit.grpo import NUM_TUPLES, expected_grades, group_advantages, policy_step
+from vapokit.grpo import ALL_TUPLES, expected_grades, group_advantages, policy_step
 from vapokit.metrics import align, aggregate_reports, sample_report
 from vapokit.ocr_behavior import detect_all, summarize
 from vapokit.rewards import RewardWeights, asr_reward, total_reward
@@ -172,14 +172,14 @@ def test_criterion_gradient_check():
     rounding; seed 103 draws arm 8 twice, so both of its advantages must add.
     """
     rng = np.random.default_rng(103)
-    logits = rng.normal(0.0, 0.5, NUM_TUPLES)
-    indices = [int(k) for k in rng.integers(NUM_TUPLES, size=8)]
+    logits = rng.normal(0.0, 0.5, len(ALL_TUPLES))
+    indices = [int(k) for k in rng.integers(len(ALL_TUPLES), size=8)]
     advantages = group_advantages(rng.uniform(0.0, 4.0, size=8))
     lr = 0.1
     analytic = (policy_step(logits, [indices], [advantages], lr)[0] - logits) / lr
     h = 1e-3
     worst = 0.0
-    for j in range(NUM_TUPLES):
+    for j in range(len(ALL_TUPLES)):
         lp = logits.copy()
         lp[j] += h
         lm = logits.copy()

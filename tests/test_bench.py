@@ -475,6 +475,15 @@ def test_validate_manifest_reports_a_body_over_the_word_cap(tmp_path):
     ]
 
 
+def test_validate_manifest_reports_an_empty_entity_once(tmp_path):
+    row = {"id": "e", "domain": "medicine", "slide_text": "Title\naspirin today",
+           "transcript_gt": "talk about aspirin", "entities": ["aspirin", "!!!"]}
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    report = validate_manifest(path)
+    assert [(v["id"], v["code"], v["detail"]) for v in report.violations] == [("e", "empty-entity", "'!!!'")]
+
+
 def test_bundled_seed_sets():
     seeds = read_seed_records(builtin_path("seeds_60.jsonl"))
     assert len(seeds) == 60

@@ -292,25 +292,27 @@ def test_report_command(tmp_path, capsys):
     metrics.write_text(json.dumps({"rows": [
         {"id": "a", "wer": 0.5, "recall": 0.9},
         {"id": "b", "wer": 0.25, "recall": 0.7},
-        {"id": "c", "wer": 0.3, "recall": 0.95},
+        {"id": "c", "wer": 0.3, "recall": 0.95, "entities": ["it's", "a|b"]},  # a list value is JSON
         {"id": "t\tn\nr\rp|\\t"},  # escaped, so it adds no column, row or cell
     ]}))
     code = main(["report", "--in", str(metrics), "--format", "md"])
     assert code == 0
     table = capsys.readouterr().out
-    assert "| id | wer | recall |" in table
+    assert "| id | wer | recall | entities |" in table
     assert "**0.2500**" in table  # best wer bold
     assert "_0.3000_" in table  # second-best wer underlined
     assert "**0.9500**" in table  # best recall bold
-    assert table.splitlines()[-1] == "| t\\tn\\nr\\rp\\|\\\\t | - | - |"
+    assert table.splitlines()[-2].endswith('| ["it\'s", "a\\|b"] |')
+    assert table.splitlines()[-1] == "| t\\tn\\nr\\rp\\|\\\\t | - | - | - |"
     assert len(table.splitlines()) == 6
 
     code = main(["report", "--in", str(metrics), "--format", "tsv"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines()[0] == "id\twer\trecall"
-    assert out.splitlines()[-1] == "t\\tn\\nr\\rp|\\\\t\t-\t-"
-    assert [len(line.split("\t")) for line in out.splitlines()] == [3] * 5
+    assert out.splitlines()[0] == "id\twer\trecall\tentities"
+    assert json.loads(out.splitlines()[-2].split("\t")[-1]) == ["it's", "a|b"]
+    assert out.splitlines()[-1] == "t\\tn\\nr\\rp|\\\\t\t-\t-\t-"
+    assert [len(line.split("\t")) for line in out.splitlines()] == [4] * 5
 
 
 def test_report_no_rows(tmp_path, capsys):
@@ -721,6 +723,63 @@ def test_empty_entity_is_rejected_by_score_and_reward(tmp_path, corpus, capsys, 
     assert main([command, "--dataset", str(dataset), flag, str(hyp), "--out", str(out)]) == 1
     assert _error_code(capsys) == "empty-entity"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entities", [["!!!", "aspirin"], ["!!!", "aspirin", "warfarin"]])
+def test_simulate_empty_entity_is_empty_entity(tmp_path, corpus, capsys, entities):
+    """An entity that normalizes to nothing is "empty-entity", however many others the sample has."""
+    samples, _ = corpus
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, [samples[0] | {"entities": entities}])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"steps": 3, "samples": str(dataset)}))
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert _error_code(capsys) == "empty-entity"
+    assert not out.exists()
+
+
+def _bom_simulate(tmp_path, bom):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(bom + json.dumps({"steps": 5, "seed": 1}).encode())
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "t.jsonl")]) == 0
+    return (tmp_path / "t.jsonl").read_bytes() + (tmp_path / "t.csv").read_bytes()
+
+
+def _bom_reward(weights_text):
+    def run(tmp_path, bom):
+        rollouts = _GOLDEN / "rollouts.jsonl"
+        weights = tmp_path / "w.cfg"
+        weights.write_bytes(bom + weights_text.encode())
+        out = tmp_path / "o.json"
+        assert main(["reward", "--dataset", str(_GOLDEN / "manifest.jsonl"), "--rollouts", str(rollouts),
+                     "--weights", str(weights), "--out", str(out)]) == 0
+        return out.read_bytes()
+    return run
+
+
+def _bom_report(tmp_path, bom):
+    metrics = tmp_path / "m.json"
+    metrics.write_bytes(bom + (_GOLDEN / "score.json").read_bytes())
+    assert main(["report", "--in", str(metrics)]) == 0
+    return b""  # the table goes to stdout
+
+
+@pytest.mark.parametrize("run", [
+    _bom_simulate,
+    _bom_reward('{"lambda_va": 2.0}'),
+    _bom_reward("lambda_va = 2.0\n"),
+    _bom_report,
+], ids=["config", "json-weights", "key-value-weights", "report"])
+def test_json_inputs_skip_a_utf8_bom(tmp_path, capsys, run):
+    """A leading UTF-8 byte-order mark is skipped: the output is the one without it."""
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        written = run(tmp_path / name, bom)
+        outputs.append((written, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2] == ""  # no error record
 
 
 def test_simulate_out_with_csv_suffix_is_bad_out(tmp_path, capsys):

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from oracles import train_reference
 from vapokit import grpo
 from vapokit.bench import TemplateGenerator, generate_slide_text
-from vapokit.data import Sample
+from vapokit.data import Sample, builtin_path, read_samples, write_jsonl
 from vapokit.errors import ToolkitError
 from vapokit.grpo import (
     ALL_TUPLES,
     GRADES,
-    NUM_TUPLES,
-    OPTIMAL_INDEX,
     OPTIMAL_TUPLE,
     REWARD_COLUMNS,
     BehaviorTuple,
@@ -34,15 +32,14 @@ from vapokit.rewards import RewardWeights, total_reward
 
 
 def test_tuple_grid_is_54():
-    assert NUM_TUPLES == 54
-    assert len(set(ALL_TUPLES)) == 54
-    assert ALL_TUPLES[OPTIMAL_INDEX] == OPTIMAL_TUPLE
+    assert len(ALL_TUPLES) == len(set(ALL_TUPLES)) == 54
+    assert OPTIMAL_TUPLE in ALL_TUPLES
 
 
 def test_policy_probs_normalize():
     # the softmax of each row of a block is the softmax of that row alone
     rng = np.random.default_rng(0)
-    logits = rng.normal(0, 50, (4, NUM_TUPLES))
+    logits = rng.normal(0, 50, (4, len(ALL_TUPLES)))
     probs = grpo._softmax(logits)
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
     for row, row_probs in zip(logits, probs):
@@ -207,7 +204,7 @@ def components(fixture_samples):
 def test_reward_matrix_matches_fresh_scoring(fixture_samples, components, weights):
     # one weight-free table serves every weight setting: each entry equals a
     # fresh scoring, and weighing its columns gives each fresh total bitwise
-    assert components.shape == (len(fixture_samples), NUM_TUPLES, len(REWARD_COLUMNS))
+    assert components.shape == (len(fixture_samples), len(ALL_TUPLES), len(REWARD_COLUMNS))
     weighted = weights.weigh(*np.moveaxis(components, -1, 0))
     for si, sample in enumerate(fixture_samples):
         for k, tup in enumerate(ALL_TUPLES):
@@ -225,8 +222,8 @@ def test_train_scores_each_pair_once(fixture_samples, monkeypatch, steps):
         return total_reward(*args, **kwargs)
 
     monkeypatch.setattr(grpo, "total_reward", counting_total_reward)
-    train(SimConfig(steps=steps, seed=3, samples=fixture_samples))
-    assert len(calls) == len(fixture_samples) * NUM_TUPLES
+    train(SimConfig(steps=steps, seed=3))
+    assert len(calls) == len(fixture_samples) * len(ALL_TUPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +302,14 @@ def test_group_advantages_rows_sum_to_zero(rows):
 
 
 def test_policy_step_zero_advantages_noop():
-    logits = np.linspace(-1, 1, NUM_TUPLES)
+    logits = np.linspace(-1, 1, len(ALL_TUPLES))
     out = policy_step(logits, [[3, 9, 11]], np.zeros((1, 3)), lr=0.1)
-    assert out.shape == (1, NUM_TUPLES)
+    assert out.shape == (1, len(ALL_TUPLES))
     assert np.array_equal(out[0], logits)
 
 
 def test_policy_step_positive_advantage_increases_probability():
-    logits = np.zeros(NUM_TUPLES)
+    logits = np.zeros(len(ALL_TUPLES))
     (out,) = policy_step(logits, [[7]], [[1.0]], lr=0.1)
     assert grpo._softmax(out)[7] > grpo._softmax(logits)[7]
 
@@ -320,31 +317,31 @@ def test_policy_step_positive_advantage_increases_probability():
 def test_policy_step_rows_are_the_running_sum_of_single_steps():
     # each row of a block is the previous row plus one step, and repeated arms add up
     rng = np.random.default_rng(4)
-    logits = rng.normal(0, 1, NUM_TUPLES)
-    indices = rng.integers(NUM_TUPLES, size=(5, 8))
+    logits = rng.normal(0, 1, len(ALL_TUPLES))
+    indices = rng.integers(len(ALL_TUPLES), size=(5, 8))
     indices[0, :2] = 7
     advantages = group_advantages(rng.uniform(0, 4, size=(5, 8)))
     block = policy_step(logits, indices, advantages, lr=0.3)
-    assert block.shape == (5, NUM_TUPLES)
+    assert block.shape == (5, len(ALL_TUPLES))
     previous = logits
     for row, tuples, adv in zip(block, indices, advantages):
         (single,) = policy_step(previous, [tuples], [adv], lr=0.3)
         assert row.tobytes() == single.tobytes()
-        assert np.allclose(row - previous, 0.3 * np.bincount(tuples, weights=adv, minlength=NUM_TUPLES),
+        assert np.allclose(row - previous, 0.3 * np.bincount(tuples, weights=adv, minlength=len(ALL_TUPLES)),
                            rtol=0, atol=1e-12)
         previous = row
 
 
 def test_policy_step_rejects_nonfinite():
     with pytest.raises(ToolkitError) as exc:
-        policy_step(np.zeros(NUM_TUPLES), [[1]], [[float("nan")]], lr=0.1)
+        policy_step(np.zeros(len(ALL_TUPLES)), [[1]], [[float("nan")]], lr=0.1)
     assert exc.value.code == "numerical"
 
 
 @pytest.mark.parametrize("lr, code", [(1e308, "numerical"), (0.0, "bad-config"), (-0.1, "bad-config")])
 def test_policy_step_rejects_an_overflowing_or_non_positive_lr(lr, code, recwarn):
     with pytest.raises(ToolkitError) as exc:
-        policy_step(np.zeros(NUM_TUPLES), [[1, 1]], [[1.0, 1.0]], lr=lr)
+        policy_step(np.zeros(len(ALL_TUPLES)), [[1, 1]], [[1.0, 1.0]], lr=lr)
     assert exc.value.code == code
     assert not recwarn.list
 
@@ -353,10 +350,10 @@ def test_policy_step_rejects_an_overflowing_or_non_positive_lr(lr, code, recwarn
 # training
 
 
-def test_train_trace_shape_and_determinism(fixture_samples):
-    config = SimConfig(steps=120, seed=9, samples=fixture_samples)
+def test_train_trace_shape_and_determinism():
+    config = SimConfig(steps=120, seed=9)
     t1 = train(config)
-    t2 = train(SimConfig(steps=120, seed=9, samples=fixture_samples))
+    t2 = train(SimConfig(steps=120, seed=9))
     assert len(t1.steps) == 120
     assert t1.steps == t2.steps
     assert t1.final_logits.tobytes() == t2.final_logits.tobytes()
@@ -399,7 +396,7 @@ def test_train_matches_the_per_step_reference(fixture_samples, cached_reward_mat
     # rounding, so the logits and the columns computed from them agree within
     # a bound.
     config = SimConfig(steps=steps, group_size=group_size, lr=lr, seed=seed,
-                       weights=RewardWeights(*weights), samples=fixture_samples)
+                       weights=RewardWeights(*weights))
     trace = train(config)
     expected, logits = train_reference(config)
     assert len(trace.steps) == len(expected)
@@ -412,13 +409,13 @@ def test_train_matches_the_per_step_reference(fixture_samples, cached_reward_mat
     assert np.abs(trace.final_logits - logits).max() <= 1e-12 * max(1.0, np.abs(logits).max())
 
 
-def test_train_rejects_bad_config(fixture_samples):
+def test_train_rejects_bad_config():
     with pytest.raises(ToolkitError):
-        train(SimConfig(steps=0, samples=fixture_samples))
+        train(SimConfig(steps=0))
     with pytest.raises(ToolkitError):
-        train(SimConfig(group_size=1, samples=fixture_samples))
+        train(SimConfig(group_size=1))
     with pytest.raises(ToolkitError):
-        train(SimConfig(lr=0.0, samples=fixture_samples))
+        train(SimConfig(lr=0.0))
 
 
 def test_train_expected_reward_nondecreasing_windows(balanced_runs):
@@ -432,12 +429,12 @@ def test_train_expected_reward_nondecreasing_windows(balanced_runs):
         assert windows[-1] > windows[0]
 
 
-def test_train_asr_only_weights_prefer_intact_answers(fixture_samples):
+def test_train_asr_only_weights_prefer_intact_answers():
     # with weights (0,0,1,0) the argmax set is {format-true, any ocr grade,
     # asr=1, anchor=1}: a broken format still zeroes the extracted answer, and
     # a degraded anchor corrupts answer tokens
     trace = train(
-        SimConfig(steps=800, seed=0, samples=fixture_samples, weights=RewardWeights(0.0, 0.0, 1.0, 0.0))
+        SimConfig(steps=800, seed=0, weights=RewardWeights(0.0, 0.0, 1.0, 0.0))
     )
     grades = expected_grades(trace.final_logits)
     assert grades["format_rate"] > 0.95
@@ -467,9 +464,15 @@ def test_sim_config_from_file(tmp_path):
         )
     )
     cfg = SimConfig.from_file(path)
-    assert cfg.steps == 10 and cfg.group_size == 4 and cfg.lr == 0.05 and cfg.seed == 3
-    assert cfg.weights.lambda_va == 2.0
-    assert len(cfg.samples) >= 2
+    assert cfg == SimConfig(steps=10, group_size=4, lr=0.05, seed=3, weights=RewardWeights(lambda_va=2.0))
+    # the samples file is named, not read: train reads it
+    missing = str(tmp_path / "missing.jsonl")
+    path.write_text(json.dumps({"samples": missing}))
+    cfg = SimConfig.from_file(path)
+    assert cfg.samples == missing
+    with pytest.raises(ToolkitError) as exc:
+        train(cfg)
+    assert exc.value.code == "manifest-parse"
     with pytest.raises(ToolkitError):
         SimConfig.from_file(tmp_path / "missing.json")
 
@@ -491,8 +494,24 @@ def test_config_record_round_trips(tmp_path):
     assert SimConfig.from_file(again).snapshot() == record["config"] == trace.config
 
 
-def test_trace_files(tmp_path, fixture_samples):
-    trace = train(SimConfig(steps=25, seed=2, samples=fixture_samples))
+def test_config_record_replays_a_library_run(tmp_path):
+    # a run on a samples file of its own records that file, so the trace's
+    # config record, loaded back as a config, trains the same run
+    samples = tmp_path / "reversed.jsonl"
+    write_jsonl(samples, [s.to_dict() for s in read_samples(builtin_path("grpo_samples.jsonl"))[::-1]])
+    trace = train(SimConfig(steps=50, samples=str(samples)))
+    trace.write(tmp_path / "trace.jsonl", tmp_path / "trace.csv")
+    record = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
+    assert record["config"]["samples"] == str(samples)
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(record["config"]))
+    replay = train(SimConfig.from_file(again))
+    assert replay.steps == trace.steps
+    assert replay.final_logits.tobytes() == trace.final_logits.tobytes()
+
+
+def test_trace_files(tmp_path):
+    trace = train(SimConfig(steps=25, seed=2))
     out = tmp_path / "trace.jsonl"
     trace.write(out, tmp_path / "trace.csv")
     lines = out.read_text().splitlines()

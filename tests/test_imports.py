@@ -186,9 +186,9 @@ _RECORDS = [
     (RewardBreakdown, {"r_format": 1, "r_ocr": 0.5, "r_asr": 1.0, "r_va": 0.0, "total": 2.5,
                        "anchored_entities": [], "diagnostics": []}, ("anchored_entities", "diagnostics"),
      ("total", 3.0), False),
-    (SimConfig, {"steps": 2000, "group_size": 8, "lr": 0.1, "seed": 0, "weights": RewardWeights(), "samples": [],
-                 "samples_ref": "builtin:grpo_samples.jsonl"},
-     ("steps", "group_size", "lr", "seed", "weights", "samples", "samples_ref"), ("seed", 3), False),
+    (SimConfig, {"steps": 2000, "group_size": 8, "lr": 0.1, "seed": 0, "weights": RewardWeights(),
+                 "samples": "builtin:grpo_samples.jsonl"},
+     ("steps", "group_size", "lr", "seed", "weights", "samples"), ("seed", 3), False),
     (TraceStep, {"step": 0, "mean_reward": 1.0, "expected_reward": 0.5, "mean_format": 1.0, "mean_ocr": 0.5,
                  "mean_asr": 0.5, "mean_va": 0.0, "p_optimal": 0.1}, (), ("p_optimal", 0.2), True),
     (TrainTrace, {"steps": [], "seed": 0, "config": {}, "final_logits": None}, (), ("seed", 1), False),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import levenshtein_recursive, reference_total_reward, rollout_soup
 from vapokit import grpo
-from vapokit.data import Sample, read_samples
+from vapokit.data import Sample, builtin_path, read_samples
 from vapokit.errors import ToolkitError
 from vapokit.metrics import EntityRef
 from vapokit.rewards import (
@@ -217,7 +217,7 @@ def test_total_reward_bounded_fuzz(sample):
 
 
 # The builtin samples plus the golden manifest, whose last record is Chinese.
-_SAMPLES = grpo.default_samples() + read_samples(Path(__file__).resolve().parent / "golden" / "manifest.jsonl")
+_SAMPLES = read_samples(builtin_path("grpo_samples.jsonl")) + read_samples(Path(__file__).resolve().parent / "golden" / "manifest.jsonl")
 
 
 def _oracle_fields(b) -> dict:
@@ -253,7 +253,7 @@ def test_total_reward_equals_the_reference(sample, seed, words):
 
 
 def test_total_reward_equals_the_reference_on_every_rendered_rollout():
-    for sample in grpo.default_samples():
+    for sample in read_samples(builtin_path("grpo_samples.jsonl")):
         for tup in grpo.ALL_TUPLES:
             raw = grpo.render(tup, sample)
             assert _oracle_fields(total_reward(sample, raw)) == reference_total_reward(sample, raw), (sample.id, tup)
@@ -269,10 +269,11 @@ def test_total_reward_tokenizes_each_entity_once(monkeypatch):
         return from_surface(surface)
 
     monkeypatch.setattr(EntityRef, "from_surface", staticmethod(counting))
-    sample = grpo.default_samples()[0]
+    sample = read_samples(builtin_path("grpo_samples.jsonl"))[0]
     for tup in grpo.ALL_TUPLES:
+        raw = grpo.render(tup, sample)  # render builds its own EntityRefs
         built.clear()
-        total_reward(sample, grpo.render(tup, sample))
+        total_reward(sample, raw)
         assert built == sample.entities, tup
 
 
