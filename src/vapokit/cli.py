@@ -98,12 +98,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # OpenBLAS starts its worker threads when numpy is first imported, and an
-    # idle worker spins on a second core: on 2 vCPUs that nearly doubled numpy's
-    # import time. Training calls no BLAS routine, so one thread changes no
-    # output. A user's value wins; library users of grpo keep their own numpy
-    # setup.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # The CSV trace goes beside the JSONL one, with the suffix .csv; checked
     # before training so that a rejected --out leaves nothing written.
     out = Path(args.out)

@@ -6,29 +6,29 @@ grades in {0, 0.5, 1}: 54 arms). ``SimConfig`` holds the keys of a simulate
 config file, the samples file by its reference; ``train`` reads that file.
 Before training, every (sample, behavior tuple) pair is rendered once into a
 concrete <think>/<answer> string by deterministic corruption operators and
-scored once with the real reward engine. The resulting table, one float
-array from ``reward_matrix``, holds the four weight-free reward components,
-so one table serves every weight setting; ``train`` forms the totals once
-with ``RewardWeights.weigh``. The table's second axis is the arm count that
-the dealer, ``policy_step`` and the logits use. Each step draws a sample and
-a group of tuples, reads their rewards from the table, and normalizes them
-within the group into advantages. Random numbers are drawn only in
-``train``.
+scored once with the real reward engine. The resulting table from
+``reward_matrix``, one list of per-arm component tuples per sample, holds the
+four weight-free reward components, so one table serves every weight
+setting; ``train`` forms the totals once with ``RewardWeights.weigh``. The
+table's arm count is the one the dealer, ``policy_step`` and the logits use.
 
-``train`` ascends the likelihood-ratio gradient of the surrogate
+``train`` is one loop pass per step: draw a sample, deal a group of tuples,
+read their rewards from the table, normalize them within the group into
+advantages (``group_advantages``), take one ``policy_step`` on the logits,
+then record the group's mean components, the policy's expected reward and
+its mass on the optimum in one ``TraceStep``. Random numbers are drawn only
+in ``train``, and only with ``random.Random.random``, the one method whose
+sequence Python guarantees for a given seed across versions. The sums go
+through ``math.fsum``, which is correctly rounded on every Python version
+(the built-in ``sum`` of floats rounds differently from 3.12 on).
+
+``policy_step`` ascends the likelihood-ratio gradient of the surrogate
 ``sum_i a_i * log softmax(logits)[k_i]`` without its zero-sum term. A group's
 normalized advantages sum to zero, so the term ``-softmax(logits) *
-sum(advantages)`` is zero up to rounding, and each step adds ``lr`` times the
-advantages summed per arm: the logits after step t are ``lr * sum_{s <= t}
-bincount(indices_s, advantages_s)``. The policy never feeds back into its own
+sum(advantages)`` is zero up to rounding, and each step adds ``lr * a_i`` to
+the logit of each dealt arm ``k_i``. The policy never feeds back into its own
 updates, so the sandbox is a bandit ranked by each arm's summed advantage,
 and the policy is the softmax of that running sum.
-
-The dealer never reads the policy either, so ``train`` deals the steps in
-blocks of ``DEAL_BLOCK_ROLLOUTS`` rollouts: each block's draws (in the
-per-step order), group advantages, component means, logits (``policy_step``,
-one cumulative sum), probabilities and expected rewards are computed with one
-array operation each, and its trace rows with one ``map``.
 ``TrainTrace.write`` writes the JSONL and CSV traces in one pass, formatting
 each value once.
 
@@ -56,20 +56,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .data import Record, Sample, _as_number, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .metrics import EntityRef, _find_exact_span
 from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that do array math, so that the
-# commands that never train (score, reward, detect, build) do not load it.
 
 GRADES = (0.0, 0.5, 1.0)
 
@@ -88,12 +84,12 @@ ALL_TUPLES: tuple[BehaviorTuple, ...] = tuple(
 OPTIMAL_TUPLE = BehaviorTuple(True, 1.0, 1.0, 1.0)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis: of one logits row, or of each row of a 2-D array."""
-    import numpy as np
-
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(logits: Sequence[float]) -> list[float]:
+    """The probabilities of a logits list; the max is subtracted first, so no ``exp`` overflows."""
+    top = max(logits)
+    e = [math.exp(z - top) for z in logits]
+    norm = math.fsum(e)
+    return [x / norm for x in e]
 
 
 # ---------------------------------------------------------------------------
@@ -190,51 +186,45 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
 _STD_FLOOR = 1e-8
 
 
-def group_advantages(rewards: Sequence[float] | np.ndarray) -> np.ndarray:
-    """(r - mean) / population std along the last axis; all zeros for a flat group.
-
-    A 1-D input is one group; each row of a 2-D input is a group.
-    """
-    import numpy as np
-
-    r = np.asarray(rewards, dtype=float)
-    if r.ndim == 0 or r.shape[-1] < 2:
+def group_advantages(rewards: Sequence[float]) -> list[float]:
+    """(r - mean) / population std of one group; all zeros for a flat group."""
+    n = len(rewards)
+    if n < 2:
         raise ToolkitError("degenerate-group", "need at least 2 rollouts per group")
     # Rewards above ~1e154 (finite but huge weights) overflow the squares, and
-    # a group sum near 1e308 overflows the mean: report it as one error record
-    # instead of numpy warnings and, for an infinite std, all-zero advantages.
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = r.std(axis=-1, keepdims=True)
-    if not np.isfinite(std).all():
+    # a group sum near 1e308 overflows the mean (fsum raises OverflowError on
+    # an intermediate overflow): report either as one error record instead of,
+    # for an infinite std, all-zero advantages.
+    try:
+        mean = math.fsum(rewards) / n
+        deviations = [r - mean for r in rewards]
+        std = math.sqrt(math.fsum(d * d for d in deviations) / n)
+    except OverflowError:
+        std = math.inf
+    if not math.isfinite(std):
         raise ToolkitError("numerical", "group reward spread overflows")
-    flat = std < _STD_FLOOR
-    return np.where(flat, 0.0, (r - r.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
+    if std < _STD_FLOOR:
+        return [0.0] * n
+    return [d / std for d in deviations]
 
 
-def policy_step(logits: np.ndarray, indices: np.ndarray, advantages: np.ndarray, lr: float) -> np.ndarray:
-    """The logits after each step of a block, one row per step.
+def policy_step(logits: Sequence[float], indices: Sequence[int], advantages: Sequence[float],
+                lr: float) -> list[float]:
+    """The logits after one step: ``lr * a_i`` added to the logit of each dealt arm ``k_i``.
 
-    Row t of ``indices`` and ``advantages`` is step t's group, and row t of the
-    result is ``logits + lr * sum_{s <= t} bincount(indices[s], advantages[s])``:
-    the surrogate's gradient ascent step without its zero-sum term (see the
-    module docstring). A one-row block is one step.
+    This is the surrogate's gradient ascent step without its zero-sum term
+    (see the module docstring); an arm dealt twice gets both advantages.
     """
-    import numpy as np
-
     if lr <= 0:
         raise ToolkitError("bad-config", "lr must be > 0")
-    indices = np.asarray(indices, dtype=int)
-    rows = np.zeros((1 + len(indices), len(logits)))
-    # A non-finite advantage, or a step that overflows (a huge lr), leaves
-    # non-finite logits: one error record instead of numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(rows[1:], (np.arange(len(indices))[:, None], indices), advantages)
-        rows[1:] *= lr
-        rows[0] = logits
-        steps = rows.cumsum(axis=0)[1:]
-    if not np.isfinite(steps).all():
+    new = list(logits)
+    for k, a in zip(indices, advantages):
+        new[k] += lr * a
+    # A non-finite advantage, or a step that overflows (a huge lr), leaves a
+    # non-finite logit on a dealt arm: one error record, not a broken trace.
+    if not all(math.isfinite(new[k]) for k in indices):
         raise ToolkitError("numerical", "non-finite policy gradient or logits")
-    return steps
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +290,11 @@ class TraceStep(NamedTuple):
 
 
 class TrainTrace(Record):
-    def __init__(self, steps: list[TraceStep], seed: int, config: dict, final_logits: np.ndarray):
+    def __init__(self, steps: list[TraceStep], seed: int, config: dict, final_logits: list[float]):
         self.steps = steps
         self.seed = seed
         self.config = config
-        self.final_logits = final_logits  # the policy after the last step, one logits row
+        self.final_logits = final_logits  # the policy after the last step, one logit per arm
 
     @property
     def final(self) -> TraceStep:
@@ -332,66 +322,57 @@ class TrainTrace(Record):
                 csv_file.write(csv_step % values)
 
 
-def expected_grades(logits: np.ndarray) -> dict[str, float]:
+def expected_grades(logits: Sequence[float]) -> dict[str, float]:
     """Expected grade per behavior axis under the policy ``softmax(logits)``, plus its mass on the optimum."""
-    import numpy as np
-
     p = _softmax(logits)
-    grades = p @ np.array(ALL_TUPLES, dtype=float)  # one column per BehaviorTuple field
+    grades = [math.fsum(map(mul, p, column)) for column in zip(*ALL_TUPLES)]  # one per BehaviorTuple field
     return {
-        **dict(zip(("format_rate", "ocr_level", "asr_level", "anchor_level"), grades.tolist())),
-        "p_optimal": float(p[ALL_TUPLES.index(OPTIMAL_TUPLE)]),
+        **dict(zip(("format_rate", "ocr_level", "asr_level", "anchor_level"), grades)),
+        "p_optimal": p[ALL_TUPLES.index(OPTIMAL_TUPLE)],
     }
 
 
-def _balanced_deals(rng: np.random.Generator, arms: int) -> Iterator[int]:
+def _balanced_deals(rng: random.Random, arms: int) -> Iterator[int]:
     """Arm indices from rng-shuffled without-replacement cycles over ``range(arms)``.
 
-    The next cycle is shuffled only when its first index is requested;
-    shuffling earlier would reorder the draws ``train`` shares this rng with.
+    Each cycle is a Fisher-Yates shuffle drawn with ``rng.random()`` alone. The
+    next cycle is shuffled only when its first index is requested; shuffling
+    earlier would reorder the draws ``train`` shares this rng with.
     """
     while True:
-        yield from rng.permutation(arms).tolist()
+        cycle = list(range(arms))
+        for i in range(arms - 1, 0, -1):
+            j = int(rng.random() * (i + 1))
+            cycle[i], cycle[j] = cycle[j], cycle[i]
+        yield from cycle
 
 
-# The last axis of the reward_matrix array, in order.
+# The fields of each reward_matrix entry, in order.
 REWARD_COLUMNS = ("r_format", "r_ocr", "r_asr", "r_va")
 
 
-def reward_matrix(samples: Sequence[Sample]) -> np.ndarray:
+def reward_matrix(samples: Sequence[Sample]) -> list[list[tuple]]:
     """Render and score every (sample, behavior tuple) pair exactly once.
 
-    Returns a ``(len(samples), len(ALL_TUPLES), len(REWARD_COLUMNS))`` float array
-    whose entry ``[si, k]`` holds the weight-free reward components of sample
-    ``si`` rendered under ``ALL_TUPLES[k]``.
+    Returns one list per sample of one tuple per arm: entry ``[si][k]`` holds
+    the weight-free reward components (``REWARD_COLUMNS``) of sample ``si``
+    rendered under ``ALL_TUPLES[k]``.
     """
-    import numpy as np
-
-    rows = []
-    for sample in samples:
-        breakdowns = (total_reward(sample, render(tup, sample)) for tup in ALL_TUPLES)
-        rows.append([[getattr(b, col) for col in REWARD_COLUMNS] for b in breakdowns])
-    return np.array(rows, dtype=float)
-
-
-# Rollouts per dealt block in ``train``: 32 steps of the shipped group size 8.
-# A budget in rollouts rather than steps keeps a block's arrays small at any
-# group size.
-DEAL_BLOCK_ROLLOUTS = 256
+    return [
+        [tuple(getattr(b, col) for col in REWARD_COLUMNS)
+         for b in (total_reward(sample, render(tup, sample)) for tup in ALL_TUPLES)]
+        for sample in samples
+    ]
 
 
 def train(config: SimConfig) -> TrainTrace:
     """Read the samples, build the reward table once, then run the sample ->
-    look up -> update loop over the table's arms.
+    deal -> update loop over the table's arms, one step per pass.
 
     Every step reads its group's rewards, the trace's mean components and the
-    policy's expected reward from the same table. The draws for a block of
-    steps are made in the per-step order, and the logits are carried from
-    block to block and summed in step order, so the trace does not depend on
-    the block size. Reproducible from the seed.
+    policy's expected reward from the same table. Each step draws its sample,
+    then its group. Reproducible from the seed.
     """
-    import numpy as np
-
     samples = read_samples(resolve_data_path(config.samples))
     if not samples:
         raise ToolkitError("bad-config", f"no samples in {config.samples}")
@@ -399,32 +380,22 @@ def train(config: SimConfig) -> TrainTrace:
         raise ToolkitError("bad-config", "need steps >= 1, group_size >= 2 and seed >= 0")
     if not 0 < config.lr < math.inf:
         raise ToolkitError("bad-config", "lr must be finite and > 0")
-    components = reward_matrix(samples)
-    weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
-    table = np.concatenate([components, weighted[..., None]], axis=-1)
-    rng = np.random.default_rng(config.seed)
-    arms = table.shape[1]
+    weigh = config.weights.weigh
+    table = [[(*row, weigh(*row)) for row in rows] for rows in reward_matrix(samples)]
+    rng = random.Random(config.seed)
+    arms = len(table[0])
     optimum = ALL_TUPLES.index(OPTIMAL_TUPLE)
     deals = _balanced_deals(rng, arms)
-    logits = np.zeros(arms)
+    logits = [0.0] * arms
     trace: list[TraceStep] = []
-    block_steps = max(1, DEAL_BLOCK_ROLLOUTS // config.group_size)
-    for start in range(0, config.steps, block_steps):
-        block = range(start, min(start + block_steps, config.steps))
-        si, dealt = [], []
-        for _ in block:
-            si.append(int(rng.integers(len(samples))))
-            dealt.append(list(itertools.islice(deals, config.group_size)))
-        si, indices = np.array(si), np.array(dealt)
-        groups = table[si[:, None], indices]  # (block, group, components + total)
-        advantages = group_advantages(groups[..., -1])
-        # Summed over a middle axis, each mean adds the group's rows in order,
-        # as a per-step ``group.mean(axis=0)`` does (a last-axis sum is pairwise).
-        r_format, r_ocr, r_asr, r_va, total = groups.mean(axis=1).T.tolist()
-        block_logits = policy_step(logits, indices, advantages, config.lr)
-        probs = _softmax(block_logits)
-        expected = (probs * table[si, :, -1]).sum(axis=1).tolist()
-        p_optimal = probs[:, optimum].tolist()
-        logits = block_logits[-1]
-        trace.extend(map(TraceStep, block, total, expected, r_format, r_ocr, r_asr, r_va, p_optimal))
+    for step in range(config.steps):
+        rows = table[int(rng.random() * len(table))]
+        indices = list(itertools.islice(deals, config.group_size))
+        group = [rows[k] for k in indices]
+        advantages = group_advantages([row[-1] for row in group])
+        logits = policy_step(logits, indices, advantages, config.lr)
+        probs = _softmax(logits)
+        r_format, r_ocr, r_asr, r_va, total = (math.fsum(column) / len(group) for column in zip(*group))
+        expected = math.fsum(p * row[-1] for p, row in zip(probs, rows))
+        trace.append(TraceStep(step, total, expected, r_format, r_ocr, r_asr, r_va, probs[optimum]))
     return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_logits=logits)

@@ -39,7 +39,7 @@ class RewardWeights(NamedTuple):
         return sum(self.as_tuple())
 
     def weigh(self, r_format, r_ocr, r_asr, r_va):
-        """The weighted total, summed left to right; floats or arrays give the same doubles."""
+        """The weighted total of four floats, summed left to right."""
         return (
             self.lambda_format * r_format
             + self.lambda_ocr * r_ocr

@@ -403,64 +403,72 @@ def surrogate_objective(logits, indices, advantages) -> float:
     return float(sum(a * (logits[k] - log_norm) for k, a in zip(indices, advantages)))
 
 
-def train_reference(config) -> tuple[list[dict], "np.ndarray"]:
-    """The sandbox's training loop, one step at a time, in plain numpy.
+def train_reference(config) -> tuple[list[dict], list[float]]:
+    """The sandbox's training loop, one step at a time, in plain Python.
 
-    Each step draws a sample, deals a group from rng-shuffled cycles over the
-    grid (a cycle is shuffled when its first index is needed), normalizes the
-    group's totals, takes one gradient step on the logits and records the
-    trace fields. The reward table is the input, not what is checked: it comes
-    from ``grpo.reward_matrix`` of the samples file the config names, looked
-    up on the module so a test can cache it, weighed with the config's
-    weights. Returns the step records and the final logits.
+    All draws are successive ``random.Random(seed).random()`` values ``u``.
+    Each step draws a sample index ``int(u * len(samples))``, then deals a
+    group from cycles over the grid, each one a list shuffled by swapping
+    position ``i`` with ``int(u * (i + 1))`` for ``i`` from the last down to
+    1 and popped from the front; a cycle is shuffled when its first index is
+    needed. The step normalizes the group's totals, takes one gradient step on
+    the logits, zero-sum term included, and records the trace fields, with
+    correctly rounded means (``math.fsum``). The reward table is the input, not
+    what is checked: it comes from ``grpo.reward_matrix`` of the samples file
+    the config names, looked up on the module so a test can cache it, weighed
+    with the config's weights. Returns the step records and the final logits.
     """
-    import numpy as np
-
     from vapokit import grpo
     from vapokit.data import read_samples, resolve_data_path
 
     samples = read_samples(resolve_data_path(config.samples))
-    components = grpo.reward_matrix(samples)
-    weighted = config.weights.weigh(*np.moveaxis(components, -1, 0))
-    table = np.concatenate([components, weighted[..., None]], axis=-1)
-    totals = table[..., -1]
-    arms = table.shape[1]
+    table = [[(*c, config.weights.weigh(*c)) for c in row] for row in grpo.reward_matrix(samples)]
+    arms = len(table[0])
     optimum = grpo.ALL_TUPLES.index(grpo.OPTIMAL_TUPLE)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     cycle: list[int] = []
 
     def deal() -> int:
         if not cycle:
-            cycle.extend(rng.permutation(arms).tolist())
+            cycle.extend(range(arms))
+            for i in range(arms - 1, 0, -1):
+                j = int(rng.random() * (i + 1))
+                cycle[i], cycle[j] = cycle[j], cycle[i]
         return cycle.pop(0)
 
-    def softmax(z):
-        e = np.exp(z - z.max())
-        return e / e.sum()
+    def mean(values) -> float:
+        return math.fsum(values) / len(values)
 
-    logits = np.zeros(arms)
+    def softmax(z: list[float]) -> list[float]:
+        top = max(z)
+        e = [math.exp(v - top) for v in z]
+        norm = math.fsum(e)
+        return [v / norm for v in e]
+
+    logits = [0.0] * arms
     steps = []
     for step in range(config.steps):
-        si = int(rng.integers(len(samples)))
+        si = int(rng.random() * len(samples))
         indices = [deal() for _ in range(config.group_size)]
-        group = table[si, indices]
-        rewards = group[:, -1]
-        std = rewards.std()
-        advantages = np.zeros(len(rewards)) if std < 1e-8 else (rewards - rewards.mean()) / std
-        grad = np.zeros(arms)
-        np.add.at(grad, indices, advantages)
-        grad -= softmax(logits) * advantages.sum()
-        logits = logits + config.lr * grad
+        group = [table[si][k] for k in indices]
+        rewards = [row[-1] for row in group]
+        mu = mean(rewards)
+        std = math.sqrt(mean([(r - mu) ** 2 for r in rewards]))
+        advantages = [0.0] * len(rewards) if std < 1e-8 else [(r - mu) / std for r in rewards]
+        grad = [-p * math.fsum(advantages) for p in softmax(logits)]
+        for k, a in zip(indices, advantages):
+            grad[k] += a
+        logits = [z + config.lr * g for z, g in zip(logits, grad)]
         probs = softmax(logits)
-        r_format, r_ocr, r_asr, r_va, total = group.mean(axis=0)
+        r_format, r_ocr, r_asr, r_va, total = (mean(column) for column in zip(*group))
         steps.append({
             "step": step,
-            "mean_reward": float(total),
-            "expected_reward": float(probs @ totals[si]),
-            "mean_format": float(r_format),
-            "mean_ocr": float(r_ocr),
-            "mean_asr": float(r_asr),
-            "mean_va": float(r_va),
-            "p_optimal": float(probs[optimum]),
+            "mean_reward": total,
+            "expected_reward": math.fsum(p * row[-1] for p, row in zip(probs, table[si])),
+            "mean_format": r_format,
+            "mean_ocr": r_ocr,
+            "mean_asr": r_asr,
+            "mean_va": r_va,
+            "p_optimal": probs[optimum],
         })
     return steps, logits

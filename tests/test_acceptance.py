@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 from oracles import levenshtein_recursive, reference_well_formed, rollout_soup, surrogate_objective, tag_soup
@@ -169,20 +169,22 @@ def test_criterion_gradient_check():
     surrogate objective within 1e-4 on all 54 params.
 
     The zero-sum advantages make the gradient's dropped term zero up to
-    rounding; seed 103 draws arm 8 twice, so both of its advantages must add.
+    rounding; the group deals its first arm twice, so both of its advantages
+    must add.
     """
-    rng = np.random.default_rng(103)
-    logits = rng.normal(0.0, 0.5, len(ALL_TUPLES))
-    indices = [int(k) for k in rng.integers(len(ALL_TUPLES), size=8)]
-    advantages = group_advantages(rng.uniform(0.0, 4.0, size=8))
+    rng = random.Random(103)
+    logits = [rng.gauss(0.0, 0.5) for _ in ALL_TUPLES]
+    indices = [int(rng.random() * len(ALL_TUPLES)) for _ in range(7)]
+    indices.append(indices[0])
+    advantages = group_advantages([rng.uniform(0.0, 4.0) for _ in range(8)])
     lr = 0.1
-    analytic = (policy_step(logits, [indices], [advantages], lr)[0] - logits) / lr
+    analytic = [(new - old) / lr for new, old in zip(policy_step(logits, indices, advantages, lr), logits)]
     h = 1e-3
     worst = 0.0
     for j in range(len(ALL_TUPLES)):
-        lp = logits.copy()
+        lp = list(logits)
         lp[j] += h
-        lm = logits.copy()
+        lm = list(logits)
         lm[j] -= h
         numeric = (
             surrogate_objective(lp, indices, advantages)
@@ -195,17 +197,17 @@ def test_criterion_gradient_check():
 def test_criterion_ablation_direction(balanced_runs, va_doubled_runs, asr_doubled_runs):
     """Doubling the anchoring weight raises converged anchoring; doubling the
     ASR weight does not raise converged OCR beyond noise (0.05), 5 seeds each."""
-    anchor_balanced = float(
-        np.mean([expected_grades(t.final_logits)["anchor_level"] for t, _ in balanced_runs])
+    anchor_balanced = statistics.fmean(
+        expected_grades(t.final_logits)["anchor_level"] for t, _ in balanced_runs
     )
-    anchor_va2 = float(
-        np.mean([expected_grades(t.final_logits)["anchor_level"] for t, _ in va_doubled_runs])
+    anchor_va2 = statistics.fmean(
+        expected_grades(t.final_logits)["anchor_level"] for t, _ in va_doubled_runs
     )
-    ocr_balanced = float(
-        np.mean([expected_grades(t.final_logits)["ocr_level"] for t, _ in balanced_runs])
+    ocr_balanced = statistics.fmean(
+        expected_grades(t.final_logits)["ocr_level"] for t, _ in balanced_runs
     )
-    ocr_asr2 = float(
-        np.mean([expected_grades(t.final_logits)["ocr_level"] for t, _ in asr_doubled_runs])
+    ocr_asr2 = statistics.fmean(
+        expected_grades(t.final_logits)["ocr_level"] for t, _ in asr_doubled_runs
     )
     ok = anchor_va2 >= anchor_balanced and ocr_asr2 <= ocr_balanced + 0.05
     _report(

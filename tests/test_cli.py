@@ -677,7 +677,7 @@ def test_simulate_overflowing_rewards_are_one_error_record(tmp_path, weight):
 
     At 1e308 the group mean overflows; at 1e200 only the squares do, which
     used to leave all-zero advantages and a policy that never moved. Either
-    way stderr holds the one error record and no numpy warning.
+    way stderr holds the one error record, with no warning or traceback.
     """
     config = tmp_path / "cfg.json"
     config.write_text('{"steps": 3, "weights": {"lambda_format": %s}}' % weight)
@@ -695,7 +695,7 @@ def test_simulate_overflowing_rewards_are_one_error_record(tmp_path, weight):
 
 
 def test_simulate_overflowing_step_is_one_error_record(tmp_path):
-    """A huge lr overflows the new logits: one error record, no numpy warning."""
+    """A huge lr overflows the new logits: one error record, with no warning or traceback."""
     config = tmp_path / "cfg.json"
     config.write_text('{"steps": 3, "lr": 1e308}')
     out = tmp_path / "trace.jsonl"

@@ -23,8 +23,7 @@ the builtin samples at seed 0:
 
 The benchmark's own ``simulate`` run, the shipped ``simulate_default.json``
 (2000 steps) at seed 0, is pinned by the sha256 of its two trace files, both
-in-process and from a fresh ``python -m vapokit.cli``: only the fresh process
-imports numpy under the CLI's default of one OpenBLAS thread.
+in-process and from a fresh ``python -m vapokit.cli``.
 
 A change that alters one of them changes a result; say what and why before
 regenerating.
@@ -71,32 +70,28 @@ def test_golden_build(tmp_path, capsys):
 def test_golden_simulate(tmp_path, capsys):
     out = tmp_path / "simulate_trace.jsonl"
     assert main(["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(out)]) == 0
-    assert capsys.readouterr().out == '{"steps": 60, "p_optimal": 0.07044549581819541}\n'
+    assert capsys.readouterr().out == '{"steps": 60, "p_optimal": 0.07168234236583221}\n'
     for name in ("simulate_trace.jsonl", "simulate_trace.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 SHIPPED_SIMULATE_SHA256 = {
-    "trace.jsonl": "36aed6b7caddd675278f040cd9fd3477b7491ffd1f6a207138d7846fc46b8976",
-    "trace.csv": "27e6cb826f4ffaa54b4ec7ab17de818ecf1d0e9daadc47e6adb53656f17892c2",
+    "trace.jsonl": "11cf07c9b8745270d4a7300d834db869a4f0164d2e8ed23014d1a57df9af0422",
+    "trace.csv": "fa1c668b342ffcb7ce5c0d62f576798f350d057bfc0626c574dec92cb5bbcbd2",
 }
 
 
 def test_golden_simulate_shipped_config(tmp_path, capsys):
     config = str(builtin_path("simulate_default.json"))
     assert main(["simulate", "--config", config, "--seed", "0", "--out", str(tmp_path / "trace.jsonl")]) == 0
-    assert capsys.readouterr().out == '{"steps": 2000, "p_optimal": 0.9944226150252309}\n'
+    assert capsys.readouterr().out == '{"steps": 2000, "p_optimal": 0.9956772411656688}\n'
     for name, digest in SHIPPED_SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("openblas", [None, "2"], ids=["default", "two-threads"])
-def test_golden_simulate_shipped_config_cli(tmp_path, openblas):
-    """The CLI's one-thread BLAS default and a user's two threads write the same traces."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(GOLDEN.parent.parent / "src")
-    if openblas is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas
+def test_golden_simulate_shipped_config_cli(tmp_path):
+    """A fresh process writes the same traces as the in-process run."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
     config = str(builtin_path("simulate_default.json"))
     proc = subprocess.run(
         [sys.executable, "-m", "vapokit.cli", "simulate", "--config", config, "--seed", "0",
@@ -104,6 +99,6 @@ def test_golden_simulate_shipped_config_cli(tmp_path, openblas):
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '{"steps": 2000, "p_optimal": 0.9944226150252309}\n'
+    assert proc.stdout == '{"steps": 2000, "p_optimal": 0.9956772411656688}\n'
     for name, digest in SHIPPED_SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,20 +1,18 @@
-"""Import boundary: the offline commands never load numpy, the network stack,
-``dataclasses``, ``inspect`` or ``html``, ``simulate`` loads numpy with one
-BLAS thread, and the tokenizer's CJK class is compiled once, when first needed.
+"""Import boundary: no command loads numpy, the network stack,
+``dataclasses``, ``inspect`` or ``html``, and the tokenizer's CJK class is
+compiled once, when first needed.
 
 ``score``, ``reward``, ``detect``, ``build`` and ``report`` are short runs, and
-their wall time is mostly import. numpy belongs to ``simulate`` alone, and
-``urllib.request`` (with ``http.client``, ``ssl`` and ``email``) to the remote
-slide-text generator alone, so both are imported inside the functions that
-use them. The records are NamedTuples or plain classes, not dataclasses,
+their wall time is mostly import. vapokit has no runtime dependency: the
+policy sandbox is plain Python, so ``simulate`` loads no numpy either.
+``urllib.request`` (with ``http.client``, ``ssl`` and ``email``) belongs to the
+remote slide-text generator alone, so it is imported inside the function that
+uses it. The records are NamedTuples or plain classes, not dataclasses,
 because importing ``dataclasses`` (which loads ``inspect``) and processing
 its classes was most of vapokit's own import time;
 ``test_records_keep_their_contract`` pins what the dataclasses promised.
 ``html`` is not loaded either: the slide SVG escapes its three markup
-characters itself. ``simulate`` may still load ``inspect`` through numpy,
-and it sets ``OPENBLAS_NUM_THREADS=1`` (unless already set) before numpy loads,
-because OpenBLAS's idle worker thread slows the import; the offline commands
-leave the variable alone.
+characters itself.
 Import also compiles the module-level regexes. The tokenizer's CJK class is
 the costly one, and ASCII text never needs it, so it is compiled once, on the
 first text that is not ASCII. Each check runs in a fresh interpreter, because
@@ -43,28 +41,19 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 HEAVY = ("numpy", "urllib.request", "http.client", "ssl", "email", "dataclasses", "inspect", "html")
 
-# Runs the CLI in-process, then prints which HEAVY modules got loaded, the
-# OPENBLAS_NUM_THREADS it leaves in the environment and the process's thread
-# count (None where /proc/self/task does not exist).
+# Runs the CLI in-process, then prints which HEAVY modules got loaded.
 _PROBE = """
-import json, os, sys
+import json, sys
 import vapokit.cli
 argv = json.loads(sys.argv[1])
 code = vapokit.cli.main(argv) if argv else 0
-tasks = "/proc/self/task"
-print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules),
-                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
-                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))
+print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules)}))
 """ % (HEAVY,)
 
 
-def _run_cli(argv: list[str], openblas: str | None = None) -> dict:
-    """Run the probe in a fresh interpreter with OPENBLAS_NUM_THREADS set to
-    ``openblas``, or removed from the environment when it is None."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    if openblas is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas
+def _run_cli(argv: list[str]) -> dict:
+    """Run the probe in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argv)],
         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
@@ -74,8 +63,7 @@ def _run_cli(argv: list[str], openblas: str | None = None) -> dict:
 
 
 def test_import_cli_loads_no_numpy_or_network_stack():
-    result = _run_cli([])
-    assert (result["code"], result["loaded"], result["openblas"]) == (0, [], None)
+    assert _run_cli([]) == {"code": 0, "loaded": []}
 
 
 @pytest.mark.parametrize(
@@ -87,31 +75,13 @@ def test_import_cli_loads_no_numpy_or_network_stack():
         ["detect", "--dataset", "{golden}/manifest.jsonl", "--hyp", "{golden}/hyp.jsonl", "--out", "{tmp}/o.json"],
         ["build", "--seeds", "{golden}/seeds.jsonl", "--outdir", "{tmp}/built"],
         ["report", "--in", "{golden}/score.json"],
+        ["simulate", "--config", "{golden}/simulate.json", "--out", "{tmp}/t.jsonl"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_offline_commands_load_no_numpy_or_network_stack(argv, tmp_path):
-    """They also leave OPENBLAS_NUM_THREADS unset: only simulate uses BLAS."""
     argv = [a.format(golden=GOLDEN, tmp=tmp_path) for a in argv]
-    result = _run_cli(argv)
-    assert (result["code"], result["loaded"], result["openblas"]) == (0, [], None)
-
-
-def test_simulate_still_loads_numpy(tmp_path):
-    argv = ["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(tmp_path / "t.jsonl")]
-    assert "numpy" in _run_cli(argv)["loaded"]
-
-
-@pytest.mark.parametrize("openblas, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
-def test_simulate_runs_blas_single_threaded_unless_told_otherwise(tmp_path, openblas, expected):
-    """An idle OpenBLAS worker thread slows numpy's import, so simulate sets
-    OPENBLAS_NUM_THREADS=1 before numpy loads, and keeps a value already set.
-    With the default, numpy starts no thread of its own."""
-    argv = ["simulate", "--config", str(GOLDEN / "simulate.json"), "--out", str(tmp_path / "t.jsonl")]
-    result = _run_cli(argv, openblas)
-    assert (result["code"], result["openblas"]) == (0, expected)
-    if openblas is None and result["threads"] is not None:
-        assert result["threads"] == 1
+    assert _run_cli(argv) == {"code": 0, "loaded": []}
 
 
 # Counts the regex compiles whose pattern contains the tokenizer's CJK class
