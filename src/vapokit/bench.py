@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .data import Record, Sample, _as_number, read_json, read_jsonl, reject_repeated_ids, write_jsonl
+from .data import Record, Sample, _as_number, fold_sum, read_json, read_jsonl, reject_repeated_ids, write_jsonl
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -361,7 +361,7 @@ def build_dataset(
     entity_count = sum(len(s.entities) for s in entries)
     hours = None
     if entries and all(s.duration_s is not None for s in entries):
-        hours = sum(s.duration_s for s in entries) / 3600.0
+        hours = fold_sum(s.duration_s for s in entries) / 3600.0
     write_jsonl(outdir / "manifest.jsonl", (s.to_dict() for s in entries))
     stats = {"samples": len(entries), "entities": entity_count, "hours": hours}
     (outdir / "stats.json").write_text(

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import pair_by_id, read_hypotheses, read_json, read_samples, resolve_data_path
+from .data import fold_sum, pair_by_id, read_hypotheses, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, check_metrics, sample_report
 from .rewards import RewardWeights, total_reward
@@ -66,9 +66,9 @@ def cmd_reward(args) -> int:
     weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights()
     pairs = pair_by_id(samples, rollouts, allow_partial=args.allow_partial)
     rows = [{"id": s.id, **total_reward(s, h.text, weights).as_dict()} for s, h in pairs]
-    mean_total = sum(r["total"] for r in rows) / len(rows)
+    mean_total = fold_sum(r["total"] for r in rows) / len(rows)
     if math.isinf(mean_total):  # the sum overflowed; each total is at most the finite weight sum
-        mean_total = sum(r["total"] / len(rows) for r in rows)
+        mean_total = fold_sum(r["total"] / len(rows) for r in rows)
     _write_json(args.out, {"weights": weights.as_dict(), "rows": rows, "mean_total": mean_total})
     return 0
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections import Counter
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -169,12 +171,23 @@ def _entity_list(d: dict) -> list[str]:
     return list(entities)
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right, rounding after each addition.
+
+    The built-in ``sum`` of floats compensates its rounding from Python 3.12
+    on, so its last bits depend on the interpreter; this fold gives the same
+    bits on every version. (``math.fsum`` is stable too, but rounds differently
+    from the fold the written outputs were made with.)
+    """
+    return reduce(operator.add, values, 0)
+
+
 # A \u escape in the surrogate range; json.loads pairs the valid ones.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def load_json(text: str):
-    """``json.loads`` that also rejects lone surrogates such as ``"\ud800"``.
+    r"""``json.loads`` that also rejects lone surrogates such as ``"\ud800"``.
 
     No UTF-8 output can hold a lone surrogate, so accepting one would only
     move the failure to the first write. Every error is a ValueError.

@@ -16,11 +16,16 @@ table's arm count is the one the dealer, ``policy_step`` and the logits use.
 read their rewards from the table, normalize them within the group into
 advantages (``group_advantages``), take one ``policy_step`` on the logits,
 then record the group's mean components, the policy's expected reward and
-its mass on the optimum in one ``TraceStep``. Random numbers are drawn only
-in ``train``, and only with ``random.Random.random``, the one method whose
-sequence Python guarantees for a given seed across versions. The sums go
-through ``math.fsum``, which is correctly rounded on every Python version
-(the built-in ``sum`` of floats rounds differently from 3.12 on).
+its mass on the optimum in one ``TraceStep``. A step moves only the dealt
+logits, so ``train`` keeps each arm's ``exp(logit - max(logits))`` across
+steps and recomputes it for the dealt arms only, or for every arm when the
+max moves. These are the operands ``_softmax`` would use, so each trace value
+is bit for bit the one a fresh softmax per step gives. Random numbers are
+drawn only in ``train``, and only with ``random.Random.random``, the one
+method whose sequence Python guarantees for a given seed across versions.
+The sums go through ``math.fsum``, which is correctly rounded on every
+Python version (the built-in ``sum`` of floats rounds differently from 3.12
+on).
 
 ``policy_step`` ascends the likelihood-ratio gradient of the surrogate
 ``sum_i a_i * log softmax(logits)[k_i]`` without its zero-sum term. A group's
@@ -29,8 +34,6 @@ sum(advantages)`` is zero up to rounding, and each step adds ``lr * a_i`` to
 the logit of each dealt arm ``k_i``. The policy never feeds back into its own
 updates, so the sandbox is a bandit ranked by each arm's summed advantage,
 and the policy is the softmax of that running sum.
-``TrainTrace.write`` writes the JSONL and CSV traces in one pass, formatting
-each value once.
 
 Desk-scale deviations from full-size GRPO, all deliberate: no KL penalty, no
 ratio clipping, and the scoring groups are dealt from shuffled
@@ -49,15 +52,18 @@ distance exactly k). Corruption is entity-first, then the plain tokens in
 ascending position: a degraded OCR or ASR grade also wipes out the entity
 anchors, so every single-grade downgrade costs clearly more than its own
 component and the all-ones tuple is the unique optimum under positive weights.
+``render`` reads a sample's tokens and entity positions from ``_render_plan``,
+which derives them once per sample content, not once per tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
-from operator import mul
+from operator import mul, truediv
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -102,9 +108,10 @@ def _garbage(i: int) -> str:
 
 
 def _entity_spans(tokens: tuple[str, ...], entity_token_lists: list[tuple[str, ...]]):
-    """All occurrences of each entity span; returns (covered positions, spans per entity)."""
+    """All occurrences of each entity span; returns tuples of (spans per
+    entity, the positions they cover, the other positions), positions ascending."""
     covered: set[int] = set()
-    spans: list[list[tuple[int, int]]] = []
+    spans: list[tuple[tuple[int, int], ...]] = []
     for needle in entity_token_lists:
         k = len(needle)
         mine = []
@@ -113,13 +120,30 @@ def _entity_spans(tokens: tuple[str, ...], entity_token_lists: list[tuple[str, .
             mine.append((i, i + k))
             covered.update(range(i, i + k))
             i = _find_exact_span(needle, tokens, i + k)
-        spans.append(mine)
-    return covered, spans
+        spans.append(tuple(mine))
+    return tuple(spans), tuple(sorted(covered)), tuple(i for i in range(len(tokens)) if i not in covered)
 
 
 def _substitute(tokens: list[str], positions: Sequence[int]) -> None:
     for p in positions:
         tokens[p] = _garbage(p)
+
+
+@functools.lru_cache(maxsize=64)
+def _render_plan(sample_id: str, slide_text: str, transcript_gt: str, entities: tuple[str, ...]):
+    """One sample's slide tokens and their corruption order, then its transcript
+    tokens and their ``_entity_spans``: what ``render`` reads, whatever the tuple."""
+    slide = normalize_tokenize(slide_text)
+    transcript = normalize_tokenize(transcript_gt)
+    # an entity that normalizes to nothing raises "empty-entity", as in scoring
+    entity_tokens = [EntityRef.from_surface(e).tokens for e in entities]
+    if len(entity_tokens) < 2 or len(transcript) < 8:
+        raise ToolkitError(
+            "sample-too-small",
+            f"sample {sample_id}: need >= 2 entities and >= 8 transcript tokens",
+        )
+    _, ent_pos, plain = _entity_spans(slide, entity_tokens)
+    return (slide, ent_pos + plain, transcript, *_entity_spans(transcript, entity_tokens))
 
 
 def render(tup: BehaviorTuple, sample: Sample) -> str:
@@ -137,43 +161,25 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
 
     Each block corrupts entity positions first, then plain positions, each in
     ascending order, with unique garbage, so the error counts (and the rewards)
-    follow from the grades alone.
+    follow from the grades alone. ``_render_plan`` is cached on the content.
     """
-    slide = list(normalize_tokenize(sample.slide_text))
-    transcript = list(normalize_tokenize(sample.transcript_gt))
-    # an entity that normalizes to nothing raises "empty-entity", as in scoring
-    entity_tokens = [EntityRef.from_surface(e).tokens for e in sample.entities]
-    if len(entity_tokens) < 2 or len(transcript) < 8:
-        raise ToolkitError(
-            "sample-too-small",
-            f"sample {sample.id}: need >= 2 entities and >= 8 transcript tokens",
-        )
+    slide, think_order, transcript, spans_tr, ent_pos_tr, plain_tr = _render_plan(
+        sample.id, sample.slide_text, sample.transcript_gt, tuple(sample.entities))
 
     # think block: corrupt ceil(n * (1 - grade)) slide tokens, entity-first
     think = list(slide)
-    if slide:
-        k_ocr = math.ceil(len(slide) * (1.0 - tup.ocr_level))
-        ent_pos, _ = _entity_spans(tuple(slide), entity_tokens)
-        plain = [i for i in range(len(slide)) if i not in ent_pos]
-        _substitute(think, (sorted(ent_pos) + plain)[:k_ocr])
+    _substitute(think, think_order[:math.ceil(len(slide) * (1.0 - tup.ocr_level))])
 
     # answer block: the anchoring grade corrupts trailing entities in every
     # occurrence; the ASR grade then tops corruption up to its token fraction,
     # remaining entity tokens first
     answer = list(transcript)
-    ent_pos_tr, spans_tr = _entity_spans(tuple(transcript), entity_tokens)
-    n_ent = len(entity_tokens)
-    n_keep = int(n_ent * tup.anchor_level + 0.5)
-    anchored_out: set[int] = set()
-    for spans in spans_tr[n_keep:]:
-        for start, stop in spans:
-            anchored_out.update(range(start, stop))
+    n_keep = int(len(spans_tr) * tup.anchor_level + 0.5)
+    anchored_out = {p for spans in spans_tr[n_keep:] for start, stop in spans for p in range(start, stop)}
     _substitute(answer, sorted(anchored_out))
-    k_asr = math.ceil(len(transcript) * (1.0 - tup.asr_level))
-    extra = k_asr - len(anchored_out)
+    extra = math.ceil(len(transcript) * (1.0 - tup.asr_level)) - len(anchored_out)
     if extra > 0:
-        remaining_ent = sorted(ent_pos_tr - anchored_out)
-        plain_tr = [i for i in range(len(transcript)) if i not in ent_pos_tr]
+        remaining_ent = tuple(p for p in ent_pos_tr if p not in anchored_out)
         _substitute(answer, (remaining_ent + plain_tr)[:extra])
 
     closing = "</answer>" if tup.format_ok else ""
@@ -382,20 +388,29 @@ def train(config: SimConfig) -> TrainTrace:
         raise ToolkitError("bad-config", "lr must be finite and > 0")
     weigh = config.weights.weigh
     table = [[(*row, weigh(*row)) for row in rows] for rows in reward_matrix(samples)]
+    totals = [[row[-1] for row in rows] for rows in table]
     rng = random.Random(config.seed)
     arms = len(table[0])
     optimum = ALL_TUPLES.index(OPTIMAL_TUPLE)
     deals = _balanced_deals(rng, arms)
     logits = [0.0] * arms
+    top, e = 0.0, [1.0] * arms  # e[k] = exp(logits[k] - top), as _softmax computes it
     trace: list[TraceStep] = []
     for step in range(config.steps):
-        rows = table[int(rng.random() * len(table))]
+        si = int(rng.random() * len(table))
+        rows = table[si]
         indices = list(itertools.islice(deals, config.group_size))
         group = [rows[k] for k in indices]
         advantages = group_advantages([row[-1] for row in group])
         logits = policy_step(logits, indices, advantages, config.lr)
-        probs = _softmax(logits)
+        if max(logits) == top:  # only the dealt logits moved
+            for k in indices:
+                e[k] = math.exp(logits[k] - top)
+        else:
+            top = max(logits)
+            e = [math.exp(z - top) for z in logits]
+        norm = math.fsum(e)
         r_format, r_ocr, r_asr, r_va, total = (math.fsum(column) / len(group) for column in zip(*group))
-        expected = math.fsum(p * row[-1] for p, row in zip(probs, rows))
-        trace.append(TraceStep(step, total, expected, r_format, r_ocr, r_asr, r_va, probs[optimum]))
+        expected = math.fsum(map(mul, map(truediv, e, itertools.repeat(norm)), totals[si]))
+        trace.append(TraceStep(step, total, expected, r_format, r_ocr, r_asr, r_va, e[optimum] / norm))
     return TrainTrace(steps=trace, seed=config.seed, config=config.snapshot(), final_logits=logits)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import http.server
 import json
+import math
 import os
 import random
 import tempfile
@@ -395,6 +396,19 @@ def test_build_dataset_hours_when_durations_known(tmp_path):
     assert stats["samples"] == 5
     expected_hours = sum(s.duration_s for s in seeds) / 3600.0
     assert stats["hours"] == pytest.approx(expected_hours)
+
+
+def test_build_dataset_hours_add_left_to_right_on_every_python(tmp_path):
+    """Ten durations of 0.1 s add to 0.9999999999999999 s left to right; the
+    compensated sums (the built-in ``sum`` from Python 3.12 on, and
+    ``math.fsum``) give 1.0, which would move the stats bytes."""
+    seeds = read_seed_records(builtin_path("seeds_5.jsonl"))
+    seeds = [Sample(**{**vars(seed), "id": f"{seed.id}-{i}", "duration_s": 0.1})
+             for seed in seeds for i in range(2)]
+    assert len(seeds) == 10
+    hours = build_dataset(seeds, tmp_path)["hours"]
+    assert hours == 0.9999999999999999 / 3600.0
+    assert hours != math.fsum([0.1] * 10) / 3600.0
 
 
 def _tree_digest(root) -> str:

@@ -549,6 +549,29 @@ def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
     assert payload["mean_total"] == pytest.approx(1e308)
 
 
+@pytest.mark.parametrize("weight, mean_total", [(0.1, 0.09999999999999999), (1e308, 9.999999999999998e307)],
+                         ids=["plain", "overflow"])
+def test_reward_mean_total_adds_left_to_right_on_every_python(tmp_path, weight, mean_total):
+    """Ten equal totals, added one at a time: the mean is the left-to-right
+    fold's on every Python version. These are rows where the compensated sums
+    differ: the built-in ``sum`` from 3.12 on, and ``math.fsum``, both give
+    0.1 and 1e308. The second weight overflows the plain sum of the totals, so
+    the mean adds total / 10 instead."""
+    samples = [{"id": f"m{i}", "domain": "medicine", "lang": "en", "slide_text": "aspirin and warfarin",
+                "transcript_gt": f"talk {i} on aspirin and warfarin", "entities": ["aspirin", "warfarin"]}
+               for i in range(10)]
+    dataset, rollouts, weights, out = (tmp_path / name for name in ("d.jsonl", "r.jsonl", "w.json", "o.json"))
+    write_jsonl(dataset, samples)
+    write_jsonl(rollouts, [{"id": s["id"], "text": serialize_structured(s["slide_text"], s["transcript_gt"])}
+                           for s in samples])
+    weights.write_text(json.dumps({"lambda_format": weight, "lambda_ocr": 0, "lambda_asr": 0, "lambda_va": 0}))
+    assert main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
+                 "--weights", str(weights), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [r["total"] for r in payload["rows"]] == [weight] * 10
+    assert payload["mean_total"] == mean_total
+
+
 @pytest.mark.parametrize("config", [
     "[1]",
     '"steps"',

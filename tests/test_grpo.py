@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
 import statistics
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import train_reference
 from vapokit import grpo
 from vapokit.bench import TemplateGenerator, generate_slide_text
-from vapokit.data import Sample, builtin_path, read_samples, write_jsonl
+from vapokit.data import Sample, builtin_path, read_samples, resolve_data_path, write_jsonl
 from vapokit.errors import ToolkitError
 from vapokit.grpo import (
     ALL_TUPLES,
@@ -23,6 +25,7 @@ from vapokit.grpo import (
     REWARD_COLUMNS,
     BehaviorTuple,
     SimConfig,
+    TraceStep,
     expected_grades,
     group_advantages,
     policy_step,
@@ -30,7 +33,8 @@ from vapokit.grpo import (
     reward_matrix,
     train,
 )
-from vapokit.rewards import RewardWeights, total_reward
+from vapokit.metrics import EntityRef
+from vapokit.rewards import RewardBreakdown, RewardWeights, total_reward
 
 
 def test_tuple_grid_is_54():
@@ -128,6 +132,57 @@ def test_render_too_small():
     with pytest.raises(ToolkitError) as exc:
         render(OPTIMAL_TUPLE, sample)
     assert exc.value.code == "sample-too-small"
+
+
+# sha256 of every rendering, one line per (sample, tuple), as render wrote
+# them before it read a per-sample plan
+RENDER_SHA256 = {
+    "builtin:grpo_samples.jsonl": "b98518a0036e5e797b564cd2b468cfc50b0c741d101e8ecc78cab75b34fdb5f6",
+    "golden/manifest.jsonl": "4393127deca010bcbdaf6a3af6e83ac38e7446f67ca2e41d393057661c7208fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_SHA256))
+def test_render_output_is_unchanged(name):
+    path = resolve_data_path(name) if name.startswith("builtin:") else Path(__file__).parent / name
+    digest = hashlib.sha256()
+    for sample in read_samples(path):
+        for tup in ALL_TUPLES:
+            digest.update(render(tup, sample).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == RENDER_SHA256[name]
+
+
+def test_render_plan_follows_the_sample_content():
+    """The plan is keyed on the content, not the id: a changed transcript or
+    entity list under the same id renders anew."""
+    sample = ten_token_sample()
+    half_anchored = BehaviorTuple(True, 1.0, 1.0, 0.5)  # drops the trailing entity
+    assert render(half_anchored, sample).endswith("<answer>u1 u2 u3 u4 aspirin u6 u7 xq7z u9 u10</answer>")
+    sample.transcript_gt = sample.transcript_gt.replace("u1 ", "v1 ")
+    assert render(half_anchored, sample).endswith("<answer>v1 u2 u3 u4 aspirin u6 u7 xq7z u9 u10</answer>")
+    sample.entities = ["warfarin", "aspirin"]
+    assert render(half_anchored, sample).endswith("<answer>v1 u2 u3 u4 xq4z u6 u7 warfarin u9 u10</answer>")
+
+
+def test_render_empty_entity_wins_over_too_small():
+    sample = Sample(id="tiny", domain="medicine", lang="en", slide_text="aspirin here",
+                    transcript_gt="short aspirin", entities=["!!"], audio_ref="a.wav")
+    with pytest.raises(ToolkitError) as exc:
+        render(OPTIMAL_TUPLE, sample)
+    assert exc.value.code == "empty-entity"
+
+
+def test_reward_matrix_plans_each_sample_once(fixture_samples, monkeypatch):
+    """Rendering the 54 tuples of a sample derives its entity tokens once;
+    ``total_reward`` is stubbed out, so only render's lookups are counted."""
+    grpo._render_plan.cache_clear()
+    built = []
+    from_surface = EntityRef.from_surface
+    monkeypatch.setattr(EntityRef, "from_surface",
+                        staticmethod(lambda surface: built.append(surface) or from_surface(surface)))
+    monkeypatch.setattr(grpo, "total_reward", lambda sample, raw: RewardBreakdown(1, 1.0, 1.0, 1.0, 4.0))
+    assert len(reward_matrix(fixture_samples)) == len(fixture_samples)
+    assert built == [entity for sample in fixture_samples for entity in sample.entities]
 
 
 def _component(breakdown, axis: str) -> float:
@@ -403,6 +458,85 @@ def test_train_matches_the_per_step_reference(fixture_samples, cached_reward_mat
         assert abs(got.expected_reward - want["expected_reward"]) <= 1e-11
     worst = max(abs(got - want) for got, want in zip(trace.final_logits, logits))
     assert worst <= 1e-12 * max(1.0, *map(abs, logits))
+
+
+def _train_with_a_softmax_per_step(config: SimConfig):
+    """``train``'s loop with a fresh ``_softmax`` of the logits each step and the
+    expected reward summed from its probabilities, as ``train`` computed them
+    before it kept the exponentials across steps. Returns the trace rows, the
+    final logits and the number of steps in which the largest logit fell."""
+    samples = read_samples(resolve_data_path(config.samples))
+    table = [[(*row, config.weights.weigh(*row)) for row in rows] for rows in grpo.reward_matrix(samples)]
+    rng = random.Random(config.seed)
+    deals = grpo._balanced_deals(rng, len(table[0]))
+    optimum = ALL_TUPLES.index(OPTIMAL_TUPLE)
+    logits, steps, falls = [0.0] * len(table[0]), [], 0
+    for step in range(config.steps):
+        rows = table[int(rng.random() * len(table))]
+        indices = list(itertools.islice(deals, config.group_size))
+        group = [rows[k] for k in indices]
+        new = policy_step(logits, indices, group_advantages([row[-1] for row in group]), config.lr)
+        falls += max(new) < max(logits)
+        logits = new
+        probs = grpo._softmax(logits)
+        r_format, r_ocr, r_asr, r_va, total = (math.fsum(column) / len(group) for column in zip(*group))
+        expected = math.fsum(p * row[-1] for p, row in zip(probs, rows))
+        steps.append(TraceStep(step, total, expected, r_format, r_ocr, r_asr, r_va, probs[optimum]))
+    return steps, logits, falls
+
+
+def _random_table(seed: int, samples: int) -> list[list[tuple]]:
+    """A reward table of random components, one row per sample and one tuple
+    per arm: an arm's reward changes with the sample, so the leading arm's
+    logit falls whenever it is dealt into a group that outscores it."""
+    rng = random.Random(seed)
+    return [[tuple(rng.random() for _ in REWARD_COLUMNS) for _ in ALL_TUPLES] for _ in range(samples)]
+
+
+def _assert_train_is_bit_equal_to_a_softmax_per_step(config: SimConfig) -> int:
+    trace = train(config)
+    steps, logits, falls = _train_with_a_softmax_per_step(config)
+    assert [[value.hex() for value in row[1:]] for row in trace.steps] == \
+        [[value.hex() for value in row[1:]] for row in steps]
+    assert [step.step for step in trace.steps] == list(range(config.steps))
+    assert [z.hex() for z in trace.final_logits] == [z.hex() for z in logits]
+    return falls
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    table_seed=st.none() | st.integers(0, 2**32 - 1),
+    table_samples=st.integers(1, 4),
+    steps=st.integers(1, 300),
+    group_size=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.floats(1e-3, 40.0),
+    weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT),
+)
+@example(table_seed=None, table_samples=1, steps=2000, group_size=8, seed=0, lr=0.1,
+         weights=(1.0, 1.0, 1.0, 1.0))  # the shipped config
+def test_train_is_bit_equal_to_a_softmax_per_step(monkeypatch, components, table_seed, table_samples,
+                                                  steps, group_size, seed, lr, weights):
+    """Keeping each arm's exponential across steps and refreshing the dealt
+    ones, or all of them when the max moves, reproduces every trace bit of a
+    fresh softmax per step. ``table_seed`` None is the builtin samples' table;
+    otherwise the table is random, so the max logit also falls."""
+    table = components if table_seed is None else _random_table(table_seed, table_samples)
+    monkeypatch.setattr(grpo, "reward_matrix", lambda samples: table)
+    _assert_train_is_bit_equal_to_a_softmax_per_step(
+        SimConfig(steps=steps, group_size=group_size, lr=lr, seed=seed, weights=RewardWeights(*weights)))
+
+
+@pytest.mark.parametrize("random_table", [False, True], ids=["builtin", "random"])
+def test_the_max_logit_falls_only_on_the_random_table(monkeypatch, components, random_table):
+    """On the builtin samples the optimum leads every sample, so the largest
+    logit never falls and a cache rebased only when the max rises would pass;
+    the random table makes it fall, so the exactness test above sees both."""
+    table = _random_table(7, 3) if random_table else components
+    monkeypatch.setattr(grpo, "reward_matrix", lambda samples: table)
+    falls = _assert_train_is_bit_equal_to_a_softmax_per_step(SimConfig(steps=300, seed=1, lr=5.0))
+    assert (falls > 0) == random_table
 
 
 def test_train_rejects_bad_config():

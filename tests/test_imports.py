@@ -21,6 +21,7 @@ this test process has long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -186,3 +187,20 @@ def test_records_keep_their_contract(cls, fields, defaults, change, frozen):
             assert getattr(cls(**required), name) is not getattr(cls(**required), name)
     setattr(record, *change)
     assert getattr(record, change[0]) == change[1]
+
+
+def test_every_source_string_encodes_to_utf8():
+    """No docstring or string constant in ``src/vapokit`` holds a lone surrogate.
+
+    A ``\\ud800`` escape in a non-raw docstring makes one, and importing the
+    module then fails on Python 3.13 with ``UnicodeEncodeError``.
+    """
+    bad = []
+    for path in sorted((ROOT / "src" / "vapokit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    node.value.encode("utf-8")
+                except UnicodeEncodeError:
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
