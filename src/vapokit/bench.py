@@ -422,20 +422,8 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
         stats = read_json(stats_path, "manifest-parse")
         if not isinstance(stats, dict):
             raise ToolkitError("manifest-parse", f"{stats_path}: not a JSON object: {stats!r:.80}")
-        if stats.get("samples") != len(rows):
-            violations.append(
-                {
-                    "id": None,
-                    "code": "count-mismatch",
-                    "detail": f"stats.samples={stats.get('samples')} but manifest has {len(rows)}",
-                }
-            )
-        if stats.get("entities") != entity_count:
-            violations.append(
-                {
-                    "id": None,
-                    "code": "count-mismatch",
-                    "detail": f"stats.entities={stats.get('entities')} but manifest sums to {entity_count}",
-                }
-            )
+        for key, actual, phrase in (("samples", len(rows), "has"), ("entities", entity_count, "sums to")):
+            if stats.get(key) != actual:
+                detail = f"stats.{key}={stats.get(key)} but manifest {phrase} {actual}"
+                violations.append({"id": None, "code": "count-mismatch", "detail": detail})
     return ValidationReport(samples=len(rows), entities=entity_count, violations=violations)

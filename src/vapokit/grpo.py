@@ -52,8 +52,10 @@ distance exactly k). Corruption is entity-first, then the plain tokens in
 ascending position: a degraded OCR or ASR grade also wipes out the entity
 anchors, so every single-grade downgrade costs clearly more than its own
 component and the all-ones tuple is the unique optimum under positive weights.
-``render`` reads a sample's tokens and entity positions from ``_render_plan``,
-which derives them once per sample content, not once per tuple.
+``render`` reads a sample's tokens, its entity spans (``metrics._occurrences``,
+the search keyword recall uses) and each block's corruption order from
+``_render_plan``, which derives them once per sample content, not once per
+tuple.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .data import Record, Sample, _as_number, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
-from .metrics import EntityRef, _find_exact_span
+from .metrics import EntityRef, _occurrences
 from .rewards import RewardWeights, total_reward
 from .textnorm import normalize_tokenize
 
@@ -108,20 +110,15 @@ def _garbage(i: int) -> str:
 
 
 def _entity_spans(tokens: tuple[str, ...], entity_token_lists: list[tuple[str, ...]]):
-    """All occurrences of each entity span; returns tuples of (spans per
-    entity, the positions they cover, the other positions), positions ascending."""
-    covered: set[int] = set()
-    spans: list[tuple[tuple[int, int], ...]] = []
-    for needle in entity_token_lists:
-        k = len(needle)
-        mine = []
-        i = _find_exact_span(needle, tokens)
-        while i >= 0:
-            mine.append((i, i + k))
-            covered.update(range(i, i + k))
-            i = _find_exact_span(needle, tokens, i + k)
-        spans.append(tuple(mine))
-    return tuple(spans), tuple(sorted(covered)), tuple(i for i in range(len(tokens)) if i not in covered)
+    """(each entity's occurrence spans, the block's corruption order).
+
+    The spans are ``metrics._occurrences`` of each entity; the order is the
+    positions they cover, ascending, then the other positions, ascending.
+    """
+    spans = tuple(tuple((i, i + len(needle)) for i in _occurrences(needle, tokens))
+                  for needle in entity_token_lists)
+    covered = {p for mine in spans for start, stop in mine for p in range(start, stop)}
+    return spans, tuple(sorted(covered)) + tuple(p for p in range(len(tokens)) if p not in covered)
 
 
 def _substitute(tokens: list[str], positions: Sequence[int]) -> None:
@@ -131,8 +128,10 @@ def _substitute(tokens: list[str], positions: Sequence[int]) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _render_plan(sample_id: str, slide_text: str, transcript_gt: str, entities: tuple[str, ...]):
-    """One sample's slide tokens and their corruption order, then its transcript
-    tokens and their ``_entity_spans``: what ``render`` reads, whatever the tuple."""
+    """``(slide, think_order, transcript, spans_tr, answer_order)``: one sample's
+    slide tokens and their corruption order, then its transcript tokens, each
+    entity's spans in them and their corruption order (``_entity_spans``).
+    This is what ``render`` reads, whatever the tuple."""
     slide = normalize_tokenize(slide_text)
     transcript = normalize_tokenize(transcript_gt)
     # an entity that normalizes to nothing raises "empty-entity", as in scoring
@@ -142,8 +141,8 @@ def _render_plan(sample_id: str, slide_text: str, transcript_gt: str, entities: 
             "sample-too-small",
             f"sample {sample_id}: need >= 2 entities and >= 8 transcript tokens",
         )
-    _, ent_pos, plain = _entity_spans(slide, entity_tokens)
-    return (slide, ent_pos + plain, transcript, *_entity_spans(transcript, entity_tokens))
+    _, think_order = _entity_spans(slide, entity_tokens)
+    return (slide, think_order, transcript, *_entity_spans(transcript, entity_tokens))
 
 
 def render(tup: BehaviorTuple, sample: Sample) -> str:
@@ -163,7 +162,7 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
     ascending order, with unique garbage, so the error counts (and the rewards)
     follow from the grades alone. ``_render_plan`` is cached on the content.
     """
-    slide, think_order, transcript, spans_tr, ent_pos_tr, plain_tr = _render_plan(
+    slide, think_order, transcript, spans_tr, answer_order = _render_plan(
         sample.id, sample.slide_text, sample.transcript_gt, tuple(sample.entities))
 
     # think block: corrupt ceil(n * (1 - grade)) slide tokens, entity-first
@@ -179,8 +178,7 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
     _substitute(answer, sorted(anchored_out))
     extra = math.ceil(len(transcript) * (1.0 - tup.asr_level)) - len(anchored_out)
     if extra > 0:
-        remaining_ent = tuple(p for p in ent_pos_tr if p not in anchored_out)
-        _substitute(answer, (remaining_ent + plain_tr)[:extra])
+        _substitute(answer, [p for p in answer_order if p not in anchored_out][:extra])
 
     closing = "</answer>" if tup.format_ok else ""
     return f"<think>{' '.join(think)}</think><answer>{' '.join(answer)}{closing}"

@@ -17,6 +17,13 @@ positions as bits of a Python int, so there is no length limit.
 ``token_edit_distance`` trims the common prefix and suffix and keeps the last
 column only; ``align`` trims the common suffix, keeps every column and traces
 back, reading each DP cell from its column's popcounts.
+
+Where a token span occurs is answered in one place: ``_find_exact_span``
+finds the leftmost occurrence, and ``_occurrences`` enumerates the leftmost
+non-overlapping ones. Fuzzy matching, keyword recall, the builder's coverage
+checks and the policy sandbox's render plan all read these two.
+``_keyword_spans`` is the exception: greedy leftmost-longest matching over
+several keywords needs overlapping candidates, so it keeps its own index.
 """
 
 from __future__ import annotations
@@ -261,6 +268,16 @@ def _find_exact_span(needle: tuple[str, ...], toks: tuple[str, ...], start: int 
         return -1
 
 
+def _occurrences(needle: tuple[str, ...], toks: tuple[str, ...]):
+    """Yield the starts of the leftmost non-overlapping occurrences of the
+    nonempty ``needle`` in ``toks``, ascending: each search resumes past the
+    last match."""
+    i = _find_exact_span(needle, toks)
+    while i >= 0:
+        yield i
+        i = _find_exact_span(needle, toks, i + len(needle))
+
+
 # ---------------------------------------------------------------------------
 # keyword partition: B-WER / U-WER / Recall
 
@@ -291,33 +308,23 @@ def _partition_counts(ref: tuple[str, ...], spans: Sequence[tuple[int, int, Enti
     """(keyword_errors, keyword_tokens, other_errors, other_tokens).
 
     ``spans`` are the reference's keyword spans from ``_keyword_spans`` and
-    ``alignment`` is ``align(ref, hypothesis)``. Substitutions and deletions
-    take the label of their reference token; insertions take the label of the
-    nearest preceding reference token (sentence-initial insertions count as
-    non-keyword).
+    ``alignment`` is ``align(ref, hypothesis)``. Each edit takes the label of
+    the last reference position at or before it: a substitution or deletion
+    its own token, an insertion the nearest preceding one (-1, non-keyword,
+    before the first).
     """
-    is_kw = [False] * len(ref)
-    for start, stop, _ in spans:
-        for i in range(start, stop):
-            is_kw[i] = True
+    keyword = {i for start, stop, _ in spans for i in range(start, stop)}
     kw_err = other_err = 0
     last_ref = -1
     for kind, ri, _hi in alignment.ops:
-        if kind == "hit":
+        if ri is not None:
             last_ref = ri
-        elif kind in ("sub", "del"):
-            if is_kw[ri]:
+        if kind != "hit":
+            if last_ref in keyword:
                 kw_err += 1
             else:
                 other_err += 1
-            last_ref = ri
-        else:  # ins
-            if last_ref >= 0 and is_kw[last_ref]:
-                kw_err += 1
-            else:
-                other_err += 1
-    kw_tokens = sum(is_kw)
-    return kw_err, kw_tokens, other_err, len(ref) - kw_tokens
+    return kw_err, len(keyword), other_err, len(ref) - len(keyword)
 
 
 def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tuple[float | None, float | None]:
@@ -332,29 +339,16 @@ def partitioned_wer(reference, hypothesis, keywords: Iterable[EntityRef]) -> tup
 def _recall_counts(hyp, spans: Sequence[tuple[int, int, EntityRef]]) -> tuple[int, int]:
     """(occurrences reproduced verbatim in ``hyp``, occurrences) of the reference's keyword ``spans``.
 
-    Each keyword takes its leftmost non-overlapping occurrences in ``hyp``, up
-    to its count in the reference; the candidates are the positions of its
-    first token, indexed in one pass over ``hyp``.
+    Each keyword takes its leftmost non-overlapping occurrences in ``hyp``
+    (``_occurrences``), up to its count in the reference.
     """
     occurrences: dict[tuple[str, ...], int] = {}
     for _, _, ent in spans:
         occurrences[ent.tokens] = occurrences.get(ent.tokens, 0) + 1
-    starts: dict[str, list[int]] = {needle[0]: [] for needle in occurrences}
-    for j, tok in enumerate(hyp):
-        if tok in starts:
-            starts[tok].append(j)
     recalled = 0
     for needle, count in occurrences.items():
-        k = len(needle)
-        found = 0
-        free = 0  # the first hypothesis position no earlier occurrence covers
-        for j in starts[needle[0]]:
-            if j >= free and hyp[j : j + k] == needle:
-                found += 1
-                if found == count:
-                    break
-                free = j + k
-        recalled += found
+        for _ in zip(range(count), _occurrences(needle, hyp)):
+            recalled += 1
     return recalled, len(spans)
 
 

@@ -5,8 +5,10 @@ A rollout is scored against a Sample along four axes: format compliance
 fidelity of the answer against the ground-truth transcript, and visual
 anchoring — an F1 between the entities recognized in the think block and the
 entities carried into the answer. Error-rate rewards are 1 - WER clipped at
-zero. The total is the weighted sum; totals are bounded by the weight sum for
-arbitrary input text.
+zero. The total is the weighted sum, added left to right
+(``RewardWeights.weigh``); totals are bounded by the weight sum for arbitrary
+input text. ``RewardWeights.total`` folds the weights the same way, and each
+reward is at most 1, so the bound holds bit for bit on every Python version.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ class RewardWeights(NamedTuple):
     def as_dict(self) -> dict[str, float]:
         return self._asdict()
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
     @property
     def total(self) -> float:
-        return sum(self.as_tuple())
+        """The weight sum, as ``weigh`` folds it: every total reward is at most this."""
+        return self.weigh(1.0, 1.0, 1.0, 1.0)
 
     def weigh(self, r_format, r_ocr, r_asr, r_va):
         """The weighted total of four floats, summed left to right."""
@@ -56,10 +56,10 @@ class RewardWeights(NamedTuple):
         if unknown:
             raise ToolkitError("bad-weights", f"unknown weight keys: {sorted(unknown)}")
         weights = cls(**{k: _as_number(v, float, "bad-weights", k) for k, v in d.items()})
-        if any(not math.isfinite(w) or w < 0 for w in weights.as_tuple()):
+        if any(not math.isfinite(w) or w < 0 for w in weights):
             raise ToolkitError("bad-weights", "weights must be finite and >= 0")
         if not math.isfinite(weights.total):  # a total reward is at most the weight sum
-            raise ToolkitError("bad-weights", f"weight sum overflows: {weights.as_tuple()}")
+            raise ToolkitError("bad-weights", f"weight sum overflows: {tuple(weights)}")
         return weights
 
     @classmethod

@@ -150,13 +150,15 @@ def test_title_whitespace_runs_become_one_line():
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     seen: list[dict] = []
     reply = "###\nGenerated Title\n###\nBody mentioning aspirin.\n"
+    body: dict | None = None  # sent instead of a chat completion holding ``reply``
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _ChatHandler.seen.append(json.loads(self.rfile.read(length)))
-        payload = json.dumps(
-            {"choices": [{"message": {"content": _ChatHandler.reply}}]}
-        ).encode()
+        body = _ChatHandler.body
+        if body is None:
+            body = {"choices": [{"message": {"content": _ChatHandler.reply}}]}
+        payload = json.dumps(body).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -219,6 +221,20 @@ def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypa
         generate_slide_text("medicine", ["aspirin"], gen)
     assert exc.value.code == "generation-invalid"
     assert len(_ChatHandler.seen) == 3
+
+
+def test_remote_generator_reply_without_choices_is_unreachable(chat_server, monkeypatch):
+    monkeypatch.setattr(_ChatHandler, "body", {"error": {"message": "overloaded"}})
+    gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
+    with pytest.raises(ToolkitError) as exc:
+        gen("medicine", ["aspirin"])
+    assert exc.value.code == "generator-unreachable" and "malformed response" in str(exc.value)
+
+
+def test_remote_generator_content_without_sections_is_a_title_less_slide(chat_server, monkeypatch):
+    monkeypatch.setattr(_ChatHandler, "reply", "  A body mentioning aspirin, no sections.\n")
+    gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
+    assert gen("medicine", ["aspirin"]) == ("", "A body mentioning aspirin, no sections.")
 
 
 @pytest.mark.parametrize("timeout_s", [0, -1, float("nan"), float("inf"), "abc", True])
@@ -459,6 +475,20 @@ def test_validate_manifest_catches_corruption(tmp_path):
     path.write_text(json.dumps(rows[0] | {"id": ""}) + "\n")
     report = validate_manifest(path)
     assert any(v["code"] == "missing-id" for v in report.violations)
+
+
+def test_validate_manifest_reports_a_duplicate_id_and_both_counts(tmp_path):
+    build_dataset([_seed(0, ["aspirin"]), _seed(1, ["warfarin", "metformin"])], tmp_path)
+    path = tmp_path / "manifest.jsonl"
+    rows = read_jsonl(path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows + [rows[1]]))
+    report = validate_manifest(path)
+    assert (report.samples, report.entities) == (3, 5)
+    assert report.violations == [
+        {"id": "b1", "code": "duplicate-id", "detail": "b1"},
+        {"id": None, "code": "count-mismatch", "detail": "stats.samples=2 but manifest has 3"},
+        {"id": None, "code": "count-mismatch", "detail": "stats.entities=3 but manifest sums to 5"},
+    ]
 
 
 def test_validate_manifest_unreadable(tmp_path):

@@ -338,6 +338,21 @@ def test_hypothesis_without_id_is_bad_record(tmp_path, corpus, capsys):
     assert "id" in _bad_record_error(capsys)["detail"]
 
 
+@pytest.mark.parametrize("rid", [1.5, True, None, ["c1"]], ids=["float", "bool", "null", "list"])
+def test_dataset_id_of_a_wrong_type_is_bad_record(tmp_path, corpus, capsys, rid):
+    samples, _ = corpus
+    samples = [dict(s) for s in samples]
+    samples[1]["id"] = rid
+    dataset = tmp_path / "bad_dataset.jsonl"
+    write_jsonl(dataset, samples)
+    hyp = tmp_path / "hyp.jsonl"
+    write_jsonl(hyp, [{"id": "c0", "text": "x"}])
+    code = main(["score", "--dataset", str(dataset), "--hyp", str(hyp), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert f"id must be a string, got {rid!r}" in _bad_record_error(capsys)["detail"]
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_null_hypothesis_text_is_bad_record(tmp_path, corpus, capsys):
     samples, dataset = corpus
     hyp = tmp_path / "hyp.jsonl"

@@ -204,3 +204,34 @@ def test_every_source_string_encodes_to_utf8():
                 except UnicodeEncodeError:
                     bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
+
+
+# The built-in ``sum`` calls that add integers, by module and enclosing function.
+_INTEGER_SUMS = {("bench.py", "build_dataset"), ("ocr_behavior.py", "summarize")}
+
+
+def _sum_calls(node: ast.AST, func: str | None = None):
+    """(enclosing function, line) of each call to the bare name ``sum`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _sum_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "sum":
+            yield func, child.lineno
+        yield from _sum_calls(child, func)
+
+
+def test_builtin_sum_adds_only_integers():
+    """Every call to the built-in ``sum`` in ``src/vapokit`` is one of the
+    integer sums in ``_INTEGER_SUMS``.
+
+    The built-in ``sum`` of floats compensates its rounding from Python 3.12
+    on, so its last bits depend on the interpreter. Float sums go through
+    ``data.fold_sum`` (left to right) or ``math.fsum`` (correctly rounded).
+    """
+    stray = []
+    for path in sorted((ROOT / "src" / "vapokit").glob("*.py")):
+        for func, line in _sum_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, func) not in _INTEGER_SUMS:
+                stray.append(f"{path.name}:{line} in {func}")
+    assert stray == []

@@ -23,6 +23,7 @@ from vapokit.metrics import (
     FuzzyMatch,
     _find_exact_span,
     _keyword_spans,
+    _occurrences,
     _recall_counts,
     aggregate_reports,
     align,
@@ -160,6 +161,32 @@ def test_find_exact_span_equals_naive_scan():
         start = rng.randint(0, len(toks) + 1)
         naive = next((i for i in range(start, len(toks)) if toks[i : i + len(needle)] == needle), -1)
         assert _find_exact_span(needle, toks, start) == naive, (needle, toks, start)
+
+
+def _naive_occurrences(needle: tuple[str, ...], toks: tuple[str, ...]) -> list[int]:
+    """Leftmost non-overlapping starts, one position at a time."""
+    starts, i = [], 0
+    while i + len(needle) <= len(toks):
+        if toks[i : i + len(needle)] == needle:
+            starts.append(i)
+            i += len(needle)
+        else:
+            i += 1
+    return starts
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    needle=st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=4).map(tuple),
+    toks=st.lists(st.sampled_from(("a", "b")), max_size=12).map(tuple),
+)
+# A self-overlapping needle: "a a" occurs at 0 and 1 in "a a a", but only 0 is disjoint.
+@example(needle=("a", "a"), toks=("a", "a", "a"))
+@example(needle=("a", "b", "a"), toks=("a", "b", "a", "b", "a", "b", "a"))
+@example(needle=("a",), toks=("a", "a", "b", "a"))
+def test_occurrences_equal_a_naive_scan(needle, toks):
+    """Every leftmost non-overlapping occurrence, in order, and no other."""
+    assert list(_occurrences(needle, toks)) == _naive_occurrences(needle, toks)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +468,9 @@ def test_ne_wer_fuzzy_match_counts_token_errors():
 def test_ne_wer_requires_entities():
     with pytest.raises(ToolkitError) as exc:
         ne_wer([], ("a",))
+    assert exc.value.code == "no-entities"
+    with pytest.raises(ToolkitError) as exc:
+        ne_fnr([], ("a",))
     assert exc.value.code == "no-entities"
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -214,6 +215,20 @@ def test_total_reward_bounded_fuzz(sample):
             + weights.lambda_va * b.r_va
         )
         assert 0.0 <= b.total <= weights.total
+
+
+def test_total_is_at_most_the_weight_sum_on_every_python(monkeypatch):
+    """``weights.total`` folds the weights as every total does, so the bound is
+    exact however the interpreter's ``sum`` rounds: ``math.fsum`` stands in for
+    the compensated ``sum`` of Python 3.12 on, which puts the weight sum of
+    these weights one bit below the perfect rollout's total."""
+    monkeypatch.setattr("vapokit.rewards.sum", math.fsum, raising=False)
+    weights = RewardWeights(7.970401736741176, 0.3, 0.3, 0.3)
+    sample = read_samples(builtin_path("grpo_samples.jsonl"))[0]
+    b = total_reward(sample, grpo.render(grpo.OPTIMAL_TUPLE, sample), weights)
+    assert (b.r_format, b.r_ocr, b.r_asr, b.r_va) == (1, 1.0, 1.0, 1.0)
+    assert b.total == 8.870401736741178 != math.fsum(weights)
+    assert b.total <= weights.total
 
 
 # The builtin samples plus the golden manifest, whose last record is Chinese.
