@@ -198,13 +198,10 @@ def generate_slide_text(
 
 CANVAS = (960, 720)
 _MARGIN_X = 60
-_TITLE_CHAR_W = 24
-_BODY_CHAR_W = 12
-_TITLE_LINE_H = 44
-_BODY_LINE_H = 24
 _TITLE_TOP = 80
 _TITLE_BODY_GAP = 24
-_FONT_PX = {"title": 36, "body": 18}
+# size class -> (character width, line height, font size), all in px
+_STYLE = {"title": (24, 44, 36), "body": (12, 24, 18)}
 
 
 class LayoutLine(NamedTuple):
@@ -257,13 +254,12 @@ def layout_slide(slide: SlideText) -> tuple[LayoutLine, ...]:
     usable = CANVAS[0] - 2 * _MARGIN_X
     lines: list[LayoutLine] = []
     y = _TITLE_TOP
-    for text in _wrap(slide.title, usable // _TITLE_CHAR_W):
-        lines.append(LayoutLine(text, "title", y))
-        y += _TITLE_LINE_H
-    y += _TITLE_BODY_GAP
-    for text in _wrap(slide.body, usable // _BODY_CHAR_W):
-        lines.append(LayoutLine(text, "body", y))
-        y += _BODY_LINE_H
+    for size_class, text in (("title", slide.title), ("body", slide.body)):
+        char_w, line_h, _ = _STYLE[size_class]
+        for line in _wrap(text, usable // char_w):
+            lines.append(LayoutLine(line, size_class, y))
+            y += line_h
+        y += _TITLE_BODY_GAP
     return tuple(lines)
 
 
@@ -275,7 +271,7 @@ def slide_svg(layout: Sequence[LayoutLine]) -> bytes:
         f'<rect width="{w}" height="{h}" fill="#ffffff"/>',
     ]
     for line in layout:
-        px = _FONT_PX[line.size_class]
+        px = _STYLE[line.size_class][2]
         text = line.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_MARGIN_X}" y="{line.y}" font-family="monospace" '

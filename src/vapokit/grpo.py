@@ -73,6 +73,7 @@ from .data import Record, Sample, _as_number, read_json, read_samples, resolve_d
 from .errors import ToolkitError
 from .metrics import EntityRef, _occurrences
 from .rewards import RewardWeights, total_reward
+from .structured import ANSWER_CLOSE, serialize_structured
 from .textnorm import normalize_tokenize
 
 GRADES = (0.0, 0.5, 1.0)
@@ -180,8 +181,8 @@ def render(tup: BehaviorTuple, sample: Sample) -> str:
     if extra > 0:
         _substitute(answer, [p for p in answer_order if p not in anchored_out][:extra])
 
-    closing = "</answer>" if tup.format_ok else ""
-    return f"<think>{' '.join(think)}</think><answer>{' '.join(answer)}{closing}"
+    rollout = serialize_structured(" ".join(think), " ".join(answer))
+    return rollout if tup.format_ok else rollout[: -len(ANSWER_CLOSE)]
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,12 @@ def align(reference, hypothesis) -> Alignment:
     Tie-break during traceback: hit/substitution (diagonal) first, then
     deletion (consumes the reference token), then insertion.
 
-    A common suffix is aligned as hits without running the kernel over it:
-    equal last tokens give d(i, j) = d(i-1, j-1), so the traceback takes them
-    as hits first. A common prefix is not trimmed, because the traceback may
-    pair a prefix token with a later equal one: ("a",) against ("a", "a")
-    is an insertion of hypothesis token 0, then a hit on token 1.
+    Under unit costs, equal tokens at (i, j) give d(i, j) = d(i-1, j-1), so
+    the traceback takes them as a hit without reading the table. A common
+    suffix is such a run of hits, aligned without running the kernel over it.
+    A common prefix is not trimmed, because the traceback may pair a prefix
+    token with a later equal one: ("a",) against ("a", "a") is an insertion
+    of hypothesis token 0, then a hit on token 1.
     """
     ref = tuple(reference)
     hyp = tuple(hypothesis)
@@ -142,14 +143,13 @@ def align(reference, hypothesis) -> Alignment:
     subs = dels = ins = hits = 0
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            diag = d(i - 1, j - 1)
-            if ref[i - 1] == hyp[j - 1] and cost == diag:
+            if ref[i - 1] == hyp[j - 1]:
                 ops.append(("hit", i - 1, j - 1))
                 hits += 1
                 i -= 1
                 j -= 1
                 continue
-            if cost == diag + 1:
+            if cost == d(i - 1, j - 1) + 1:
                 ops.append(("sub", i - 1, j - 1))
                 subs += 1
                 i -= 1

@@ -110,15 +110,9 @@ class RewardBreakdown(Record):
         self.diagnostics = [] if diagnostics is None else diagnostics
 
     def as_dict(self) -> dict:
-        return {
-            "r_format": self.r_format,
-            "r_ocr": self.r_ocr,
-            "r_asr": self.r_asr,
-            "r_va": self.r_va,
-            "total": self.total,
-            "anchored_entities": list(self.anchored_entities),
-            "diagnostics": list(self.diagnostics),
-        }
+        # A shallow copy in field order, with its own lists.
+        return {**vars(self), "anchored_entities": list(self.anchored_entities),
+                "diagnostics": list(self.diagnostics)}
 
 
 def format_reward(parsed: StructuredOutput) -> int:

@@ -1,4 +1,9 @@
-"""Small table renderer for metric/report rows (markdown or TSV)."""
+"""Small table renderer for metric/report rows (markdown or TSV).
+
+Each cell is formatted and escaped once. TSV joins the cells with tabs;
+markdown joins them with pipes and wraps the best and second-best values of
+the annotated columns.
+"""
 
 from __future__ import annotations
 
@@ -29,7 +34,8 @@ def _fmt(value) -> str:
 
 
 def _rank_marks(rows: Sequence[dict], column: str) -> dict[int, str]:
-    """row index -> "best" | "second" for an annotated numeric column."""
+    """row index -> markdown format of its cell in an annotated numeric column:
+    ``"**{}**"`` for the best value, ``"_{}_"`` for a distinct second best."""
     reverse = column in HIGHER_BETTER
     scored = [
         (i, row[column])
@@ -39,41 +45,24 @@ def _rank_marks(rows: Sequence[dict], column: str) -> dict[int, str]:
     if len(scored) < 2:
         return {}
     scored.sort(key=lambda p: p[1], reverse=reverse)
-    marks = {scored[0][0]: "best"}
+    marks = {scored[0][0]: "**{}**"}
     if scored[1][1] != scored[0][1]:
-        marks[scored[1][0]] = "second"
+        marks[scored[1][0]] = "_{}_"
     return marks
 
 
 def render_table(rows: Sequence[dict], fmt: str = "md") -> str:
     """Render dict rows as markdown (annotated) or TSV (plain values)."""
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
     if fmt not in _ESCAPES:
         raise ValueError(f"unknown table format: {fmt!r}")
     escapes = _ESCAPES[fmt]
-    names = [c.translate(escapes) for c in columns]
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    header = [c.translate(escapes) for c in columns]
+    grid = [[_fmt(row.get(c)).translate(escapes) for c in columns] for row in rows]
     if fmt == "tsv":
-        lines = ["\t".join(names)]
-        for row in rows:
-            lines.append("\t".join(_fmt(row.get(c)).translate(escapes) for c in columns))
-        return "\n".join(lines) + "\n"
-    marks = {
-        c: _rank_marks(rows, c) for c in columns if c in LOWER_BETTER or c in HIGHER_BETTER
-    }
-    lines = ["| " + " | ".join(names) + " |", "| " + " | ".join("---" for _ in columns) + " |"]
-    for i, row in enumerate(rows):
-        cells = []
-        for c in columns:
-            cell = _fmt(row.get(c)).translate(escapes)
-            mark = marks.get(c, {}).get(i)
-            if mark == "best":
-                cell = f"**{cell}**"
-            elif mark == "second":
-                cell = f"_{cell}_"
-            cells.append(cell)
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+        return "".join("\t".join(cells) + "\n" for cells in [header, *grid])
+    for k, c in enumerate(columns):
+        if c in LOWER_BETTER or c in HIGHER_BETTER:
+            for i, mark in _rank_marks(rows, c).items():
+                grid[i][k] = mark.format(grid[i][k])
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in [header, ["---"] * len(columns), *grid])

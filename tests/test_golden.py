@@ -15,6 +15,8 @@ The expected files were written by the CLI itself, from the repository root:
         --hyp tests/golden/hyp.jsonl --out tests/golden/score.json
 
 and likewise for ``reward --rollouts``, ``detect --hyp`` and ``build --seeds``.
+The slides that build writes and the ``report`` tables of the three outputs
+(markdown and TSV) are pinned by their sha256.
 ``simulate_trace.jsonl`` and ``simulate_trace.csv`` come from a 60-step run of
 the builtin samples at seed 0:
 
@@ -60,11 +62,36 @@ def test_golden_output(command, inputs, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
 
 
+# sha256 of ``vapokit report --in tests/golden/<command>.json --format <fmt>``'s stdout.
+REPORT_SHA256 = {
+    ("score", "md"): "b46e3caffa467e34de1d8eb42a15f6fa9d63729d36632e62cbf29b19b1ce58ac",
+    ("score", "tsv"): "49e8d4a9a60fde2e1979be580b533597d5aa58076e3f40c01d4d49734608bbc0",
+    ("reward", "md"): "1b23580cc32c191a25746c77256248318c92866eaf85a5b02bf00b96d38250b5",
+    ("reward", "tsv"): "881e2eec65145e6f1b4485da47ec9cee20b3bdc9b94a0a109457e49f9f89d91b",
+    ("detect", "md"): "9e59dc5c651883668d8cb96da9c5e1406ee12625089f4290491e2af41a47dc45",
+    ("detect", "tsv"): "c4426b3a02be0ca0d822b09c39eddf12269be8d68deb71a77d9ef73e1fb38557",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(REPORT_SHA256))
+def test_golden_report(command, fmt, capsys):
+    assert main(["report", "--in", str(GOLDEN / f"{command}.json"), "--format", fmt]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == REPORT_SHA256[command, fmt]
+
+
+# sha256 of the built slides/*.svg, concatenated in name order.
+SLIDES_SHA256 = "24b1edd0df02308a4b776e23931bbed20cd6a3cb884731c0a3966604f0f36a1c"
+
+
 def test_golden_build(tmp_path, capsys):
     assert main(["build", "--seeds", str(GOLDEN / "seeds.jsonl"), "--outdir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == '{"samples": 6, "entities": 23, "hours": 0.03666666666666667}\n'
     for name in ("manifest.jsonl", "stats.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    slides = sorted((tmp_path / "slides").iterdir())
+    assert [p.name for p in slides] == [f"chem-00{i}.svg" for i in range(5)] + ["zh-000.svg"]
+    assert hashlib.sha256(b"".join(p.read_bytes() for p in slides)).hexdigest() == SLIDES_SHA256
 
 
 def test_golden_simulate(tmp_path, capsys):

@@ -330,7 +330,7 @@ _KEYWORD = st.lists(_TOKENS, min_size=1, max_size=3).map(tuple)
 # A keyword, a repeat of it, and a longer keyword it is a prefix of.
 @example(ref=("a", "b", "a", "c", "a", "b"), hyp=("a", "b", "a"), keywords=[("a",), ("a", "b"), ("a",)])
 def test_keyword_spans_and_recall_equal_oracles(ref, hyp, keywords):
-    """The first-token index keeps greedy leftmost-longest spans and consumed occurrences."""
+    """``_keyword_spans`` keeps greedy leftmost-longest spans, and recall consumes ``_occurrences``."""
     ents = [EntityRef(" ".join(kw), kw) for kw in keywords]
     spans = _keyword_spans(ref, ents)
     assert [(start, stop) for start, stop, _ in spans] == reference_keyword_spans(ref, keywords)
