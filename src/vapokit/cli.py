@@ -39,10 +39,14 @@ def _reject_input_as_out(out, *inputs) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with _writing(path):
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+    """Write ``payload`` as ``json.dumps(payload, ensure_ascii=False, indent=2)`` and a newline.
+
+    ``json.dump`` writes the encoder's chunks as it makes them, so the whole
+    text is never held in memory.
+    """
+    with _writing(path), open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, ensure_ascii=False, indent=2)
+        f.write("\n")
 
 
 def cmd_score(args) -> int:
@@ -52,9 +56,15 @@ def cmd_score(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     check_metrics(metrics)  # before pairing, so a bad name is the error reported
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
-    reports = [sample_report(s, h.text, metrics=metrics) for s, h in pairs]
-    rows = [{"id": s.id, **rep.as_dict()} for (s, _), rep in zip(pairs, reports)]
-    aggregate = aggregate_reports(reports)
+    rows = []
+
+    def reports():  # each row is made with its report, which is then only summed
+        for s, h in pairs:
+            report = sample_report(s, h.text, metrics=metrics)
+            rows.append({"id": s.id, **report.as_dict()})
+            yield report
+
+    aggregate = aggregate_reports(reports())
     _write_json(args.out, {"rows": rows, "aggregate": aggregate.as_dict()})
     return 0
 

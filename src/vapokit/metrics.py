@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .data import Record
 from .errors import ToolkitError
-from .textnorm import normalize_tokenize
+from .textnorm import normalize_tokenize, tokenize_output
 
 Op = tuple[str, int | None, int | None]  # ("hit"|"sub"|"del"|"ins", ref_i, hyp_i)
 
@@ -512,15 +512,18 @@ def sample_report(
     """
     check_metrics(metrics)
     ref = normalize_tokenize(sample.transcript_gt)
-    hyp = normalize_tokenize(hypothesis_text)
+    hyp = tokenize_output(hypothesis_text)
     if not ref:
         raise ToolkitError("undefined-wer", f"sample {sample.id}: empty reference transcript")
     ents = [EntityRef.from_surface(e) for e in sample.entities]
     return _ratios(_tally(ref, hyp, ents, metrics))
 
 
-def aggregate_reports(reports: Sequence[MetricReport]) -> MetricReport:
-    """Micro-average: sum each metric's pairs across samples, then ``_ratios``."""
+def aggregate_reports(reports: Iterable[MetricReport]) -> MetricReport:
+    """Micro-average: sum each metric's pairs across samples, then ``_ratios``.
+
+    ``reports`` is read once, so it may be a generator.
+    """
     sums: dict[str, tuple[int, int]] = {}
     for rep in reports:
         for name, (numerator, denominator) in rep.counts.items():

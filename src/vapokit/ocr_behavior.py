@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 from .data import Hypothesis, Sample, pair_by_id
 from .errors import ToolkitError
-from .textnorm import normalize_tokenize
+from .textnorm import normalize_tokenize, tokenize_output
 
 
 class VocabPartition(NamedTuple):
@@ -33,7 +33,7 @@ def partition_vocab(sample: Sample) -> VocabPartition:
 
 def detect(output: str, partition: VocabPartition) -> bool:
     """True iff the output contains at least one slide-only word."""
-    tokens = set(normalize_tokenize(output))
+    tokens = set(tokenize_output(output))
     return bool(tokens & partition.v_slide_only)
 
 

@@ -21,7 +21,7 @@ from .data import Record, _as_number, load_json
 from .errors import ToolkitError
 from .metrics import EntityRef, fuzzy_find, token_edit_distance
 from .structured import StructuredOutput, parse_structured
-from .textnorm import normalize_tokenize
+from .textnorm import normalize_tokenize, tokenize_output
 
 
 class RewardWeights(NamedTuple):
@@ -128,12 +128,12 @@ def _accuracy(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
 
 def ocr_reward(think: str, slide_text: str) -> float:
     """max(1 - WER(think, slide_text), 0); 0 when the slide normalizes to nothing."""
-    return _accuracy(normalize_tokenize(think), normalize_tokenize(slide_text))
+    return _accuracy(tokenize_output(think), normalize_tokenize(slide_text))
 
 
 def asr_reward(answer: str, transcript_gt: str) -> float:
     """max(1 - WER(answer, transcript_gt), 0); 0 when the transcript is empty."""
-    return _accuracy(normalize_tokenize(answer), normalize_tokenize(transcript_gt))
+    return _accuracy(tokenize_output(answer), normalize_tokenize(transcript_gt))
 
 
 def _found_keys(refs: list[EntityRef], toks: tuple[str, ...]) -> dict[tuple[str, ...], str]:
@@ -162,7 +162,7 @@ def extract_anchored(think: str, entities: list[str]) -> list[str]:
     deduplicated and keeps the input list order.
     """
     refs = [EntityRef.from_surface(e) for e in entities]  # "!!!" raises empty-entity, as in score
-    return list(_found_keys(refs, normalize_tokenize(think)).values())
+    return list(_found_keys(refs, tokenize_output(think)).values())
 
 
 def visual_anchoring_reward(e_think: list[str], answer: str, entities: list[str]) -> float:
@@ -174,7 +174,7 @@ def visual_anchoring_reward(e_think: list[str], answer: str, entities: list[str]
     """
     think_keys = {normalize_tokenize(surface) for surface in e_think} - {()}
     refs = [EntityRef.from_surface(e) for e in entities]
-    return _anchoring_f1(think_keys, _found_keys(refs, normalize_tokenize(answer)).keys())
+    return _anchoring_f1(think_keys, _found_keys(refs, tokenize_output(answer)).keys())
 
 
 def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) -> RewardBreakdown:
@@ -192,8 +192,8 @@ def total_reward(sample, raw_output: str, weights: RewardWeights | None = None) 
     r_fmt = format_reward(parsed)
     slide = normalize_tokenize(sample.slide_text)
     transcript = normalize_tokenize(sample.transcript_gt)
-    think = normalize_tokenize(parsed.think)
-    answer = normalize_tokenize(parsed.answer)
+    think = tokenize_output(parsed.think)
+    answer = tokenize_output(parsed.answer)
 
     diagnostics = []
     if not parsed.well_formed:

@@ -8,6 +8,7 @@ the annotated columns.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 # Columns where lower/higher is better get best / second-best annotations.
@@ -33,15 +34,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _ranked(value) -> bool:
+    """True for an int or a finite float, the values a column's marks rank.
+
+    NaN has no place in an order, so it and the infinities stay unmarked.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _rank_marks(rows: Sequence[dict], column: str) -> dict[int, str]:
     """row index -> markdown format of its cell in an annotated numeric column:
     ``"**{}**"`` for the best value, ``"_{}_"`` for a distinct second best."""
     reverse = column in HIGHER_BETTER
-    scored = [
-        (i, row[column])
-        for i, row in enumerate(rows)
-        if isinstance(row.get(column), (int, float)) and not isinstance(row.get(column), bool)
-    ]
+    scored = [(i, row[column]) for i, row in enumerate(rows) if _ranked(row.get(column))]
     if len(scored) < 2:
         return {}
     scored.sort(key=lambda p: p[1], reverse=reverse)

@@ -5,6 +5,14 @@ punctuation becomes a separator, CJK codepoints become one token each, and
 everything else splits on whitespace. Chinese error rates therefore come out
 per-character while English stays per-word, with no per-language code paths:
 a record's ``lang`` is a dataset label and never changes its tokens.
+
+One body tokenizes every text, behind two entry points that differ only in
+caching. ``normalize_tokenize`` caches its results, for the sample-side texts
+that recur: a slide, a transcript and an entity surface are read once per
+record, and many records share one slide and one entity list.
+``tokenize_output`` caches nothing, for model outputs (hypotheses, rollouts
+and their think and answer blocks), which are each tokenized once: cached,
+they would fill the cache with texts never looked up again.
 """
 
 from __future__ import annotations
@@ -58,11 +66,21 @@ def _tokenize(text: str) -> tuple[str, ...]:
 
 
 def normalize_tokenize(text: str) -> tuple[str, ...]:
-    """Normalize ``text`` and split it into tokens.
+    """Normalize ``text`` and split it into tokens, caching the result.
 
-    Idempotent: tokenizing the space-joined token list reproduces it.
-    Empty or punctuation-only input yields an empty tuple. This is a plain
-    function over the cached ``_tokenize`` rather than an alias of it, so
-    rebinding this name leaves the cache and its ``cache_info`` in place.
+    For sample-side texts, which recur: slides, transcripts and entity
+    surfaces. Idempotent: tokenizing the space-joined token list reproduces
+    it. Empty or punctuation-only input yields an empty tuple. This is a
+    plain function over the cached ``_tokenize`` rather than an alias of it,
+    so rebinding this name leaves the cache and its ``cache_info`` in place.
     """
     return _tokenize(text)
+
+
+def tokenize_output(text: str) -> tuple[str, ...]:
+    """``normalize_tokenize`` without the cache: the same tokens, nothing kept.
+
+    For model outputs, which are each tokenized once: hypotheses, rollouts
+    and their think and answer blocks.
+    """
+    return _tokenize.__wrapped__(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -313,6 +314,16 @@ def test_report_command(tmp_path, capsys):
     assert json.loads(out.splitlines()[-2].split("\t")[-1]) == ["it's", "a|b"]
     assert out.splitlines()[-1] == "t\\tn\\nr\\rp|\\\\t\t-\t-\t-"
     assert [len(line.split("\t")) for line in out.splitlines()] == [4] * 5
+
+
+@pytest.mark.parametrize("wers", [[math.nan, 0.3, 0.1], [0.3, math.nan, 0.1]], ids=["nan-first", "nan-second"])
+def test_report_marks_rank_finite_values_only(wers, tmp_path, capsys):
+    """NaN has no place in an order: it is never marked, and the best and second best are numbers."""
+    metrics = tmp_path / "m.json"
+    metrics.write_text(json.dumps({"rows": [{"wer": w} for w in wers]}))  # json writes the literal NaN
+    assert main(["report", "--in", str(metrics), "--format", "md"]) == 0
+    cells = [line.strip("| ") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert sorted(cells) == ["**0.1000**", "_0.3000_", "nan"]
 
 
 def test_report_no_rows(tmp_path, capsys):

@@ -1,0 +1,136 @@
+"""What a records command holds in memory: the streamed JSON writer and the tokenizer cache rule.
+
+``_write_json`` writes the same bytes as ``json.dumps(..., ensure_ascii=False,
+indent=2)`` plus a newline, without building the whole text first. The
+tokenizer cache keeps only sample-side texts (slides, transcripts, entity
+surfaces), which recur; model outputs are tokenized uncached.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vapokit.cli import _write_json, main
+from vapokit.data import Sample
+from vapokit.rewards import asr_reward, extract_anchored, ocr_reward, visual_anchoring_reward
+from vapokit.textnorm import _tokenize
+
+# Any character UTF-8 can hold, with CJK, quotes, backslashes and control characters drawn often.
+_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from(list('漢字カナ한"\\\n\t\x00\x1f ')),
+    max_size=8,
+)
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | _TEXT
+)
+_JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+                     max_leaves=12)
+
+
+@given(payload=st.dictionaries(_TEXT, _JSON, max_size=4))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_write_json_writes_the_bytes_of_json_dumps(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        _write_json(str(path), payload)
+        assert path.read_bytes() == (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def test_write_json_peak_memory_is_a_small_share_of_the_output(tmp_path):
+    """The chunks go to the file as they are made: no full text, list of chunks or encoded copy."""
+    payload = {
+        "rows": [{"id": f"r{i:05d}", "wer": i / 7, "entities": ["漢字", 'a"b'], "ok": i % 2 == 0}
+                 for i in range(12000)],
+        "aggregate": {"wer": 0.25, "recall": None},
+    }
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        _write_json(str(path), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert peak < size / 4, (peak, size)
+
+
+def _entities(i: int) -> list[str]:
+    return [["aspirin", "warfarin"], ["heparin", "mass spectrometry"]][i % 2]
+
+
+# Eight records on two slides and two entity lists, each with its own transcript.
+SAMPLES = [
+    {
+        "id": f"m{i}",
+        "domain": "medicine",
+        "lang": "en",
+        "slide_text": f"Slide {i % 2}: {' and '.join(_entities(i))} overview",
+        "transcript_gt": f"talk {i} mentions {' then '.join(_entities(i))} in clinics",
+        "entities": _entities(i),
+        "audio_ref": f"audio/m{i}.wav",
+    }
+    for i in range(8)
+]
+
+# The sample fields each command tokenizes.
+SAMPLE_SIDE = {
+    "score": ("transcript_gt", "entities"),
+    "reward": ("slide_text", "transcript_gt", "entities"),
+    "detect": ("slide_text", "transcript_gt"),
+}
+
+
+def _sample_texts(samples: list[dict], fields) -> set[str]:
+    texts = set()
+    for s in samples:
+        for field in fields:
+            texts.update(s[field] if field == "entities" else [s[field]])
+    return texts
+
+
+def _write_jsonl(path: Path, rows: list[dict]) -> str:
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", list(SAMPLE_SIDE))
+def test_tokenize_cache_holds_only_sample_side_texts(command, tmp_path):
+    """Every hypothesis and every think and answer block is a text of its own,
+    so one model output tokenized through the cache adds an entry."""
+    dataset = _write_jsonl(tmp_path / "dataset.jsonl", SAMPLES)
+    if command == "reward":
+        outputs = [{"id": s["id"], "text": f"<think>{s['slide_text']} as read {i}</think>"
+                                           f"<answer>answer {i}: {' '.join(s['entities'])}</answer>"}
+                   for i, s in enumerate(SAMPLES)]
+        inputs = ["--rollouts", _write_jsonl(tmp_path / "rollouts.jsonl", outputs)]
+    else:
+        outputs = [{"id": s["id"], "text": f"hypothesis {i} says {s['entities'][0]}"} for i, s in enumerate(SAMPLES)]
+        inputs = ["--hyp", _write_jsonl(tmp_path / "hyp.jsonl", outputs)]
+    _tokenize.cache_clear()
+    assert main([command, "--dataset", dataset, *inputs, "--out", str(tmp_path / "out.json")]) == 0
+    assert _tokenize.cache_info().currsize == len(_sample_texts(SAMPLES, SAMPLE_SIDE[command]))
+
+
+def test_reward_functions_cache_only_sample_side_texts():
+    s = Sample(**SAMPLES[0])
+    _tokenize.cache_clear()
+    ocr_reward("think block one", s.slide_text)
+    asr_reward("answer block one", s.transcript_gt)
+    anchored = extract_anchored("think block two aspirin", s.entities)
+    visual_anchoring_reward(anchored, "answer block two aspirin", s.entities)
+    assert _tokenize.cache_info().currsize == len(_sample_texts([SAMPLES[0]], SAMPLE_SIDE["reward"]))

@@ -4,7 +4,7 @@ import random
 import unicodedata
 
 from oracles import ascii_text, reference_tokenize
-from vapokit.textnorm import _CJK_RANGES, is_cjk, normalize_tokenize
+from vapokit.textnorm import _CJK_RANGES, is_cjk, normalize_tokenize, tokenize_output
 
 
 def test_latin_casing_and_punctuation():
@@ -59,17 +59,19 @@ def _fuzz_alphabet() -> list[str]:
 
 def test_tokenize_equals_reference_tokenizer_fuzz():
     """20k seeded strings around every CJK range edge, unusual spaces,
-    underscores, digits and combining marks."""
+    underscores, digits and combining marks. Both entry points, cached and
+    uncached, give the reference tokens."""
     alphabet = _fuzz_alphabet()
     rng = random.Random(8)
     for _ in range(20_000):
         text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
-        assert normalize_tokenize(text) == reference_tokenize(text), repr(text)
+        assert normalize_tokenize(text) == reference_tokenize(text) == tokenize_output(text), repr(text)
 
 
 def test_tokenize_equals_reference_tokenizer_ascii_fuzz():
-    """20k seeded all-ASCII strings, which take the tokenizer's ASCII path."""
+    """20k seeded all-ASCII strings, which take the tokenizer's ASCII path.
+    Both entry points, cached and uncached, give the reference tokens."""
     rng = random.Random(9)
     for _ in range(20_000):
         text = ascii_text(rng, 24)
-        assert normalize_tokenize(text) == reference_tokenize(text), repr(text)
+        assert normalize_tokenize(text) == reference_tokenize(text) == tokenize_output(text), repr(text)
