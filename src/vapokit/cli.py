@@ -178,27 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vapokit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", help="ASR metrics for hypotheses against a dataset")
-    p.add_argument("--dataset", required=True)
+    records = _Parser(add_help=False)  # the options of the commands that pair records by id
+    records.add_argument("--dataset", required=True)
+    records.add_argument("--out", required=True)
+    records.add_argument("--allow-partial", action="store_true")
+
+    p = sub.add_parser("score", parents=[records], help="ASR metrics for hypotheses against a dataset")
     p.add_argument("--hyp", required=True)
     p.add_argument("--metrics", default=",".join(ALL_METRICS))
-    p.add_argument("--out", required=True)
-    p.add_argument("--allow-partial", action="store_true")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("reward", help="reward breakdowns for rollouts against a dataset")
-    p.add_argument("--dataset", required=True)
+    p = sub.add_parser("reward", parents=[records], help="reward breakdowns for rollouts against a dataset")
     p.add_argument("--rollouts", required=True)
     p.add_argument("--weights", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--allow-partial", action="store_true")
     p.set_defaults(func=cmd_reward)
 
-    p = sub.add_parser("detect", help="flag outputs that leak slide-only vocabulary")
-    p.add_argument("--dataset", required=True)
+    p = sub.add_parser("detect", parents=[records], help="flag outputs that leak slide-only vocabulary")
     p.add_argument("--hyp", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--allow-partial", action="store_true")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("build", help="build a synthetic slide dataset from seed records")

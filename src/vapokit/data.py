@@ -279,8 +279,8 @@ def pair_by_id(
         reject_repeated_ids(records, side)
     by_id = {h.id: h for h in hypotheses}
     sample_ids = {s.id for s in samples}
-    missing_hyp = sorted(sample_ids - set(by_id))
-    missing_sample = sorted(set(by_id) - sample_ids)
+    missing_hyp = sorted(sample_ids - by_id.keys())
+    missing_sample = sorted(by_id.keys() - sample_ids)
     if (missing_hyp or missing_sample) and not allow_partial:
         raise ToolkitError(
             "pairing",

@@ -282,7 +282,12 @@ class SimConfig(Record):
 
 
 class TraceStep(NamedTuple):
-    """One step's trace row; the fields are the trace columns, in order."""
+    """One step's trace row; the fields are the trace columns, in order.
+
+    The ``mean_*`` columns average the group the balanced dealer dealt, not the
+    policy: on the shipped config at seed 0 ``mean_reward`` stays near 1.0 while
+    ``expected_reward`` goes 1.747 -> 3.997 (means of steps 0-99 and 1900-1999).
+    """
 
     step: int
     mean_reward: float  # mean over the sampled group
@@ -402,11 +407,11 @@ def train(config: SimConfig) -> TrainTrace:
         group = [rows[k] for k in indices]
         advantages = group_advantages([row[-1] for row in group])
         logits = policy_step(logits, indices, advantages, config.lr)
-        if max(logits) == top:  # only the dealt logits moved
+        last, top = top, max(logits)
+        if top == last:  # only the dealt logits moved
             for k in indices:
                 e[k] = math.exp(logits[k] - top)
         else:
-            top = max(logits)
             e = [math.exp(z - top) for z in logits]
         norm = math.fsum(e)
         r_format, r_ocr, r_asr, r_va, total = (math.fsum(column) / len(group) for column in zip(*group))

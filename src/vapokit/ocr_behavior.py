@@ -1,10 +1,10 @@
 """Detection of OCR behavior: outputs that leak slide-only vocabulary.
 
 A model that transcribes speech should never produce words that appear on
-the slide but not in the spoken transcript. The check builds the common
-vocabulary of transcript and slide, isolates the slide-only remainder, and
-flags any output intersecting it. Stopwords are not removed, so it slightly
-over-detects.
+the slide but not in the spoken transcript. The check splits the slide
+vocabulary into the words the transcript shares and the slide-only rest, and
+flags any output that holds a slide-only word. Stopwords are not removed, so
+it slightly over-detects.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ def partition_vocab(sample: Sample) -> VocabPartition:
     transcript = set(normalize_tokenize(sample.transcript_gt))
     if not slide:
         raise ToolkitError("no-slide", f"sample {sample.id}: slide text has no tokens")
-    common = slide & transcript
-    return VocabPartition(v_common=frozenset(common), v_slide_only=frozenset(slide - common))
+    return VocabPartition(v_common=frozenset(slide & transcript), v_slide_only=frozenset(slide - transcript))
 
 
 def detect(output: str, partition: VocabPartition) -> bool:
     """True iff the output contains at least one slide-only word."""
-    tokens = set(tokenize_output(output))
-    return bool(tokens & partition.v_slide_only)
+    return not partition.v_slide_only.isdisjoint(tokenize_output(output))
 
 
 def detect_all(

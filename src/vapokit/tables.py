@@ -46,16 +46,14 @@ def _ranked(value) -> bool:
 
 def _rank_marks(rows: Sequence[dict], column: str) -> dict[int, str]:
     """row index -> markdown format of its cell in an annotated numeric column:
-    ``"**{}**"`` for the best value, ``"_{}_"`` for a distinct second best."""
-    reverse = column in HIGHER_BETTER
-    scored = [(i, row[column]) for i, row in enumerate(rows) if _ranked(row.get(column))]
-    if len(scored) < 2:
+    ``"**{}**"`` for every row at the best value, ``"_{}_"`` for every row at
+    the second best. A column with fewer than two distinct values is not marked."""
+    values = {i: row[column] for i, row in enumerate(rows) if _ranked(row.get(column))}
+    ranks = sorted(set(values.values()), reverse=column in HIGHER_BETTER)
+    if len(ranks) < 2:
         return {}
-    scored.sort(key=lambda p: p[1], reverse=reverse)
-    marks = {scored[0][0]: "**{}**"}
-    if scored[1][1] != scored[0][1]:
-        marks[scored[1][0]] = "_{}_"
-    return marks
+    formats = {ranks[0]: "**{}**", ranks[1]: "_{}_"}
+    return {i: formats[v] for i, v in values.items() if v in formats}
 
 
 def render_table(rows: Sequence[dict], fmt: str = "md") -> str:

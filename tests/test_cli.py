@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -326,6 +327,55 @@ def test_report_marks_rank_finite_values_only(wers, tmp_path, capsys):
     assert sorted(cells) == ["**0.1000**", "_0.3000_", "nan"]
 
 
+@pytest.mark.parametrize("wers, cells", [
+    ([0.25, 0.25, 0.5], ["**0.2500**", "**0.2500**", "_0.5000_"]),
+    ([0.5, 0.25, 0.5, 0.25, 0.75], ["_0.5000_", "**0.2500**", "_0.5000_", "**0.2500**", "0.7500"]),
+    ([0.3, 0.3, 0.3], ["0.3000", "0.3000", "0.3000"]),
+], ids=["tied-best", "tied-best-and-second", "all-equal"])
+def test_report_marks_every_row_tied_at_a_mark(wers, cells, tmp_path, capsys):
+    """Every row at the best value is bold and every row at the next value
+    italic; a column with one value has no best and gets no mark."""
+    metrics = tmp_path / "m.json"
+    metrics.write_text(json.dumps({"rows": [{"wer": w} for w in wers]}))
+    assert main(["report", "--in", str(metrics), "--format", "md"]) == 0
+    assert [line.strip("| ") for line in capsys.readouterr().out.splitlines()[2:]] == cells
+
+
+_HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS, None, None, "_HelpAction")
+_RECORDS = {  # the options that score, reward and detect share
+    (("--dataset",), "dataset", True, None, None, None, "_StoreAction"),
+    (("--out",), "out", True, None, None, None, "_StoreAction"),
+    (("--allow-partial",), "allow_partial", False, False, None, None, "_StoreTrueAction"),
+}
+# Each subcommand's options: (option strings, dest, required, default, choices, type, action class).
+CLI_OPTIONS = {
+    "score": {_HELP, *_RECORDS, (("--hyp",), "hyp", True, None, None, None, "_StoreAction"),
+              (("--metrics",), "metrics", False, "wer,bwer,uwer,recall,newer,nefnr", None, None, "_StoreAction")},
+    "reward": {_HELP, *_RECORDS, (("--rollouts",), "rollouts", True, None, None, None, "_StoreAction"),
+               (("--weights",), "weights", False, None, None, None, "_StoreAction")},
+    "detect": {_HELP, *_RECORDS, (("--hyp",), "hyp", True, None, None, None, "_StoreAction")},
+    "build": {_HELP, (("--seeds",), "seeds", True, None, None, None, "_StoreAction"),
+              (("--outdir",), "outdir", True, None, None, None, "_StoreAction"),
+              (("--generator",), "generator", False, "template", ("template", "remote"), None, "_StoreAction")},
+    "simulate": {_HELP, (("--config",), "config", True, None, None, None, "_StoreAction"),
+                 (("--out",), "out", True, None, None, None, "_StoreAction"),
+                 (("--seed",), "seed", False, None, None, "int", "_StoreAction")},
+    "report": {_HELP, (("--in",), "infile", True, None, None, None, "_StoreAction"),
+               (("--format",), "format", False, "md", ("md", "tsv"), None, "_StoreAction")},
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand takes the same options, with the same names, defaults,
+    choices and actions, whichever parser declares them."""
+    [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {(tuple(a.option_strings), a.dest, a.required, a.default,
+                     tuple(a.choices) if a.choices else None, getattr(a.type, "__name__", None),
+                     type(a).__name__) for a in parser._actions}
+             for name, parser in subparsers.choices.items()}
+    assert found == CLI_OPTIONS
+
+
 def test_report_no_rows(tmp_path, capsys):
     metrics = tmp_path / "empty.json"
     metrics.write_text('{"rows": []}')
@@ -575,24 +625,35 @@ def test_reward_mean_of_huge_totals_stays_finite(tmp_path, corpus):
     assert payload["mean_total"] == pytest.approx(1e308)
 
 
-@pytest.mark.parametrize("weight, mean_total", [(0.1, 0.09999999999999999), (1e308, 9.999999999999998e307)],
-                         ids=["plain", "overflow"])
+# weight of the format reward -> the mean of ten rollouts that earn only it,
+# added left to right (see the test below).
+FOLD_MEAN_TOTALS = {0.1: 0.09999999999999999, 1e308: 9.999999999999998e307}
+
+
+def write_fold_inputs(directory: Path, weight: float) -> list[str]:
+    """Write ten samples, a perfect rollout of each and weights that count
+    only the format reward under ``directory``; return the ``reward`` argv
+    without ``--out``."""
+    samples = [{"id": f"m{i}", "domain": "medicine", "lang": "en", "slide_text": "aspirin and warfarin",
+                "transcript_gt": f"talk {i} on aspirin and warfarin", "entities": ["aspirin", "warfarin"]}
+               for i in range(10)]
+    dataset, rollouts, weights = (directory / name for name in ("d.jsonl", "r.jsonl", "w.json"))
+    write_jsonl(dataset, samples)
+    write_jsonl(rollouts, [{"id": s["id"], "text": serialize_structured(s["slide_text"], s["transcript_gt"])}
+                           for s in samples])
+    weights.write_text(json.dumps({"lambda_format": weight, "lambda_ocr": 0, "lambda_asr": 0, "lambda_va": 0}))
+    return ["reward", "--dataset", str(dataset), "--rollouts", str(rollouts), "--weights", str(weights)]
+
+
+@pytest.mark.parametrize("weight, mean_total", FOLD_MEAN_TOTALS.items(), ids=["plain", "overflow"])
 def test_reward_mean_total_adds_left_to_right_on_every_python(tmp_path, weight, mean_total):
     """Ten equal totals, added one at a time: the mean is the left-to-right
     fold's on every Python version. These are rows where the compensated sums
     differ: the built-in ``sum`` from 3.12 on, and ``math.fsum``, both give
     0.1 and 1e308. The second weight overflows the plain sum of the totals, so
     the mean adds total / 10 instead."""
-    samples = [{"id": f"m{i}", "domain": "medicine", "lang": "en", "slide_text": "aspirin and warfarin",
-                "transcript_gt": f"talk {i} on aspirin and warfarin", "entities": ["aspirin", "warfarin"]}
-               for i in range(10)]
-    dataset, rollouts, weights, out = (tmp_path / name for name in ("d.jsonl", "r.jsonl", "w.json", "o.json"))
-    write_jsonl(dataset, samples)
-    write_jsonl(rollouts, [{"id": s["id"], "text": serialize_structured(s["slide_text"], s["transcript_gt"])}
-                           for s in samples])
-    weights.write_text(json.dumps({"lambda_format": weight, "lambda_ocr": 0, "lambda_asr": 0, "lambda_va": 0}))
-    assert main(["reward", "--dataset", str(dataset), "--rollouts", str(rollouts),
-                 "--weights", str(weights), "--out", str(out)]) == 0
+    out = tmp_path / "o.json"
+    assert main([*write_fold_inputs(tmp_path, weight), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert [r["total"] for r in payload["rows"]] == [weight] * 10
     assert payload["mean_total"] == mean_total

@@ -64,7 +64,7 @@ def test_golden_output(command, inputs, tmp_path):
 
 # sha256 of ``vapokit report --in tests/golden/<command>.json --format <fmt>``'s stdout.
 REPORT_SHA256 = {
-    ("score", "md"): "b46e3caffa467e34de1d8eb42a15f6fa9d63729d36632e62cbf29b19b1ce58ac",
+    ("score", "md"): "059fe9b7ab4098acc697844f0119a06fbf2d96597f66960a3acdd5e376e44c65",
     ("score", "tsv"): "49e8d4a9a60fde2e1979be580b533597d5aa58076e3f40c01d4d49734608bbc0",
     ("reward", "md"): "1b23580cc32c191a25746c77256248318c92866eaf85a5b02bf00b96d38250b5",
     ("reward", "tsv"): "881e2eec65145e6f1b4485da47ec9cee20b3bdc9b94a0a109457e49f9f89d91b",

@@ -3,15 +3,18 @@
 Each interpreter found (``python3.10`` to ``python3.14`` on ``PATH``, and
 pyenv's ``~/.pyenv/versions/3.1*``) whose version differs from the one
 running the tests runs ``_DRIVER`` once, with only the standard library: it
-calls ``vapokit.cli.main`` for the golden ``score``, ``reward`` and
-``detect``, the six ``report`` tables and the 60-step ``simulate``, and
-writes what each command wrote into a directory. This process then compares
-those bytes with ``tests/golden`` and the ``report`` pins.
+calls ``vapokit.cli.main`` for each of ``_commands`` (the golden ``score``,
+``reward``, ``detect`` and ``build``, the six ``report`` tables, the 60-step
+and the shipped ``simulate``, and ``reward`` on the inputs whose mean the
+compensated sums would change) and writes what each command wrote into a
+directory. This process then compares those bytes with ``tests/golden``, the
+pinned digests and the left-to-right means.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 import subprocess
 import sys
@@ -19,35 +22,32 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import GOLDEN, REPORT_SHA256
+from test_cli import FOLD_MEAN_TOTALS, write_fold_inputs
+from test_golden import GOLDEN, REPORT_SHA256, SHIPPED_SIMULATE_SHA256, SLIDES_SHA256
+from vapokit.data import builtin_path
 
 SRC = GOLDEN.parent.parent / "src"
 RECORDS = ("score", "reward", "detect")
 SIMULATE_STDOUT = '{"steps": 60, "p_optimal": 0.07168234236583221}\n'
+BUILD_STDOUT = '{"samples": 6, "entities": 23, "hours": 0.03666666666666667}\n'
 
+# Arguments: the source directory, the output directory and a JSON list of
+# commands. Each command is (name, argv), with "{out}" in argv standing for the
+# output directory; its stdout goes to <name>.stdout there.
 _DRIVER = r"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 from pathlib import Path
-src, golden, out = sys.argv[1:]
+src, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 sys.path.insert(0, src)
 from vapokit.cli import main
 
-def run(name, argv):
+for name, argv in commands:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(argv)
+        code = main([arg.replace("{out}", out) for arg in argv])
     if code != 0:
         sys.exit(f"{name} exited {code}")
     Path(out, name + ".stdout").write_bytes(stdout.getvalue().encode("utf-8"))
-
-dataset = ["--dataset", f"{golden}/manifest.jsonl"]
-run("score", ["score", *dataset, "--hyp", f"{golden}/hyp.jsonl", "--out", f"{out}/score.json"])
-run("reward", ["reward", *dataset, "--rollouts", f"{golden}/rollouts.jsonl", "--out", f"{out}/reward.json"])
-run("detect", ["detect", *dataset, "--hyp", f"{golden}/hyp.jsonl", "--out", f"{out}/detect.json"])
-for command in ("score", "reward", "detect"):
-    for fmt in ("md", "tsv"):
-        run(f"report-{command}-{fmt}", ["report", "--in", f"{golden}/{command}.json", "--format", fmt])
-run("simulate", ["simulate", "--config", f"{golden}/simulate.json", "--out", f"{out}/simulate_trace.jsonl"])
 """
 
 _VERSION = "import sys; print(sys.implementation.name, '.'.join(map(str, sys.version_info[:3])))"
@@ -69,13 +69,46 @@ def _other_interpreters() -> dict[str, str]:
     return found
 
 
+def _commands(fold: Path) -> list[tuple[str, list[str]]]:
+    """The commands each interpreter runs; the fold inputs are written under ``fold``."""
+    dataset = ["--dataset", f"{GOLDEN}/manifest.jsonl"]
+    commands = [
+        ("score", ["score", *dataset, "--hyp", f"{GOLDEN}/hyp.jsonl", "--out", "{out}/score.json"]),
+        ("reward", ["reward", *dataset, "--rollouts", f"{GOLDEN}/rollouts.jsonl", "--out", "{out}/reward.json"]),
+        ("detect", ["detect", *dataset, "--hyp", f"{GOLDEN}/hyp.jsonl", "--out", "{out}/detect.json"]),
+        ("build", ["build", "--seeds", f"{GOLDEN}/seeds.jsonl", "--outdir", "{out}/built"]),
+        ("simulate", ["simulate", "--config", f"{GOLDEN}/simulate.json", "--out", "{out}/simulate_trace.jsonl"]),
+        ("shipped", ["simulate", "--config", str(builtin_path("simulate_default.json")), "--seed", "0",
+                     "--out", "{out}/trace.jsonl"]),
+    ]
+    commands += [(f"report-{command}-{fmt}", ["report", "--in", f"{GOLDEN}/{command}.json", "--format", fmt])
+                 for command, fmt in REPORT_SHA256]
+    for k, weight in enumerate(FOLD_MEAN_TOTALS):
+        (fold / str(k)).mkdir(parents=True)
+        argv = write_fold_inputs(fold / str(k), weight)
+        commands.append((f"fold-{k}", [*argv, "--out", f"{{out}}/fold-{k}.json"]))
+    return commands
+
+
+def _sha256(*paths: Path) -> str:
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
 def _mismatches(out: Path) -> list[str]:
     expected = {f"{name}.json": (GOLDEN / f"{name}.json").read_bytes() for name in RECORDS}
     expected.update({name: (GOLDEN / name).read_bytes() for name in ("simulate_trace.jsonl", "simulate_trace.csv")})
+    expected.update({f"built/{name}": (GOLDEN / name).read_bytes() for name in ("manifest.jsonl", "stats.json")})
     expected["simulate.stdout"] = SIMULATE_STDOUT.encode("utf-8")
+    expected["build.stdout"] = BUILD_STDOUT.encode("utf-8")
     wrong = [name for name, data in expected.items() if (out / name).read_bytes() != data]
     wrong += [f"report --in {command}.json --format {fmt}" for (command, fmt), digest in REPORT_SHA256.items()
-              if hashlib.sha256((out / f"report-{command}-{fmt}.stdout").read_bytes()).hexdigest() != digest]
+              if _sha256(out / f"report-{command}-{fmt}.stdout") != digest]
+    if _sha256(*sorted((out / "built" / "slides").iterdir())) != SLIDES_SHA256:
+        wrong.append("built/slides")
+    wrong += [f"shipped {name}" for name, digest in SHIPPED_SIMULATE_SHA256.items() if _sha256(out / name) != digest]
+    means = [json.loads((out / f"fold-{k}.json").read_text())["mean_total"] for k in range(len(FOLD_MEAN_TOTALS))]
+    wrong += [f"reward mean_total at weight {weight}"
+              for mean, (weight, mean_total) in zip(means, FOLD_MEAN_TOTALS.items()) if mean != mean_total]
     return wrong
 
 
@@ -83,12 +116,13 @@ def test_golden_outputs_are_the_same_bytes_under_other_interpreters(tmp_path):
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no CPython other than the running one was found")
+    commands = json.dumps(_commands(tmp_path / "fold"))
     runs = {}
     for version, exe in interpreters.items():
         out = tmp_path / version
         out.mkdir()
         # -I: no PYTHON* variables or user site; -B: no bytecode of another version left in src
-        runs[version] = subprocess.Popen([exe, "-I", "-B", "-c", _DRIVER, str(SRC), str(GOLDEN), str(out)],
+        runs[version] = subprocess.Popen([exe, "-I", "-B", "-c", _DRIVER, str(SRC), str(out), commands],
                                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     failures = {}
     for version, proc in runs.items():

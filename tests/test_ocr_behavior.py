@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import reference_tokenize
 from vapokit.data import Hypothesis, Sample
 from vapokit.errors import ToolkitError
 from vapokit.ocr_behavior import (
@@ -76,6 +77,41 @@ def test_detect_false_when_no_slide_only_vocab():
     for _ in range(100):
         text = " ".join(rng.choice(["alpha", "beta", "zz"]) for _ in range(5))
         assert detect(text, part) is False
+
+
+# Few enough pieces that slide, transcript and output often share words:
+# Latin words in mixed case, an accented letter composed and decomposed, Han
+# characters (each its own token, also inside a Latin run), punctuation and
+# whitespace (separators, or nothing at all).
+_PIECES = ["alpha", "Alpha", "BETA", "beta", "Gamma", "delta", "x1", "\u00e9", "e\u0301", "\u5927", "\u5b66",
+           "\u6c34", "\u5927\u5b66", "alpha\u6c34", ",", ".", "!", "-", "_", "'", " ", " ", " ", "  ", "\t"]
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12)))
+
+
+def test_partition_and_detect_equal_set_oracles_random():
+    """With S and T the oracle tokenizer's sets of the slide and the
+    transcript: the partition is S & T and S - T, and an output is flagged iff
+    its oracle tokens meet S - T. An empty S is "no-slide"."""
+    rng = random.Random(27)
+    flagged = 0
+    for i in range(2000):
+        sample = make_sample(i, _random_text(rng), _random_text(rng))
+        output = _random_text(rng)
+        slide, transcript = set(reference_tokenize(sample.slide_text)), set(reference_tokenize(sample.transcript_gt))
+        if not slide:
+            with pytest.raises(ToolkitError) as exc:
+                partition_vocab(sample)
+            assert exc.value.code == "no-slide"
+            continue
+        part = partition_vocab(sample)
+        assert (part.v_common, part.v_slide_only) == (slide & transcript, slide - transcript), sample
+        expected = bool(set(reference_tokenize(output)) & (slide - transcript))
+        assert detect(output, part) is expected, (sample, output)
+        flagged += expected
+    assert 200 < flagged < 1800  # both answers are well represented
 
 
 def _fixture_corpus() -> tuple[list[Sample], list[Hypothesis], list[Hypothesis]]:
