@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, with a printed verdict.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Heavy policy-optimization runs are shared session fixtures.
+lines. Heavy policy-optimization runs are shared session fixtures, and the
+60-seed build is made once per module.
 """
 
 from __future__ import annotations
@@ -11,18 +12,23 @@ import json
 import random
 import statistics
 import time
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 from oracles import levenshtein_recursive, reference_well_formed, rollout_soup, surrogate_objective, tag_soup
 from vapokit.bench import build_dataset, read_seed_records, validate_manifest
 from vapokit.cli import main
-from vapokit.data import Hypothesis, Sample, builtin_path, write_jsonl
+from vapokit.data import Hypothesis, Sample, builtin_path, read_samples, write_jsonl
 from vapokit.grpo import ALL_TUPLES, expected_grades, group_advantages, policy_step
 from vapokit.metrics import align, aggregate_reports, sample_report
-from vapokit.ocr_behavior import detect_all, summarize
+from vapokit.ocr_behavior import detect, detect_all, partition_vocab, summarize
 from vapokit.rewards import RewardWeights, asr_reward, total_reward
-from vapokit.structured import parse_structured
+from vapokit.structured import parse_structured, serialize_structured
+from vapokit.textnorm import normalize_tokenize
+
+GOLDEN_SEEDS = Path(__file__).resolve().parent / "golden" / "seeds.jsonl"
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -225,14 +231,20 @@ def _tree_digest(root) -> str:
     return h.hexdigest()
 
 
-def test_criterion_builder(tmp_path):
+@pytest.fixture(scope="module")
+def seeds_60_build(tmp_path_factory):
+    """The bundled 60-seed set, built once for this module: (outdir, stats)."""
+    outdir = tmp_path_factory.mktemp("seeds_60")
+    return outdir, build_dataset(read_seed_records(builtin_path("seeds_60.jsonl")), outdir)
+
+
+def test_criterion_builder(seeds_60_build, tmp_path):
     """Bundled 60-seed set builds samples=60 / entities=200, byte-identical on
     rebuild, and validates with zero violations."""
-    seeds = read_seed_records(builtin_path("seeds_60.jsonl"))
-    m1 = build_dataset(seeds, tmp_path / "one")
-    m2 = build_dataset(seeds, tmp_path / "two")
-    report = validate_manifest(tmp_path / "one" / "manifest.jsonl")
-    identical = _tree_digest(tmp_path / "one") == _tree_digest(tmp_path / "two")
+    one, m1 = seeds_60_build
+    m2 = build_dataset(read_seed_records(builtin_path("seeds_60.jsonl")), tmp_path / "two")
+    report = validate_manifest(one / "manifest.jsonl")
+    identical = _tree_digest(one) == _tree_digest(tmp_path / "two")
     ok = (
         m1["samples"] == 60
         and m1["entities"] == 200
@@ -245,6 +257,37 @@ def test_criterion_builder(tmp_path):
         ok,
         f"samples={m1['samples']} entities={m1['entities']} identical={identical} violations={len(report.violations)}",
     )
+
+
+def _svg_tokens(path) -> tuple[str, ...]:
+    """The tokens of an SVG's ``<text>`` nodes, in document order."""
+    nodes = ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+    return tuple(token for node in nodes for token in normalize_tokenize(node.text))
+
+
+def test_built_slides_show_exactly_the_slide_text(seeds_60_build, tmp_path):
+    """Every slide SVG of the golden build (6 slides) and the 60-seed build
+    shows the tokens of its sample's ``slide_text``, in order, and no other."""
+    build_dataset(read_seed_records(GOLDEN_SEEDS), tmp_path)
+    slides = 0
+    for outdir in (tmp_path, seeds_60_build[0]):
+        for sample in read_samples(outdir / "manifest.jsonl"):
+            assert _svg_tokens(outdir / sample.slide_image_ref) == normalize_tokenize(sample.slide_text), sample.id
+            slides += 1
+    assert slides == 66
+
+
+def test_built_samples_keep_the_exact_relations(seeds_60_build):
+    """On each built sample: its transcript as the hypothesis has no error
+    and full recall, its slide text as the output is a slide copy, and the
+    think-slide / answer-transcript rollout earns the full reward, 4.0."""
+    samples = read_samples(seeds_60_build[0] / "manifest.jsonl")
+    assert len(samples) == 60
+    for s in samples:
+        r = sample_report(s, s.transcript_gt)
+        assert (r.wer, r.b_wer, r.u_wer, r.ne_wer, r.ne_fnr) == (0.0,) * 5 and r.recall in (1.0, None), s.id
+        assert detect(s.slide_text, partition_vocab(s)), s.id
+        assert total_reward(s, serialize_structured(s.slide_text, s.transcript_gt)).total == 4.0, s.id
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from vapokit import cli, ocr_behavior
 from vapokit.cli import main
 from vapokit.data import Hypothesis, Sample, builtin_path, read_jsonl, write_jsonl
 from vapokit.structured import serialize_structured
+from vapokit.tables import render_table
 
 
 @pytest.fixture
@@ -382,6 +383,13 @@ def test_report_no_rows(tmp_path, capsys):
     code = main(["report", "--in", str(metrics), "--format", "md"])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "no-rows"
+
+
+def test_render_table_rejects_an_unknown_format():
+    """``report``'s ``choices`` keep the CLI from asking for another format;
+    a direct caller gets a ValueError that names it."""
+    with pytest.raises(ValueError, match="'csv'"):
+        render_table([{"wer": 0.5}], fmt="csv")
 
 
 def _bad_record_error(capsys) -> dict:

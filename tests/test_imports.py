@@ -34,7 +34,6 @@ from vapokit.bench import LayoutLine, SlideText, ValidationReport
 from vapokit.data import Hypothesis, Sample
 from vapokit.grpo import BehaviorTuple, SimConfig, TraceStep, TrainTrace
 from vapokit.metrics import Alignment, EntityRef, FuzzyMatch, MetricReport
-from vapokit.ocr_behavior import VocabPartition
 from vapokit.rewards import RewardBreakdown, RewardWeights
 from vapokit.structured import StructuredOutput
 
@@ -141,8 +140,6 @@ _RECORDS = [
     (StructuredOutput, {"think": "t", "answer": "a", "well_formed": True}, (), ("answer", "b"), True),
     (RewardWeights, {"lambda_format": 1.0, "lambda_ocr": 1.0, "lambda_asr": 1.0, "lambda_va": 1.0},
      ("lambda_format", "lambda_ocr", "lambda_asr", "lambda_va"), ("lambda_va", 2.0), True),
-    (VocabPartition, {"v_common": frozenset({"a"}), "v_slide_only": frozenset()}, (), ("v_slide_only", frozenset("b")),
-     True),
     (SlideText, {"title": "T", "body": "b"}, (), ("body", "c"), True),
     (LayoutLine, {"text": "t", "size_class": "title", "y": 80}, (), ("y", 124), True),
     (BehaviorTuple, {"format_ok": True, "ocr_level": 1.0, "asr_level": 0.5, "anchor_level": 0.0}, (),
@@ -182,6 +179,7 @@ def test_records_keep_their_contract(cls, fields, defaults, change, frozen):
             setattr(record, *change)
         return
     assert list(vars(record)) == list(fields)  # declaration order, which the outputs follow
+    assert record != type("Other", (cls,), {})(**fields)  # same fields, another class
     for name in defaults:
         if isinstance(fields[name], (list, dict)):  # a fresh container per record
             assert getattr(cls(**required), name) is not getattr(cls(**required), name)

@@ -8,7 +8,6 @@ from oracles import reference_tokenize
 from vapokit.data import Hypothesis, Sample
 from vapokit.errors import ToolkitError
 from vapokit.ocr_behavior import (
-    VocabPartition,
     detect,
     detect_all,
     partition_vocab,
@@ -30,19 +29,17 @@ def make_sample(idx: int, slide: str, transcript: str) -> Sample:
 
 def test_partition_basic():
     sample = make_sample(0, "alpha beta gamma", "alpha delta")
-    part = partition_vocab(sample)
-    assert part.v_common == {"alpha"}
-    assert part.v_slide_only == {"beta", "gamma"}
+    assert partition_vocab(sample) == {"beta", "gamma"}
 
 
 def test_partition_slide_subset_of_transcript():
     sample = make_sample(1, "alpha beta", "alpha beta gamma")
-    assert partition_vocab(sample).v_slide_only == set()
+    assert partition_vocab(sample) == set()
 
 
 def test_partition_disjoint():
     sample = make_sample(2, "alpha beta", "gamma delta")
-    assert partition_vocab(sample).v_slide_only == {"alpha", "beta"}
+    assert partition_vocab(sample) == {"alpha", "beta"}
 
 
 def test_partition_empty_slide():
@@ -53,14 +50,14 @@ def test_partition_empty_slide():
 
 
 def test_detect_examples():
-    part = VocabPartition(v_common=frozenset({"alpha"}), v_slide_only=frozenset({"beta", "gamma"}))
+    part = frozenset({"beta", "gamma"})
     assert detect("we saw beta today", part) is True
     assert detect("alpha words only", part) is False
     assert detect("beta gamma", part) is True
 
 
 def test_detect_monotone_in_output():
-    part = VocabPartition(v_common=frozenset(), v_slide_only=frozenset({"beta"}))
+    part = frozenset({"beta"})
     rng = random.Random(14)
     vocab = ["alpha", "beta", "delta", "x"]
     for _ in range(200):
@@ -72,7 +69,7 @@ def test_detect_monotone_in_output():
 
 
 def test_detect_false_when_no_slide_only_vocab():
-    part = VocabPartition(v_common=frozenset({"alpha"}), v_slide_only=frozenset())
+    part = frozenset()
     rng = random.Random(15)
     for _ in range(100):
         text = " ".join(rng.choice(["alpha", "beta", "zz"]) for _ in range(5))
@@ -107,9 +104,11 @@ def test_partition_and_detect_equal_set_oracles_random():
             assert exc.value.code == "no-slide"
             continue
         part = partition_vocab(sample)
-        assert (part.v_common, part.v_slide_only) == (slide & transcript, slide - transcript), sample
+        assert type(part) is frozenset and part == slide - transcript, sample
         expected = bool(set(reference_tokenize(output)) & (slide - transcript))
         assert detect(output, part) is expected, (sample, output)
+        (row,) = detect_all([sample], [Hypothesis(id=sample.id, text=output)])
+        assert row == {"id": sample.id, "ocr_behavior": expected, "slide_only_vocab": len(slide - transcript)}
         flagged += expected
     assert 200 < flagged < 1800  # both answers are well represented
 
