@@ -6,7 +6,7 @@ entity, a deterministic vector rendering of that text, and a line-delimited
 manifest with count statistics. The text generator is pluggable — a
 deterministic template by default, or any chat-completion endpoint — and
 generator output is always re-validated (entity coverage, word cap)
-regardless of source.
+regardless of source, and drawn only when it fits the canvas.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import unicodedata
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .data import Record, Sample, _as_number, fold_sum, read_json, read_jsonl, reject_repeated_ids, write_jsonl
+from .data import (Record, Sample, _as_number, _record, _record_id, fold_sum, read_json, read_jsonl,
+                   reject_repeated_ids, write_jsonl)
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -36,7 +38,9 @@ class SlideText(NamedTuple):
     body: str
 
     def full_text(self) -> str:
-        return f"{self.title}\n{self.body}" if self.title else self.body
+        # One newline also after an empty title: validate_manifest splits the
+        # text at it, and a title-less body may hold newlines of its own.
+        return f"{self.title}\n{self.body}"
 
 
 def word_count(text: str) -> int:
@@ -61,7 +65,8 @@ def word_count(text: str) -> int:
 # spoken in its transcript, and its slide shows them within the word cap.
 # ``build_dataset`` checks the seed before generation and
 # ``generate_slide_text`` each generated slide; ``validate_manifest`` checks
-# both on every row, so a built manifest always validates.
+# both on every row, with the id and layout checks of ``build``, so a built
+# manifest always validates.
 
 
 def _seed_violations(sample: Sample) -> list[tuple[str, str]]:
@@ -123,24 +128,22 @@ class TemplateGenerator:
 class RemoteGenerator:
     """Slide-text generation over a minimal chat-completion wire contract.
 
-    Endpoint, model name, and timeout come from the constructor or from
-    VAPOKIT_GENERATOR_URL / VAPOKIT_GENERATOR_MODEL / VAPOKIT_GENERATOR_TIMEOUT_S.
+    The environment alone configures it: VAPOKIT_GENERATOR_URL (endpoint),
+    VAPOKIT_GENERATOR_MODEL and VAPOKIT_GENERATOR_TIMEOUT_S (default 30 s).
     A missing endpoint, or a timeout that is not a finite number > 0, is
     "bad-config", raised once here rather than once per record.
     """
 
-    def __init__(self, url: str | None = None, model: str | None = None, timeout_s: float | None = None):
-        self.url = url or os.environ.get("VAPOKIT_GENERATOR_URL", "")
+    def __init__(self):
+        self.url = os.environ.get("VAPOKIT_GENERATOR_URL", "")
         if not self.url:
-            raise ToolkitError("bad-config", "no generator endpoint: pass url or set VAPOKIT_GENERATOR_URL")
-        self.model = model or os.environ.get("VAPOKIT_GENERATOR_MODEL", "")
-        name = "timeout_s"
-        if timeout_s is None:
-            name = "VAPOKIT_GENERATOR_TIMEOUT_S"
-            timeout_s = os.environ.get(name, "30")
-        self.timeout_s = _as_number(timeout_s, float, "bad-config", name)
+            raise ToolkitError("bad-config", "no generator endpoint: set VAPOKIT_GENERATOR_URL")
+        self.model = os.environ.get("VAPOKIT_GENERATOR_MODEL", "")
+        name = "VAPOKIT_GENERATOR_TIMEOUT_S"
+        timeout = os.environ.get(name, "30")
+        self.timeout_s = _as_number(timeout, float, "bad-config", name)
         if not 0 < self.timeout_s < math.inf:
-            raise ToolkitError("bad-config", f"{name} must be finite and > 0, got {timeout_s!r:.80}")
+            raise ToolkitError("bad-config", f"{name} must be finite and > 0, got {timeout!r:.80}")
 
     def __call__(self, domain: str, entities: Sequence[str]) -> tuple[str, str]:
         # Imported here: urllib.request loads http.client, ssl and email, which
@@ -200,7 +203,8 @@ CANVAS = (960, 720)
 _MARGIN_X = 60
 _TITLE_TOP = 80
 _TITLE_BODY_GAP = 24
-# size class -> (character width, line height, font size), all in px
+# size class -> (cell width, line height, font size), all in px; a wide or
+# fullwidth character (east Asian width W or F) takes 2 cells, any other 1
 _STYLE = {"title": (24, 44, 36), "body": (12, 24, 18)}
 
 
@@ -228,38 +232,48 @@ def _wrap_atoms(text: str) -> list[tuple[str, str]]:
     return atoms
 
 
-def _wrap(text: str, max_chars: int) -> list[str]:
-    """Greedy line fill over ``_wrap_atoms``, tracking each line's width."""
+def _cells(atom: str) -> int:
+    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in atom)
+
+
+def _wrap(text: str, max_cells: int) -> list[str]:
+    """Greedy line fill over ``_wrap_atoms``, tracking each line's width in cells."""
     lines: list[str] = []
     parts: list[str] = []
     width = 0
     for atom, sep in _wrap_atoms(text):
-        if len(atom) > max_chars:
+        cells = len(atom) if atom.isascii() else _cells(atom)
+        if cells > max_cells:
             raise ToolkitError("unwrappable-token", f"token wider than canvas: {atom!r}")
-        if parts and width + len(sep) + len(atom) <= max_chars:
+        if parts and width + len(sep) + cells <= max_cells:
             parts += (sep, atom)
-            width += len(sep) + len(atom)
+            width += len(sep) + cells
         else:
             if parts:
                 lines.append("".join(parts))
             parts = [atom]
-            width = len(atom)
+            width = cells
     if parts:
         lines.append("".join(parts))
     return lines
 
 
 def layout_slide(slide: SlideText) -> tuple[LayoutLine, ...]:
-    """Greedy monospace line-wrap: title in the large class, body in the small one."""
+    """Greedy monospace line-wrap: title in the large class, body in the small one.
+
+    A slide whose last baseline lies below the canvas is "slide-overflow".
+    """
     usable = CANVAS[0] - 2 * _MARGIN_X
     lines: list[LayoutLine] = []
     y = _TITLE_TOP
     for size_class, text in (("title", slide.title), ("body", slide.body)):
-        char_w, line_h, _ = _STYLE[size_class]
-        for line in _wrap(text, usable // char_w):
+        cell_w, line_h, _ = _STYLE[size_class]
+        for line in _wrap(text, usable // cell_w):
             lines.append(LayoutLine(line, size_class, y))
             y += line_h
         y += _TITLE_BODY_GAP
+    if lines and lines[-1].y > CANVAS[1]:
+        raise ToolkitError("slide-overflow", f"last line at y={lines[-1].y}, below the {CANVAS[1]} px canvas")
     return tuple(lines)
 
 
@@ -331,9 +345,9 @@ def build_dataset(
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
     A seed that breaks a sample invariant goes to errors.jsonl with its first
     violation's code before the generator is called, and so does a record
-    whose generation fails; a build without failures removes any errors.jsonl
-    a previous build left, and every build removes the slides/*.svg files
-    that are not its manifest's. Output is byte-identical across rebuilds for
+    whose generation fails or whose slide does not fit the canvas; a build
+    without failures removes any errors.jsonl a previous build left, and every
+    build removes the slides/*.svg files that are not its manifest's. Output is byte-identical across rebuilds for
     the same seeds and generator, and to a fresh build into an empty outdir.
     Seed ids must be unique: a repeated id raises "duplicate-id" before
     anything is written.
@@ -387,23 +401,22 @@ class ValidationReport(Record):
 
 
 def validate_manifest(manifest_path: str | Path) -> ValidationReport:
-    """Re-check every record and manifest-level invariant of a built dataset."""
+    """Re-check every record and manifest-level invariant of a built dataset.
+
+    Rows are read by ``Sample.from_dict`` and checked by ``build``'s own rules.
+    """
     manifest_path = Path(manifest_path)
     rows = read_jsonl(manifest_path)
     violations: list[dict] = []
     seen: set[str] = set()
     entity_count = 0
     for row in rows:
-        if not isinstance(row, dict):
-            violations.append({"id": None, "code": "bad-record", "detail": f"not a JSON object: {row!r:.80}"})
-            continue
-        if row.get("id", "") == "":
-            violations.append({"id": None, "code": "missing-id", "detail": "record without id"})
-            continue
+        rid = None  # the id a violation names, once the reader has read one
         try:
+            rid = _record_id(_record(row))
             sample = Sample.from_dict(row)
         except ToolkitError as e:
-            violations.append({"id": row["id"], "code": e.code, "detail": str(e)})
+            violations.append({"id": rid, "code": e.code, "detail": str(e)})
             continue
         if sample.id in seen:
             violations.append({"id": sample.id, "code": "duplicate-id", "detail": sample.id})
@@ -412,6 +425,11 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
         title, newline, body = sample.slide_text.partition("\n")
         slide = SlideText(title, body) if newline else SlideText("", title)
         problems = _seed_violations(sample) + _slide_violations(slide, sample.entities)
+        for check, arg in ((_slide_ref, sample.id), (layout_slide, slide)):  # build's own checks
+            try:
+                check(arg)
+            except ToolkitError as e:
+                problems.append((e.code, str(e)))
         violations.extend({"id": sample.id, "code": code, "detail": detail} for code, detail in problems)
     stats_path = manifest_path.parent / "stats.json"
     if stats_path.exists():

@@ -245,22 +245,29 @@ def reference_wrap_atoms(text: str) -> list[tuple[str, str]]:
     return atoms
 
 
-def reference_wrap(atoms: list[tuple[str, str]], max_chars: int) -> list[str] | None:
-    """Greedy line fill over (atom, separator) pairs, tracking line widths;
-    None when one atom alone is wider than ``max_chars``."""
+def reference_cells(text: str) -> int:
+    """Monospace cells, character by character: 2 for east Asian width W or
+    F, 1 for any other character."""
+    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in text)
+
+
+def reference_wrap(atoms: list[tuple[str, str]], max_cells: int) -> list[str] | None:
+    """Greedy line fill over (atom, separator) pairs, tracking line widths in
+    cells; None when one atom alone is wider than ``max_cells``."""
     lines: list[str] = []
     parts: list[str] = []
     width = 0
     for atom, sep in atoms:
-        if len(atom) > max_chars:
+        cells = reference_cells(atom)
+        if cells > max_cells:
             return None
-        if parts and width + len(sep) + len(atom) <= max_chars:
+        if parts and width + len(sep) + cells <= max_cells:
             parts += [sep, atom]
-            width += len(sep) + len(atom)
+            width += len(sep) + cells
         else:
             if parts:
                 lines.append("".join(parts))
-            parts, width = [atom], len(atom)
+            parts, width = [atom], cells
     if parts:
         lines.append("".join(parts))
     return lines

@@ -290,6 +290,54 @@ def test_built_samples_keep_the_exact_relations(seeds_60_build):
         assert total_reward(s, serialize_structured(s.slide_text, s.transcript_gt)).total == 4.0, s.id
 
 
+def _entity_tokens(sample: Sample) -> list[tuple[str, ...]]:
+    return [normalize_tokenize(e) for e in sample.entities]
+
+
+def test_swapping_a_non_entity_token_moves_only_u_wer(seeds_60_build):
+    """One transcript token outside every entity, swapped for a word the
+    transcript lacks, is a U-WER error and leaves B-WER and NE-FNR at 0."""
+    samples = read_samples(seeds_60_build[0] / "manifest.jsonl")
+    for s in samples:
+        ref = list(normalize_tokenize(s.transcript_gt))
+        entity_words = {t for tokens in _entity_tokens(s) for t in tokens}
+        i = next(i for i, t in enumerate(ref) if t not in entity_words)
+        assert "qqq" not in ref
+        r = sample_report(s, " ".join(ref[:i] + ["qqq"] + ref[i + 1 :]))
+        assert r.u_wer > 0 and (r.b_wer, r.ne_fnr) == (0.0, 0.0), s.id
+    assert len(samples) == 60
+
+
+def test_deleting_an_entity_raises_ne_fnr_and_b_wer(seeds_60_build):
+    """A hypothesis without any token of one entity misses that entity
+    (NE-FNR > 0) and has keyword errors (B-WER > 0), for each of the 200."""
+    checked = 0
+    for s in read_samples(seeds_60_build[0] / "manifest.jsonl"):
+        ref = normalize_tokenize(s.transcript_gt)
+        for tokens in _entity_tokens(s):
+            r = sample_report(s, " ".join(t for t in ref if t not in tokens))
+            assert r.ne_fnr > 0 and r.b_wer > 0, (s.id, tokens)
+            checked += 1
+    assert checked == 200
+
+
+def test_a_one_character_entity_typo_keeps_ne_fnr_and_raises_b_wer(seeds_60_build):
+    """Every occurrence of a one-token entity of 3+ characters, with its last
+    character changed, is still found one edit away (NE-FNR stays 0), but is
+    a keyword error (B-WER > 0)."""
+    checked = set()
+    for s in read_samples(seeds_60_build[0] / "manifest.jsonl"):
+        ref = normalize_tokenize(s.transcript_gt)
+        for (word, *more) in _entity_tokens(s):
+            if more or len(word) < 3:
+                continue
+            typo = word[:-1] + ("z" if word.endswith("x") else "x")
+            r = sample_report(s, " ".join(typo if t == word else t for t in ref))
+            assert r.ne_fnr == 0.0 and r.b_wer > 0, (s.id, word)
+            checked.add(s.id)
+    assert len(checked) == 59
+
+
 # ---------------------------------------------------------------------------
 # metric cross-check corpus with planted errors
 

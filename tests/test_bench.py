@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import http.server
+import inspect
 import json
 import math
 import os
@@ -14,8 +15,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import _REFERENCE_CJK, ascii_text, reference_word_count, reference_wrap, reference_wrap_atoms
+from oracles import (
+    _REFERENCE_CJK,
+    ascii_text,
+    reference_cells,
+    reference_word_count,
+    reference_wrap,
+    reference_wrap_atoms,
+)
 from vapokit.bench import (
+    _MARGIN_X,
+    _STYLE,
+    _TITLE_BODY_GAP,
+    _TITLE_TOP,
+    CANVAS,
     MAX_BODY_WORDS,
     RemoteGenerator,
     SlideText,
@@ -49,10 +62,10 @@ def test_word_count_cjk_half_chars():
 # Edges of every CJK range and their outside neighbours, whitespace that is
 # not ASCII (ideographic space, NEL, the U+001C separator, NBSP), characters
 # that look like separators but are not whitespace (zero-width space), a
-# combining mark, and plain latin.
+# combining mark, a fullwidth latin letter (2 cells, not CJK), and plain latin.
 _ATOM_ALPHABET = (
     [chr(cp) for lo, hi in _REFERENCE_CJK for cp in (lo - 1, lo, hi, hi + 1)]
-    + ["\u3000", "\u0085", "\u001c", "\u00a0", "\u200b", "\u0301", "字", "한"]
+    + ["\u3000", "\u0085", "\u001c", "\u00a0", "\u200b", "\u0301", "字", "한", "Ａ"]
     + [" ", "\t", "\n", "a", "b", "xyz", "-", "."]
 )
 
@@ -181,8 +194,16 @@ def chat_server(monkeypatch):
     server.server_close()
 
 
-def test_remote_generator_round_trip(chat_server):
-    gen = RemoteGenerator(url=chat_server, model="test-model", timeout_s=5)
+def _remote(monkeypatch, url: str, model: str = "m", timeout: str = "5") -> RemoteGenerator:
+    """A RemoteGenerator, configured as always by the environment."""
+    monkeypatch.setenv("VAPOKIT_GENERATOR_URL", url)
+    monkeypatch.setenv("VAPOKIT_GENERATOR_MODEL", model)
+    monkeypatch.setenv("VAPOKIT_GENERATOR_TIMEOUT_S", timeout)
+    return RemoteGenerator()
+
+
+def test_remote_generator_round_trip(chat_server, monkeypatch):
+    gen = _remote(monkeypatch, chat_server, model="test-model")
     slide = generate_slide_text("medicine", ["aspirin"], gen)
     assert slide.title == "Generated Title"
     assert "aspirin" in slide.body
@@ -204,19 +225,19 @@ def test_remote_generator_env_config(chat_server, monkeypatch):
     assert _ChatHandler.seen[-1]["model"] == "env-model"
 
 
-def test_remote_generator_unreachable():
-    gen = RemoteGenerator(url="http://127.0.0.1:9/nothing", model="m", timeout_s=0.3)
+def test_remote_generator_unreachable(monkeypatch):
+    gen = _remote(monkeypatch, "http://127.0.0.1:9/nothing", timeout="0.3")
     with pytest.raises(ToolkitError) as exc:
         gen("medicine", ["aspirin"])
     assert exc.value.code == "generator-unreachable"
     with pytest.raises(ToolkitError) as exc:
-        RemoteGenerator(url="", model="m")
-    assert exc.value.code == "bad-config"
+        _remote(monkeypatch, "")
+    assert exc.value.code == "bad-config" and "VAPOKIT_GENERATOR_URL" in str(exc.value)
 
 
 def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypatch):
     monkeypatch.setattr(_ChatHandler, "reply", "###\nTitle\n###\nbody missing the entity")
-    gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
+    gen = _remote(monkeypatch, chat_server)
     with pytest.raises(ToolkitError) as exc:
         generate_slide_text("medicine", ["aspirin"], gen)
     assert exc.value.code == "generation-invalid"
@@ -225,7 +246,7 @@ def test_remote_generator_invalid_reply_retries_to_failure(chat_server, monkeypa
 
 def test_remote_generator_reply_without_choices_is_unreachable(chat_server, monkeypatch):
     monkeypatch.setattr(_ChatHandler, "body", {"error": {"message": "overloaded"}})
-    gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
+    gen = _remote(monkeypatch, chat_server)
     with pytest.raises(ToolkitError) as exc:
         gen("medicine", ["aspirin"])
     assert exc.value.code == "generator-unreachable" and "malformed response" in str(exc.value)
@@ -233,16 +254,20 @@ def test_remote_generator_reply_without_choices_is_unreachable(chat_server, monk
 
 def test_remote_generator_content_without_sections_is_a_title_less_slide(chat_server, monkeypatch):
     monkeypatch.setattr(_ChatHandler, "reply", "  A body mentioning aspirin, no sections.\n")
-    gen = RemoteGenerator(url=chat_server, model="m", timeout_s=5)
+    gen = _remote(monkeypatch, chat_server)
     assert gen("medicine", ["aspirin"]) == ("", "A body mentioning aspirin, no sections.")
 
 
-@pytest.mark.parametrize("timeout_s", [0, -1, float("nan"), float("inf"), "abc", True])
-def test_remote_generator_rejects_a_timeout_that_is_not_finite_and_positive(timeout_s):
+def test_remote_generator_takes_no_arguments():
+    assert not inspect.signature(RemoteGenerator).parameters
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "abc", "true"])
+def test_remote_generator_rejects_a_timeout_that_is_not_finite_and_positive(monkeypatch, timeout):
     with pytest.raises(ToolkitError) as exc:
-        RemoteGenerator(url="http://127.0.0.1:9/nothing", model="m", timeout_s=timeout_s)
-    assert exc.value.code == "bad-config" and "timeout_s" in str(exc.value)
-    assert RemoteGenerator(url="http://127.0.0.1:9/nothing", timeout_s="2.5").timeout_s == 2.5
+        _remote(monkeypatch, "http://127.0.0.1:9/nothing", timeout=timeout)
+    assert exc.value.code == "bad-config" and "VAPOKIT_GENERATOR_TIMEOUT_S" in str(exc.value)
+    assert _remote(monkeypatch, "http://127.0.0.1:9/nothing", timeout="2.5").timeout_s == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +299,74 @@ def test_layout_unwrappable_token():
     with pytest.raises(ToolkitError) as exc:
         layout_slide(SlideText(title="x" * 200, body=""))
     assert exc.value.code == "unwrappable-token"
+
+
+def test_layout_counts_a_wide_character_as_two_cells():
+    # 300 Han characters make the 150-word cap: 35 of them (70 cells) fill a body line
+    layout = layout_slide(SlideText(title="t", body="字" * 300))
+    assert [len(line.text) for line in layout[1:]] == [35] * 8 + [20]
+    assert layout[-1].y == 340
+    # 18 fullwidth letters are 36 cells, one more than a title line holds
+    with pytest.raises(ToolkitError) as exc:
+        layout_slide(SlideText(title="Ａ" * 18, body=""))
+    assert exc.value.code == "unwrappable-token"
+
+
+def test_layout_below_the_canvas_is_slide_overflow():
+    # 120 short title words take 18 title lines, and the body's baseline is y = 896
+    with pytest.raises(ToolkitError) as exc:
+        layout_slide(SlideText(title=" ".join(["word"] * 120), body="body"))
+    assert exc.value.code == "slide-overflow" and "y=896" in str(exc.value)
+    # a last baseline on the canvas's bottom edge fits: title lines at 80 and
+    # 124, body lines at 192 + 24 k, so the 23rd body line is at y = 720
+    title = "x" * 35 + " x"
+    assert layout_slide(SlideText(title, " ".join(["x" * 70] * 23)))[-1].y == 720
+    with pytest.raises(ToolkitError) as exc:
+        layout_slide(SlideText(title, " ".join(["x" * 70] * 24)))
+    assert exc.value.code == "slide-overflow" and "y=744" in str(exc.value)
+
+
+# Latin and CJK words of 1 to 70 cells. "x" * 70 fills a body line and, like
+# "Ａ" * 18 (36 cells), is wider than a title line's 35 cells.
+_LAYOUT_WORDS = ["a", "word", "naïve", "x" * 30, "x" * 70, "字", "字字字", "한국어", "Ａ" * 18]
+
+
+@st.composite
+def _layout_texts(draw, most_words):
+    n = draw(st.integers(0, most_words))
+    return " ".join(draw(st.lists(st.sampled_from(_LAYOUT_WORDS), min_size=n, max_size=n)))
+
+
+@given(title=_layout_texts(8), body=_layout_texts(150))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_every_accepted_layout_fits_the_canvas(title, body):
+    """A slide is laid out exactly when the reference wrap of its title and
+    body fits the usable width in cells and ends at or above the canvas's
+    bottom; otherwise it is rejected with the code that says why."""
+    usable = CANVAS[0] - 2 * _MARGIN_X
+    expected: list[tuple[str, str, int]] = []
+    y = _TITLE_TOP
+    code = None
+    for size_class, text in (("title", title), ("body", body)):
+        cell_w, line_h, _ = _STYLE[size_class]
+        lines = reference_wrap(reference_wrap_atoms(text), usable // cell_w)
+        if lines is None:
+            code = code or "unwrappable-token"
+            continue
+        for line in lines:
+            assert reference_cells(line) * cell_w <= usable
+            expected.append((line, size_class, y))
+            y += line_h
+        y += _TITLE_BODY_GAP
+    if code is None and expected and expected[-1][2] > CANVAS[1]:
+        code = "slide-overflow"
+    if code is None:
+        assert [tuple(line) for line in layout_slide(SlideText(title, body))] == expected
+    else:
+        with pytest.raises(ToolkitError) as exc:
+            layout_slide(SlideText(title, body))
+        assert exc.value.code == code
 
 
 def test_svg_deterministic():
@@ -471,10 +564,10 @@ def test_validate_manifest_catches_corruption(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     report = validate_manifest(path)
     assert any(v["code"] == "count-mismatch" for v in report.violations)
-    # an empty id is reported like a missing one
+    # an empty id is "bad-record", as every reader of a dataset has it
     path.write_text(json.dumps(rows[0] | {"id": ""}) + "\n")
     report = validate_manifest(path)
-    assert any(v["code"] == "missing-id" for v in report.violations)
+    assert (None, "bad-record") in [(v["id"], v["code"]) for v in report.violations]
 
 
 def test_validate_manifest_reports_a_duplicate_id_and_both_counts(tmp_path):
@@ -526,6 +619,44 @@ def test_validate_manifest_reports_an_empty_entity_once(tmp_path):
     path.write_text(json.dumps(row) + "\n")
     report = validate_manifest(path)
     assert [(v["id"], v["code"], v["detail"]) for v in report.violations] == [("e", "empty-entity", "'!!!'")]
+
+
+def test_validate_manifest_applies_the_checks_of_build(tmp_path):
+    """Rows that ``build`` would reject get ``build``'s codes: an id that
+    cannot name a slide file, a body token wider than a line, and a slide
+    that runs below the canvas."""
+    row = {"domain": "medicine", "transcript_gt": "talk about aspirin", "entities": ["aspirin"]}
+    rows = [
+        row | {"id": "a/b", "slide_text": "Title\naspirin today"},
+        row | {"id": "wide", "slide_text": "Title\naspirin " + "x" * 80},
+        row | {"id": "tall", "slide_text": " ".join(["word"] * 120) + "\naspirin today"},
+    ]
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    report = validate_manifest(path)
+    assert [(v["id"], v["code"]) for v in report.violations] == [
+        ("a/b", "bad-id"), ("wide", "unwrappable-token"), ("tall", "slide-overflow")
+    ]
+
+
+def test_build_records_a_slide_below_the_canvas_as_slide_overflow(tmp_path):
+    def tall(domain, entities):
+        return " ".join(["word"] * 120), "body about " + ", ".join(entities)
+
+    assert build_dataset([_seed(0, ["aspirin"])], tmp_path, tall)["samples"] == 0
+    (error,) = read_jsonl(tmp_path / "errors.jsonl")
+    assert (error["id"], error["code"]) == ("b0", "slide-overflow")
+    assert not (tmp_path / "slides" / "b0.svg").exists()
+
+
+def test_title_less_slide_with_a_multiline_body_builds_and_validates(tmp_path):
+    """A reply without a title keeps the newline before its body, so the
+    slide ``validate_manifest`` reads back is the one ``build`` drew: a
+    50-cell word fits a body line but not a title line."""
+    body = "aspirin " + "x" * 50 + "\nmore words"
+    assert build_dataset([_seed(0, ["aspirin"])], tmp_path, lambda domain, entities: ("", body))["samples"] == 1
+    assert read_jsonl(tmp_path / "manifest.jsonl")[0]["slide_text"] == "\n" + body
+    assert validate_manifest(tmp_path / "manifest.jsonl").violations == []
 
 
 def test_bundled_seed_sets():

@@ -25,7 +25,9 @@ the builtin samples at seed 0:
 
 The benchmark's own ``simulate`` run, the shipped ``simulate_default.json``
 (2000 steps) at seed 0, is pinned by the sha256 of its two trace files, both
-in-process and from a fresh ``python -m vapokit.cli``.
+in-process and from a fresh ``python -m vapokit.cli``. The benchmark's
+``eval-long-mixed`` and ``eval-short-en`` outputs at seed 0, from inputs made
+by ``bench/corpus.py``, are checked against ``bench/golden.json``.
 
 A change that alters one of them changes a result; say what and why before
 regenerating.
@@ -129,3 +131,42 @@ def test_golden_simulate_shipped_config_cli(tmp_path):
     assert proc.stdout == '{"steps": 2000, "p_optimal": 0.9956772411656688}\n'
     for name, digest in SHIPPED_SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+BENCH = GOLDEN.parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """``bench/corpus.py`` and ``bench/checks.py``, which need only the standard library."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import checks
+        import corpus
+    finally:
+        sys.path.remove(str(BENCH))
+    return corpus, checks
+
+
+@pytest.mark.parametrize("workload", ["eval-long-mixed", "eval-short-en"])
+def test_benchmark_seed_0_outputs_match_its_golden_digests(workload, bench_inputs, tmp_path):
+    """The benchmark's seed-0 inputs, made by ``bench/corpus.py``, give the
+    ``build``, ``score``, ``reward`` and ``detect`` digests of
+    ``bench/golden.json``, so one drifted output byte fails here and not
+    first in a benchmark run."""
+    corpus, checks = bench_inputs
+    corpus.write_jsonl(tmp_path / "seeds.jsonl", corpus.seed_records(workload, BENCH.parent))
+    built = tmp_path / "built"
+    assert main(["build", "--seeds", str(tmp_path / "seeds.jsonl"), "--outdir", str(built)]) == 0
+    manifest = built / "manifest.jsonl"
+    hyps, rollouts = corpus.hypotheses_and_rollouts(corpus.read_jsonl(manifest), workload, checks.DEFAULT_SEED)
+    corpus.write_jsonl(tmp_path / "hyp.jsonl", hyps)
+    corpus.write_jsonl(tmp_path / "rollouts.jsonl", rollouts)
+    digests = {"build": checks.tree_digest(built)}
+    for command, flag, source in (("score", "--hyp", "hyp"), ("reward", "--rollouts", "rollouts"),
+                                  ("detect", "--hyp", "hyp")):
+        out = tmp_path / f"{command}.json"
+        argv = [command, "--dataset", str(manifest), flag, str(tmp_path / f"{source}.jsonl"), "--out", str(out)]
+        assert main(argv) == 0
+        digests[command] = checks.file_digest(out)
+    assert digests == checks.golden_digests()[workload]
