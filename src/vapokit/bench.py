@@ -18,8 +18,8 @@ import unicodedata
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .data import (Record, Sample, _as_number, _record, _record_id, fold_sum, read_json, read_jsonl,
-                   reject_repeated_ids, write_jsonl)
+from .data import (Record, Sample, _as_number, _record, _record_id, fold_sum, iter_jsonl, read_json,
+                   read_records, reject_repeated_ids, write_jsonl)
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -65,8 +65,8 @@ def word_count(text: str) -> int:
 # spoken in its transcript, and its slide shows them within the word cap.
 # ``build_dataset`` checks the seed before generation and
 # ``generate_slide_text`` each generated slide; ``validate_manifest`` checks
-# both on every row, with the id and layout checks of ``build``, so a built
-# manifest always validates.
+# both on every row, with the id, layout and slide-file checks of ``build``,
+# so a built manifest always validates.
 
 
 def _seed_violations(sample: Sample) -> list[tuple[str, str]]:
@@ -318,12 +318,13 @@ def read_seed_records(path: str | Path) -> list[Sample]:
     record has both. Slide fields are parsed like a dataset record's, and
     ``build_dataset`` replaces them.
     """
-    seeds = []
-    for d in read_jsonl(path):
-        if isinstance(d, dict) and "transcript" in d:
-            d["transcript_gt"] = d["transcript"]
-        seeds.append(Sample.from_dict(d))
-    return seeds
+    return read_records(path, _seed_from_dict)
+
+
+def _seed_from_dict(d) -> Sample:
+    if isinstance(d, dict) and "transcript" in d:
+        d["transcript_gt"] = d["transcript"]
+    return Sample.from_dict(d)
 
 
 def _slide_ref(record_id: str) -> str:
@@ -403,14 +404,18 @@ class ValidationReport(Record):
 def validate_manifest(manifest_path: str | Path) -> ValidationReport:
     """Re-check every record and manifest-level invariant of a built dataset.
 
-    Rows are read by ``Sample.from_dict`` and checked by ``build``'s own rules.
+    Rows are read one at a time by ``Sample.from_dict`` and checked by
+    ``build``'s own rules. A row's ``slide_image_ref``, when it has one, must
+    be ``slides/<id>.svg`` beside the manifest ("bad-slide-ref"), and that file
+    must hold the bytes ``build`` draws from the row's slide text
+    ("slide-mismatch").
     """
     manifest_path = Path(manifest_path)
-    rows = read_jsonl(manifest_path)
     violations: list[dict] = []
     seen: set[str] = set()
-    entity_count = 0
-    for row in rows:
+    row_count = entity_count = 0
+    for row in iter_jsonl(manifest_path):
+        row_count += 1
         rid = None  # the id a violation names, once the reader has read one
         try:
             rid = _record_id(_record(row))
@@ -425,19 +430,36 @@ def validate_manifest(manifest_path: str | Path) -> ValidationReport:
         title, newline, body = sample.slide_text.partition("\n")
         slide = SlideText(title, body) if newline else SlideText("", title)
         problems = _seed_violations(sample) + _slide_violations(slide, sample.entities)
-        for check, arg in ((_slide_ref, sample.id), (layout_slide, slide)):  # build's own checks
+        drawn = []  # build's own checks: the slide file's name, then the layout drawn in it
+        for check, arg in ((_slide_ref, sample.id), (layout_slide, slide)):
             try:
-                check(arg)
+                drawn.append(check(arg))
             except ToolkitError as e:
                 problems.append((e.code, str(e)))
+        if len(drawn) == 2 and sample.slide_image_ref is not None:
+            problems += _slide_file_violations(manifest_path.parent, sample.slide_image_ref, *drawn)
         violations.extend({"id": sample.id, "code": code, "detail": detail} for code, detail in problems)
     stats_path = manifest_path.parent / "stats.json"
     if stats_path.exists():
         stats = read_json(stats_path, "manifest-parse")
         if not isinstance(stats, dict):
             raise ToolkitError("manifest-parse", f"{stats_path}: not a JSON object: {stats!r:.80}")
-        for key, actual, phrase in (("samples", len(rows), "has"), ("entities", entity_count, "sums to")):
+        for key, actual, phrase in (("samples", row_count, "has"), ("entities", entity_count, "sums to")):
             if stats.get(key) != actual:
                 detail = f"stats.{key}={stats.get(key)} but manifest {phrase} {actual}"
                 violations.append({"id": None, "code": "count-mismatch", "detail": detail})
-    return ValidationReport(samples=len(rows), entities=entity_count, violations=violations)
+    return ValidationReport(samples=row_count, entities=entity_count, violations=violations)
+
+
+def _slide_file_violations(
+    outdir: Path, given: str, ref: str, layout: Sequence[LayoutLine]
+) -> list[tuple[str, str]]:
+    """A row's ``slide_image_ref`` ``given`` against the file ``ref`` that ``build`` draws ``layout`` in."""
+    if given != ref:
+        return [("bad-slide-ref", f"slide_image_ref is {given!r:.80}, not {ref!r:.80}")]
+    try:
+        if (outdir / ref).read_bytes() == slide_svg(layout):
+            return []
+    except OSError as e:
+        return [("slide-mismatch", f"cannot read {ref}: {e.strerror}")]
+    return [("slide-mismatch", f"{ref} is not the slide drawn from its slide_text")]

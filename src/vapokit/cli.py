@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, grpo, ocr_behavior
-from .data import fold_sum, pair_by_id, read_hypotheses, read_json, read_samples, resolve_data_path
+from .data import drain, fold_sum, pair_by_id, read_hypotheses, read_json, read_samples, resolve_data_path
 from .errors import ToolkitError
 from .metrics import ALL_METRICS, aggregate_reports, check_metrics, sample_report
 from .rewards import RewardWeights, total_reward
@@ -56,10 +56,11 @@ def cmd_score(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     check_metrics(metrics)  # before pairing, so a bad name is the error reported
     pairs = pair_by_id(samples, hyps, allow_partial=args.allow_partial)
+    del samples, hyps  # the pairs alone hold the records, and drain releases each once its row is made
     rows = []
 
     def reports():  # each row is made with its report, which is then only summed
-        for s, h in pairs:
+        for s, h in drain(pairs):
             report = sample_report(s, h.text, metrics=metrics)
             rows.append({"id": s.id, **report.as_dict()})
             yield report
@@ -75,7 +76,8 @@ def cmd_reward(args) -> int:
     rollouts = read_hypotheses(args.rollouts)
     weights = RewardWeights.from_file(args.weights) if args.weights else RewardWeights()
     pairs = pair_by_id(samples, rollouts, allow_partial=args.allow_partial)
-    rows = [{"id": s.id, **total_reward(s, h.text, weights).as_dict()} for s, h in pairs]
+    del samples, rollouts  # as in cmd_score
+    rows = [{"id": s.id, **total_reward(s, h.text, weights).as_dict()} for s, h in drain(pairs)]
     mean_total = fold_sum(r["total"] for r in rows) / len(rows)
     if math.isinf(mean_total):  # the sum overflowed; each total is at most the finite weight sum
         mean_total = fold_sum(r["total"] / len(rows) for r in rows)
@@ -85,9 +87,10 @@ def cmd_reward(args) -> int:
 
 def cmd_detect(args) -> int:
     _reject_input_as_out(args.out, args.dataset, args.hyp)
-    samples = read_samples(args.dataset)
-    hyps = read_hypotheses(args.hyp)
-    rows = ocr_behavior.detect_all(samples, hyps, allow_partial=args.allow_partial)
+    # Passed as read, not named, so that detect_all holds the only references to the
+    # lists (on Python 3.10 the caller's stack keeps them until the call returns).
+    rows = ocr_behavior.detect_all(read_samples(args.dataset), read_hypotheses(args.hyp),
+                                   allow_partial=args.allow_partial)
     _write_json(args.out, {"rows": rows, "summary": ocr_behavior.summarize(rows)})
     return 0
 

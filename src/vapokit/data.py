@@ -10,7 +10,7 @@ from collections import Counter
 from functools import reduce
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ToolkitError
 
@@ -209,9 +209,8 @@ def read_json(path: str | Path, code: str):
         raise ToolkitError(code, f"cannot load {path}: {e}") from e
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """One JSON value per nonblank line; a leading UTF-8 byte-order mark is skipped."""
-    rows = []
+def iter_jsonl(path: str | Path) -> Iterator:
+    """One JSON value per nonblank line, parsed as its line is read; a leading UTF-8 byte-order mark is skipped."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
@@ -219,14 +218,39 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 if not line:
                     continue
                 try:
-                    rows.append(load_json(line))
+                    value = load_json(line)
                 except ValueError as e:
                     raise ToolkitError("manifest-parse", f"{path}:{lineno}: {e}") from e
+                yield value
     except ToolkitError:
         raise
     except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a path holding a NUL or a surrogate
         raise ToolkitError("manifest-parse", f"cannot read {path}: {e}") from e
-    return rows
+
+
+def read_jsonl(path: str | Path) -> list:
+    """The values of ``iter_jsonl`` as one list."""
+    return list(iter_jsonl(path))
+
+
+def read_records(path: str | Path, make: Callable[[object], object]) -> list:
+    """``make(value)`` for each value of ``iter_jsonl``, made as its line is parsed.
+
+    The first error ``make`` raises is held until the whole file has parsed,
+    so a line that is not JSON is the error reported even when a bad record
+    comes before it, as if the file were parsed before any record is made.
+    """
+    records = []
+    error = None
+    for value in iter_jsonl(path):
+        if error is None:
+            try:
+                records.append(make(value))
+            except ToolkitError as e:
+                error = e
+    if error is not None:
+        raise error
+    return records
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
@@ -237,11 +261,11 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    return [Sample.from_dict(d) for d in read_jsonl(path)]
+    return read_records(path, Sample.from_dict)
 
 
 def read_hypotheses(path: str | Path) -> list[Hypothesis]:
-    return [Hypothesis.from_dict(d) for d in read_jsonl(path)]
+    return read_records(path, Hypothesis.from_dict)
 
 
 def builtin_path(name: str) -> Path:
@@ -291,3 +315,16 @@ def pair_by_id(
         raise ToolkitError("pairing", "no overlapping ids between dataset and hypotheses")
     pairs.sort(key=lambda p: p[0].id)
     return pairs
+
+
+def drain(items: list) -> Iterator:
+    """Yield the items of ``items`` in order, taking each out of the list as it is yielded.
+
+    When the list is the only holder of its items, each is released once the
+    loop over it moves on: a loop that makes one row per pair holds the pairs
+    still to do and the rows made so far, never all pairs and all rows at once.
+    ``items`` ends empty.
+    """
+    items.reverse()
+    while items:
+        yield items.pop()

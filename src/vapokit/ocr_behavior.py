@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .data import Hypothesis, Sample, pair_by_id
+from .data import Hypothesis, Sample, drain, pair_by_id
 from .errors import ToolkitError
 from .textnorm import normalize_tokenize, tokenize_output
 
@@ -34,9 +34,15 @@ def detect(output: str, slide_only: frozenset[str]) -> bool:
 def detect_all(
     samples: Sequence[Sample], outputs: Sequence[Hypothesis], allow_partial: bool = False
 ) -> list[dict]:
-    """Per-sample detection rows, paired by id (see ``pair_by_id``) and sorted by id."""
+    """Per-sample detection rows, paired by id (see ``pair_by_id``) and sorted by id.
+
+    Each pair is released once its row is made, and so are the records when
+    the caller keeps no reference to the two lists.
+    """
+    pairs = pair_by_id(samples, outputs, allow_partial=allow_partial)
+    del samples, outputs
     rows = []
-    for sample, hyp in pair_by_id(samples, outputs, allow_partial=allow_partial):
+    for sample, hyp in drain(pairs):
         slide_only = partition_vocab(sample)
         rows.append(
             {

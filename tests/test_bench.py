@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -636,6 +637,27 @@ def test_validate_manifest_applies_the_checks_of_build(tmp_path):
     report = validate_manifest(path)
     assert [(v["id"], v["code"]) for v in report.violations] == [
         ("a/b", "bad-id"), ("wide", "unwrappable-token"), ("tall", "slide-overflow")
+    ]
+
+
+def test_validate_manifest_checks_each_rows_slide_file(tmp_path):
+    """A row's ``slide_image_ref`` must be the file ``build`` writes for its
+    id, and that file must hold the slide ``build`` draws from its text."""
+    build_dataset([_seed(0, ["aspirin"]), _seed(1, ["warfarin"]), _seed(2, ["heparin"])], tmp_path)
+    path = tmp_path / "manifest.jsonl"
+    rows = read_jsonl(path)
+    rows[0]["slide_image_ref"] = "slides/other.svg"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (tmp_path / "slides" / "b1.svg").unlink()
+    (tmp_path / "slides" / "b2.svg").write_bytes((tmp_path / "slides" / "b2.svg").read_bytes().replace(b"heparin", b"h"))
+    assert [(v["id"], v["code"], v["detail"]) for v in validate_manifest(path).violations] == [
+        ("b0", "bad-slide-ref", "slide_image_ref is 'slides/other.svg', not 'slides/b0.svg'"),
+        ("b1", "slide-mismatch", "cannot read slides/b1.svg: No such file or directory"),
+        ("b2", "slide-mismatch", "slides/b2.svg is not the slide drawn from its slide_text"),
+    ]
+    shutil.rmtree(tmp_path / "slides")
+    assert [(v["id"], v["code"]) for v in validate_manifest(path).violations] == [
+        ("b0", "bad-slide-ref"), ("b1", "slide-mismatch"), ("b2", "slide-mismatch")
     ]
 
 

@@ -5,15 +5,19 @@ pyenv's ``~/.pyenv/versions/3.1*``) whose version differs from the one
 running the tests runs ``_DRIVER`` once, with only the standard library: it
 calls ``vapokit.cli.main`` for each of ``_commands`` (the golden ``score``,
 ``reward``, ``detect`` and ``build``, the six ``report`` tables, the 60-step
-and the shipped ``simulate``, and ``reward`` on the inputs whose mean the
-compensated sums would change) and writes what each command wrote into a
-directory. This process then compares those bytes with ``tests/golden``, the
-pinned digests and the left-to-right means.
+and the shipped ``simulate``, ``reward`` on the inputs whose mean the
+compensated sums would change, and ``score`` on the two datasets of
+``test_readers``, which it must reject) and writes what each command wrote
+into a directory. This process then compares those bytes with
+``tests/golden``, the pinned digests, the left-to-right means and the error
+records this interpreter writes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -24,6 +28,8 @@ import pytest
 
 from test_cli import FOLD_MEAN_TOTALS, write_fold_inputs
 from test_golden import GOLDEN, REPORT_SHA256, SHIPPED_SIMULATE_SHA256, SLIDES_SHA256
+from test_readers import one_fault, two_faults
+from vapokit.cli import main
 from vapokit.data import builtin_path
 
 SRC = GOLDEN.parent.parent / "src"
@@ -32,8 +38,9 @@ SIMULATE_STDOUT = '{"steps": 60, "p_optimal": 0.07168234236583221}\n'
 BUILD_STDOUT = '{"samples": 6, "entities": 23, "hours": 0.03666666666666667}\n'
 
 # Arguments: the source directory, the output directory and a JSON list of
-# commands. Each command is (name, argv), with "{out}" in argv standing for the
-# output directory; its stdout goes to <name>.stdout there.
+# commands. Each command is (name, argv, exit code), with "{out}" in argv
+# standing for the output directory; its stdout and stderr go to
+# <name>.stdout and <name>.stderr there.
 _DRIVER = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -41,13 +48,14 @@ src, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 sys.path.insert(0, src)
 from vapokit.cli import main
 
-for name, argv in commands:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+for name, argv, expected in commands:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([arg.replace("{out}", out) for arg in argv])
-    if code != 0:
-        sys.exit(f"{name} exited {code}")
+    if code != expected:
+        sys.exit(f"{name} exited {code}: {stderr.getvalue()}")
     Path(out, name + ".stdout").write_bytes(stdout.getvalue().encode("utf-8"))
+    Path(out, name + ".stderr").write_bytes(stderr.getvalue().encode("utf-8"))
 """
 
 _VERSION = "import sys; print(sys.implementation.name, '.'.join(map(str, sys.version_info[:3])))"
@@ -69,8 +77,8 @@ def _other_interpreters() -> dict[str, str]:
     return found
 
 
-def _commands(fold: Path) -> list[tuple[str, list[str]]]:
-    """The commands each interpreter runs; the fold inputs are written under ``fold``."""
+def _commands(fold: Path) -> list[tuple[str, list[str], int]]:
+    """The commands each interpreter runs, with their exit codes; the fold and fault inputs are written under ``fold``."""
     dataset = ["--dataset", f"{GOLDEN}/manifest.jsonl"]
     commands = [
         ("score", ["score", *dataset, "--hyp", f"{GOLDEN}/hyp.jsonl", "--out", "{out}/score.json"]),
@@ -87,19 +95,33 @@ def _commands(fold: Path) -> list[tuple[str, list[str]]]:
         (fold / str(k)).mkdir(parents=True)
         argv = write_fold_inputs(fold / str(k), weight)
         commands.append((f"fold-{k}", [*argv, "--out", f"{{out}}/fold-{k}.json"]))
+    commands = [(name, argv, 0) for name, argv in commands]
+    for faults in (two_faults, one_fault):
+        argv = ["score", "--dataset", str(faults(fold)), "--hyp", f"{GOLDEN}/hyp.jsonl", "--out", "{out}/fault.json"]
+        commands.append((faults.__name__, argv, 1))
     return commands
+
+
+def _error_record(argv: list[str]) -> bytes:
+    """What this interpreter writes to stderr for a command that fails before writing any output."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main(argv) == 1
+    return stderr.getvalue().encode("utf-8")
 
 
 def _sha256(*paths: Path) -> str:
     return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
 
 
-def _mismatches(out: Path) -> list[str]:
+def _mismatches(out: Path, commands: list[tuple[str, list[str], int]]) -> list[str]:
     expected = {f"{name}.json": (GOLDEN / f"{name}.json").read_bytes() for name in RECORDS}
     expected.update({name: (GOLDEN / name).read_bytes() for name in ("simulate_trace.jsonl", "simulate_trace.csv")})
     expected.update({f"built/{name}": (GOLDEN / name).read_bytes() for name in ("manifest.jsonl", "stats.json")})
     expected["simulate.stdout"] = SIMULATE_STDOUT.encode("utf-8")
     expected["build.stdout"] = BUILD_STDOUT.encode("utf-8")
+    expected.update({f"{name}.stderr": _error_record([arg.replace("{out}", str(out)) for arg in argv])
+                     for name, argv, code in commands if code})
     wrong = [name for name, data in expected.items() if (out / name).read_bytes() != data]
     wrong += [f"report --in {command}.json --format {fmt}" for (command, fmt), digest in REPORT_SHA256.items()
               if _sha256(out / f"report-{command}-{fmt}.stdout") != digest]
@@ -116,19 +138,19 @@ def test_golden_outputs_are_the_same_bytes_under_other_interpreters(tmp_path):
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no CPython other than the running one was found")
-    commands = json.dumps(_commands(tmp_path / "fold"))
+    commands = _commands(tmp_path / "fold")
     runs = {}
     for version, exe in interpreters.items():
         out = tmp_path / version
         out.mkdir()
         # -I: no PYTHON* variables or user site; -B: no bytecode of another version left in src
-        runs[version] = subprocess.Popen([exe, "-I", "-B", "-c", _DRIVER, str(SRC), str(out), commands],
+        runs[version] = subprocess.Popen([exe, "-I", "-B", "-c", _DRIVER, str(SRC), str(out), json.dumps(commands)],
                                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     failures = {}
     for version, proc in runs.items():
         _, err = proc.communicate(timeout=120)
         if proc.returncode != 0:
             failures[version] = err.strip()[-500:]
-        elif wrong := _mismatches(tmp_path / version):
+        elif wrong := _mismatches(tmp_path / version, commands):
             failures[version] = wrong
     assert not failures, failures

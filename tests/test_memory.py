@@ -1,4 +1,4 @@
-"""What a records command holds in memory: the streamed JSON writer and the tokenizer cache rule.
+"""What a records command holds in memory: the records once, the streamed JSON writer and the tokenizer cache rule.
 
 ``_write_json`` writes the same bytes as ``json.dumps(..., ensure_ascii=False,
 indent=2)`` plus a newline, without building the whole text first. The
@@ -18,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vapokit import cli, ocr_behavior
 from vapokit.cli import _write_json, main
-from vapokit.data import Sample
+from vapokit.data import Sample, pair_by_id
 from vapokit.rewards import asr_reward, extract_anchored, ocr_reward, visual_anchoring_reward
 from vapokit.textnorm import _tokenize
 
@@ -134,3 +135,50 @@ def test_reward_functions_cache_only_sample_side_texts():
     anchored = extract_anchored("think block two aspirin", s.entities)
     visual_anchoring_reward(anchored, "answer block two aspirin", s.entities)
     assert _tokenize.cache_info().currsize == len(_sample_texts([SAMPLES[0]], SAMPLE_SIDE["reward"]))
+
+
+def _release_corpus(directory: Path, n: int = 2400) -> dict[str, str]:
+    """``n`` records over 40 slides and transcripts, as a built corpus repeats its seeds,
+    with a hypothesis and a rollout each; returns the input paths by flag."""
+    samples, hyps, rollouts = [], [], []
+    for i in range(n):
+        base = SAMPLES[i % len(SAMPLES)]
+        samples.append(base | {"id": f"r{i:05d}", "slide_text": f"{base['slide_text']} part {i % 40}",
+                               "transcript_gt": f"{base['transcript_gt']} part {i % 40}",
+                               "audio_ref": f"audio/r{i:05d}.wav"})
+        said = f"record {i} mentions {' and '.join(base['entities'])} in clinics"
+        hyps.append({"id": f"r{i:05d}", "text": said})
+        rollouts.append({"id": f"r{i:05d}", "text": f"<think>{base['slide_text']}</think><answer>{said}</answer>"})
+    return {"--dataset": _write_jsonl(directory / "dataset.jsonl", samples),
+            "--hyp": _write_jsonl(directory / "hyp.jsonl", hyps),
+            "--rollouts": _write_jsonl(directory / "rollouts.jsonl", rollouts)}
+
+
+@pytest.mark.parametrize("command", list(SAMPLE_SIDE))
+def test_records_are_released_pair_by_pair(command, tmp_path, monkeypatch):
+    """From pairing on, a command holds each record once, in its pair, and
+    drops each pair once its row is made: its peak after pairing stays within
+    10% of what it held right after pairing, though the rows grow to a large
+    share of the records."""
+    inputs = _release_corpus(tmp_path)
+    other = "--rollouts" if command == "reward" else "--hyp"
+    argv = [command, "--dataset", inputs["--dataset"], other, inputs[other], "--out", str(tmp_path / "out.json")]
+    held = []
+
+    def pairing(*args, **kwargs):
+        pairs = pair_by_id(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return pairs
+
+    monkeypatch.setattr(cli, "pair_by_id", pairing)
+    monkeypatch.setattr(ocr_behavior, "pair_by_id", pairing)
+    _tokenize.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (after_pairing,) = held
+    assert peak <= 1.1 * after_pairing, (peak, after_pairing)
