@@ -18,8 +18,8 @@ import unicodedata
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .data import (Record, Sample, _as_number, _record, _record_id, fold_sum, iter_jsonl, read_json,
-                   read_records, reject_repeated_ids, write_jsonl)
+from .data import (Record, Sample, _as_number, _record, _record_id, iter_jsonl, read_json, read_records,
+                   reject_repeated_ids, write_jsonl)
 from .errors import ToolkitError
 from .metrics import _find_exact_span
 from .prompts import SLIDE_TEXT_PROMPT
@@ -316,15 +316,17 @@ def read_seed_records(path: str | Path) -> list[Sample]:
 
     A seed's ``transcript`` key is read as ``transcript_gt`` and wins when a
     record has both. Slide fields are parsed like a dataset record's, and
-    ``build_dataset`` replaces them.
+    ``build_dataset`` replaces them. Equal texts among the seeds are one
+    object, as among the samples of ``read_samples``.
     """
-    return read_records(path, _seed_from_dict)
+    texts: dict[str, str] = {}
+    return read_records(path, lambda d: _seed_from_dict(d, texts))
 
 
-def _seed_from_dict(d) -> Sample:
+def _seed_from_dict(d, texts: dict[str, str]) -> Sample:
     if isinstance(d, dict) and "transcript" in d:
         d["transcript_gt"] = d["transcript"]
-    return Sample.from_dict(d)
+    return Sample.from_dict(d, texts)
 
 
 def _slide_ref(record_id: str) -> str:
@@ -344,37 +346,47 @@ def build_dataset(
 
     A manifest row is its seed with ``slide_text`` and ``slide_image_ref`` set.
     Writes manifest.jsonl (one sample per line), stats.json, and slides/*.svg.
-    A seed that breaks a sample invariant goes to errors.jsonl with its first
-    violation's code before the generator is called, and so does a record
+    Each row is written as its slide is drawn, so one built sample is held at
+    a time. A seed that breaks a sample invariant goes to errors.jsonl with its
+    first violation's code before the generator is called, and so does a record
     whose generation fails or whose slide does not fit the canvas; a build
     without failures removes any errors.jsonl a previous build left, and every
-    build removes the slides/*.svg files that are not its manifest's. Output is byte-identical across rebuilds for
-    the same seeds and generator, and to a fresh build into an empty outdir.
-    Seed ids must be unique: a repeated id raises "duplicate-id" before
-    anything is written.
+    build removes the slides/*.svg files that are not its manifest's. Output is
+    byte-identical across rebuilds for the same seeds and generator, and to a
+    fresh build into an empty outdir. Seed ids must be unique: a repeated id
+    raises "duplicate-id" before anything is written.
     """
     reject_repeated_ids(seeds, "seeds")
     outdir = Path(outdir)
     (outdir / "slides").mkdir(parents=True, exist_ok=True)
-    entries: list[Sample] = []
+    samples = entity_count = 0
+    seconds = 0  # the durations added left to right, as fold_sum adds them; None once one is unknown
     failures: list[dict] = []
-    for seed in seeds:
-        try:
-            image_rel = _slide_ref(seed.id)
-            problems = _seed_violations(seed)
-            if problems:
-                raise ToolkitError(*problems[0])
-            slide = generate_slide_text(seed.domain, seed.entities, generator)
-            render_slide(slide, outdir / image_rel)
-            entries.append(Sample(**{**vars(seed), "slide_text": slide.full_text(), "slide_image_ref": image_rel}))
-        except ToolkitError as e:
-            failures.append({"id": seed.id, "code": e.code, "detail": str(e)})
-    entity_count = sum(len(s.entities) for s in entries)
-    hours = None
-    if entries and all(s.duration_s is not None for s in entries):
-        hours = fold_sum(s.duration_s for s in entries) / 3600.0
-    write_jsonl(outdir / "manifest.jsonl", (s.to_dict() for s in entries))
-    stats = {"samples": len(entries), "entities": entity_count, "hours": hours}
+    with open(outdir / "manifest.jsonl", "w", encoding="utf-8") as manifest:
+        for seed in seeds:
+            try:
+                image_rel = _slide_ref(seed.id)
+                problems = _seed_violations(seed)
+                if problems:
+                    raise ToolkitError(*problems[0])
+                slide = generate_slide_text(seed.domain, seed.entities, generator)
+                # A str path: pathlib interns each part of a path it parses, and
+                # Python 3.12 and 3.13 keep those strings after the path is gone.
+                render_slide(slide, os.path.join(outdir, image_rel))
+            except ToolkitError as e:
+                failures.append({"id": seed.id, "code": e.code, "detail": str(e)})
+                continue
+            # Fields named one by one: vars(seed) would give each held seed a dict of its own.
+            row = Sample(id=seed.id, domain=seed.domain, lang=seed.lang, slide_text=slide.full_text(),
+                         transcript_gt=seed.transcript_gt, entities=seed.entities, audio_ref=seed.audio_ref,
+                         slide_image_ref=image_rel, duration_s=seed.duration_s).to_dict()
+            manifest.write(json.dumps(row, ensure_ascii=False) + "\n")
+            samples += 1
+            entity_count += len(seed.entities)
+            if seconds is not None:
+                seconds = None if seed.duration_s is None else seconds + seed.duration_s
+    hours = None if not samples or seconds is None else seconds / 3600.0
+    stats = {"samples": samples, "entities": entity_count, "hours": hours}
     (outdir / "stats.json").write_text(
         json.dumps(stats, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -382,10 +394,11 @@ def build_dataset(
         write_jsonl(outdir / "errors.jsonl", failures)
     else:
         (outdir / "errors.jsonl").unlink(missing_ok=True)
-    kept = {s.slide_image_ref for s in entries}
+    failed = {f["id"] for f in failures}
+    built = {seed.id for seed in seeds if seed.id not in failed}
     with os.scandir(outdir / "slides") as slides:
         for entry in slides:
-            if entry.name.endswith(".svg") and f"slides/{entry.name}" not in kept and entry.is_file():
+            if entry.name.endswith(".svg") and entry.name[:-4] not in built and entry.is_file():
                 os.unlink(entry.path)
     return stats
 
@@ -458,8 +471,9 @@ def _slide_file_violations(
     if given != ref:
         return [("bad-slide-ref", f"slide_image_ref is {given!r:.80}, not {ref!r:.80}")]
     try:
-        if (outdir / ref).read_bytes() == slide_svg(layout):
-            return []
+        with open(os.path.join(outdir, ref), "rb") as f:  # a str path, as build_dataset draws it
+            if f.read() == slide_svg(layout):
+                return []
     except OSError as e:
         return [("slide-mismatch", f"cannot read {ref}: {e.strerror}")]
     return [("slide-mismatch", f"{ref} is not the slide drawn from its slide_text")]

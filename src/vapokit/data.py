@@ -75,16 +75,26 @@ class Sample(Record):
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Sample":
+    def from_dict(cls, d: dict, texts: dict[str, str] | None = None) -> "Sample":
+        """The sample of one record.
+
+        ``texts`` maps each text already made to itself, and the readers pass
+        one such table for every record of one read: a text field or entity
+        equal to one in it takes that object, so records that repeat a slide,
+        transcript, entity or audio ref hold it once. Each sample still gets an
+        entity list of its own. The ``id`` and ``slide_image_ref``, which
+        records do not repeat, are kept out of the table.
+        """
         _record(d)
+        texts = {} if texts is None else texts
         return cls(
             id=_record_id(d),
-            domain=_text_field(d, "domain"),
-            lang=_text_field(d, "lang", "en"),
-            slide_text=_text_field(d, "slide_text"),
-            transcript_gt=_text_field(d, "transcript_gt"),
-            entities=_entity_list(d),
-            audio_ref=_text_field(d, "audio_ref"),
+            domain=_shared_text(d, "domain", texts),
+            lang=_shared_text(d, "lang", texts, "en"),
+            slide_text=_shared_text(d, "slide_text", texts),
+            transcript_gt=_shared_text(d, "transcript_gt", texts),
+            entities=_entity_list(d, texts),
+            audio_ref=_shared_text(d, "audio_ref", texts),
             slide_image_ref=(
                 None if d.get("slide_image_ref") is None else _text_field(d, "slide_image_ref")
             ),
@@ -135,6 +145,11 @@ def _text_field(d: dict, key: str, default: str = "") -> str:
     return value
 
 
+def _shared_text(d: dict, key: str, texts: dict[str, str], default: str = "") -> str:
+    value = _text_field(d, key, default)
+    return texts.setdefault(value, value)
+
+
 def _duration_field(d: dict) -> float | None:
     """``duration_s`` as given when it is a finite number >= 0; None when absent or null."""
     value = d.get("duration_s")
@@ -162,13 +177,13 @@ def _as_number(value, kind: type, code: str, name: str):
     raise ToolkitError(code, f"{name} must be {what}, got {value!r:.80}")
 
 
-def _entity_list(d: dict) -> list[str]:
+def _entity_list(d: dict, texts: dict[str, str]) -> list[str]:
     entities = d.get("entities", [])
     if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
         raise ToolkitError(
             "bad-record", f"record {d.get('id')!r}: entities must be a list of strings, got {entities!r}"
         )
-    return list(entities)
+    return [texts.setdefault(e, e) for e in entities]
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -261,7 +276,14 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    return read_records(path, Sample.from_dict)
+    """The samples of a dataset file; equal texts among them are one object (``Sample.from_dict``).
+
+    The table of texts lives for this one read: it is dropped when the read
+    returns, so samples of two reads share nothing, and each text is freed
+    with the last sample that holds it.
+    """
+    texts: dict[str, str] = {}
+    return read_records(path, lambda d: Sample.from_dict(d, texts))
 
 
 def read_hypotheses(path: str | Path) -> list[Hypothesis]:

@@ -551,6 +551,44 @@ def test_rebuild_removes_slides_not_in_its_manifest(tmp_path, change):
     assert _tree_digest(tmp_path / "out") == _tree_digest(tmp_path / "fresh")
 
 
+def test_interleaved_failures_keep_the_manifest_and_errors_in_seed_order(tmp_path):
+    """Rows are written as their slides are drawn: seeds rejected between
+    them leave the manifest, stats and slides of a build of the good seeds
+    alone, and errors.jsonl lists the rejected seeds in seed order."""
+
+    def generator(domain, entities):
+        if domain == "tall":
+            return " ".join(["word"] * 120), "body about " + ", ".join(entities)
+        return TemplateGenerator()(domain, entities)
+
+    good = [_seed(i, ["aspirin", "warfarin"][: 1 + i % 2]) for i in range(4)]
+    for seed in good:
+        seed.duration_s = 0.1  # left to right: 0.1 + 0.1 + 0.1 = 0.30000000000000004, then 0.4
+    bad = [
+        _seed_sample("e/0", "medicine", "talk about aspirin", ["aspirin"]),
+        _seed_sample("e1", "medicine", " !! ", ["aspirin"]),
+        _seed_sample("e2", "tall", "talk about aspirin", ["aspirin"]),
+        _seed_sample("e3", "medicine", "a talk that never names the drug", ["heparin"]),
+    ]
+    mixed = [bad[0], good[0], bad[1], good[1], good[2], bad[2], good[3], bad[3]]
+    (tmp_path / "mixed" / "slides").mkdir(parents=True)
+    (tmp_path / "mixed" / "slides" / "e1.svg").write_text("left by an earlier build")
+    mixed_stats = build_dataset(mixed, tmp_path / "mixed", generator)
+    good_stats = build_dataset(good, tmp_path / "good", generator)
+    assert mixed_stats == good_stats == {"samples": 4, "entities": 6, "hours": 0.4 / 3600.0}
+    with pytest.raises(ToolkitError) as overflow:
+        layout_slide(generate_slide_text("tall", ["aspirin"], generator))
+    errors = [
+        {"id": "e/0", "code": "bad-id", "detail": "id cannot name a slide file: 'e/0'"},
+        {"id": "e1", "code": "empty-transcript", "detail": "no transcript tokens"},
+        {"id": "e2", "code": "slide-overflow", "detail": str(overflow.value)},
+        {"id": "e3", "code": "entity-not-in-transcript", "detail": "heparin"},
+    ]
+    assert (tmp_path / "mixed" / "errors.jsonl").read_text() == "".join(json.dumps(e) + "\n" for e in errors)
+    (tmp_path / "mixed" / "errors.jsonl").unlink()
+    assert _tree_digest(tmp_path / "mixed") == _tree_digest(tmp_path / "good")
+
+
 def test_validate_manifest_catches_corruption(tmp_path):
     seeds = [_seed(0, ["aspirin"])]
     build_dataset(seeds, tmp_path)

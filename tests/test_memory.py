@@ -1,9 +1,11 @@
-"""What a records command holds in memory: the records once, the streamed JSON writer and the tokenizer cache rule.
+"""What a command holds in memory: the records once, each distinct text once, the streamed JSON writer and build, and the tokenizer cache rule.
 
 ``_write_json`` writes the same bytes as ``json.dumps(..., ensure_ascii=False,
 indent=2)`` plus a newline, without building the whole text first. The
-tokenizer cache keeps only sample-side texts (slides, transcripts, entity
-surfaces), which recur; model outputs are tokenized uncached.
+records of one read share equal texts, for that read only. ``build_dataset``
+writes each manifest row as its slide is drawn. The tokenizer cache keeps
+only sample-side texts (slides, transcripts, entity surfaces), which recur;
+model outputs are tokenized uncached.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_golden import GOLDEN
 from vapokit import cli, ocr_behavior
+from vapokit.bench import build_dataset, read_seed_records
 from vapokit.cli import _write_json, main
-from vapokit.data import Sample, pair_by_id
+from vapokit.data import Sample, builtin_path, pair_by_id, read_samples
 from vapokit.rewards import asr_reward, extract_anchored, ocr_reward, visual_anchoring_reward
 from vapokit.textnorm import _tokenize
 
@@ -182,3 +186,118 @@ def test_records_are_released_pair_by_pair(command, tmp_path, monkeypatch):
         tracemalloc.stop()
     (after_pairing,) = held
     assert peak <= 1.1 * after_pairing, (peak, after_pairing)
+
+
+# ---------------------------------------------------------------------------
+# each distinct text once, for one read
+
+COPIES = 4
+
+
+def write_shared_inputs(directory: Path) -> dict[str, str]:
+    """The golden dataset, hypotheses, rollouts and seeds with each record
+    repeated under ``COPIES`` ids (copy k of row j is record k * rows + j), as
+    a lecture speaks many utterances over one slide: the copies of a row share
+    its slide, transcript, entities and audio ref. Returns the paths by flag."""
+    inputs = {}
+    for flag, name in (("--dataset", "manifest.jsonl"), ("--hyp", "hyp.jsonl"),
+                       ("--rollouts", "rollouts.jsonl"), ("--seeds", "seeds.jsonl")):
+        rows = [json.loads(line) for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines()]
+        copies = []
+        for k in range(COPIES):
+            for row in rows:
+                rid = f"{row['id']}-{k}"
+                ref = {"slide_image_ref": f"slides/{rid}.svg"} if "slide_image_ref" in row else {}
+                copies.append(row | {"id": rid} | ref)
+        path = directory / f"shared_{name}"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in copies), encoding="utf-8")
+        inputs[flag] = str(path)
+    return inputs
+
+
+def write_tiled_seeds(path: Path, tiles: int) -> str:
+    """``seeds_60`` repeated ``tiles`` times under new ids, as the benchmark's ``eval-short-en`` seeds are."""
+    seeds = [json.loads(line) for line in builtin_path("seeds_60.jsonl").read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(seed | {"id": f"{seed['id']}-t{t:03d}"}) + "\n"
+                            for t in range(tiles) for seed in seeds), encoding="utf-8")
+    return str(path)
+
+
+READERS = {"read_samples": read_samples, "read_seed_records": read_seed_records}
+
+
+def _shared_texts(record: Sample) -> list[str]:
+    """The texts a reader shares: every text field but the id and ``slide_image_ref``, and each entity."""
+    return [record.domain, record.lang, record.slide_text, record.transcript_gt, record.audio_ref, *record.entities]
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_records_of_one_read_share_their_texts_and_two_reads_share_none(reader, tmp_path):
+    path = write_shared_inputs(tmp_path)["--dataset"]
+    first, second = READERS[reader](path), READERS[reader](path)
+    rows = len(first) // COPIES
+    for i in range(rows, len(first)):
+        texts, row_texts = _shared_texts(first[i]), _shared_texts(first[i % rows])
+        assert len(texts) == len(row_texts) and all(a is b for a, b in zip(texts, row_texts)), first[i].id
+
+    def objects(records):  # CPython keeps one object for "" and for each one-character string anyway
+        return {id(text) for record in records for text in _shared_texts(record) if len(text) > 1}
+
+    assert not objects(first) & objects(second)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_shared_texts_are_released_with_the_records(reader, tmp_path):
+    """The table of texts lives for one read: once the records are dropped,
+    what the read allocated is freed, its distinct texts included."""
+    READERS[reader](write_shared_inputs(tmp_path)["--dataset"])  # the allocations of first use
+    # 400 records over 40 slides; the directory's name makes texts that no earlier read met
+    rows = [SAMPLES[i % len(SAMPLES)] | {"id": f"u{i:03d}", "slide_text": f"{tmp_path} slide {i % 40}",
+                                         "transcript_gt": f"{tmp_path} talk {i} about aspirin",
+                                         "audio_ref": f"{tmp_path}/audio/u{i:03d}.wav"} for i in range(400)]
+    path = _write_jsonl(tmp_path / "dataset.jsonl", rows)
+    tracemalloc.start()
+    try:
+        records = READERS[reader](path)
+        held = tracemalloc.get_traced_memory()[0]
+        del records
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < held / 10, (left, held)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_records_that_share_texts_stay_independent(reader, tmp_path):
+    path = write_shared_inputs(tmp_path)["--dataset"]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    shared = READERS[reader](path)
+    alone = [Sample.from_dict(json.loads(line)) for line in lines]
+    assert shared == alone
+    assert [json.dumps(s.to_dict(), ensure_ascii=False) for s in shared] == lines
+    rows = len(shared) // COPIES
+    shared[0].entities.append("appended")
+    assert shared[rows] == alone[rows]
+    assert shared[rows].entities is not shared[0].entities
+
+
+def test_build_holds_one_built_sample_at_a_time(tmp_path):
+    """Each manifest row is written as its slide is drawn: beyond what the
+    seeds hold, build's peak grows by at most 200 B per added seed, where
+    keeping every built sample to the end grows it by about 870 B."""
+    extra = {}
+    for tiles in (50, 100):
+        path = write_tiled_seeds(tmp_path / f"seeds_{tiles}.jsonl", tiles)
+        _tokenize.cache_clear()
+        tracemalloc.start()
+        try:
+            seeds = read_seed_records(path)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_dataset(seeds, tmp_path / f"built_{tiles}")
+            extra[tiles] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        del seeds
+    added = 60 * (100 - 50)
+    assert extra[100] - extra[50] <= 200 * added, extra
