@@ -471,7 +471,7 @@ def _slide_file_violations(
     if given != ref:
         return [("bad-slide-ref", f"slide_image_ref is {given!r:.80}, not {ref!r:.80}")]
     try:
-        with open(os.path.join(outdir, ref), "rb") as f:  # a str path, as build_dataset draws it
+        with open(os.path.join(outdir, ref), "rb") as f:  # a str path: pathlib would intern its parts
             if f.read() == slide_svg(layout):
                 return []
     except OSError as e:
